@@ -1,4 +1,4 @@
-//! The CI perf-cdag binary: measures the CDAG-first engine policy on the
+//! The CI perf-cdag binary: measures the CDAG engine on the
 //! full XMark matrix, writes `BENCH_cdag.json`, and (with `--check`)
 //! enforces the perf gates against a committed reference.
 //!
@@ -10,8 +10,8 @@
 //! * `--check FILE` — read a committed reference and fail (exit 1) on gate violations
 //! * `--reps N`     — repetitions per timing, minimum kept (default 3)
 //!
-//! Gate thresholds come from `QUI_CDAG_MAX_AUTO_RATIO`,
-//! `QUI_CDAG_MIN_LADDER_SPEEDUP`, `QUI_CDAG_MIN_LADDER_REUSE`,
+//! Gate thresholds come from `QUI_CDAG_MIN_LADDER_SPEEDUP`,
+//! `QUI_CDAG_MIN_LADDER_REUSE`,
 //! `QUI_CDAG_MIN_AUTOMATON_SAVING` and `QUI_CDAG_TOLERANCE` (see
 //! `qui_bench::cdag`).
 
@@ -72,8 +72,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let failures = check_cdag_gates(&report, Some((committed_norm, committed_cells)), &cfg);
     if failures.is_empty() {
         println!(
-            "perf gates PASS (auto ratio {:.3}, ladder {:.2}x / {:.0}% reuse, projection saves {:.1}%, norm cost {:.3} vs committed {:.3})",
-            report.auto_ratio,
+            "perf gates PASS (auto {:.1} ms, ladder {:.2}x / {:.0}% reuse, projection saves {:.1}%, norm cost {:.3} vs committed {:.3})",
+            report.auto_ms,
             report.ladder_speedup,
             report.ladder_reuse_share * 100.0,
             report.automaton_saving_pct,

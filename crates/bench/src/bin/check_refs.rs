@@ -6,7 +6,10 @@
 //!    and every number in it is finite — a hand-edited or truncated
 //!    reference would otherwise make the corresponding `--check` gate pass
 //!    vacuously.
-//! 2. Every `QUI_*` variable mentioned in `.github/workflows/*.yml` is
+//! 2. Every reference that records `independent_cells` for the full XMark
+//!    views × updates matrix records the same count — a stale reference
+//!    would otherwise keep a number the code no longer produces.
+//! 3. Every `QUI_*` variable mentioned in `.github/workflows/*.yml` is
 //!    actually read by a harness gate, and every declared gate variable is
 //!    set somewhere — so a typo cannot silently disable a threshold.
 //!
@@ -19,7 +22,9 @@
 //! Paths are resolved relative to the workspace root (two levels above this
 //! crate's manifest), so the binary works from any working directory.
 
-use qui_bench::refs::{check_wiring, trend_markdown, trend_rows, validate_reference, REF_SPECS};
+use qui_bench::refs::{
+    check_matrix_agreement, check_wiring, trend_markdown, trend_rows, validate_reference, REF_SPECS,
+};
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -34,13 +39,23 @@ fn run_checks() -> Result<(), Vec<String>> {
     let root = workspace_root();
     let mut failures = Vec::new();
 
+    let mut refs = Vec::new();
     for spec in REF_SPECS {
         let path = root.join("ci").join(spec.file);
         match read(&path) {
-            Ok(json) => failures.extend(validate_reference(spec.file, &json, spec)),
+            Ok(json) => {
+                failures.extend(validate_reference(spec.file, &json, spec));
+                refs.push((spec.file, json));
+            }
             Err(e) => failures.push(e),
         }
     }
+    let refs: Vec<(&str, &str)> = refs.iter().map(|(f, j)| (*f, j.as_str())).collect();
+    failures.extend(check_matrix_agreement(
+        &refs,
+        qui_workloads::all_views().len(),
+        qui_workloads::all_updates().len(),
+    ));
 
     let workflows_dir = root.join(".github/workflows");
     let mut workflows = Vec::new();
@@ -160,7 +175,7 @@ fn main() {
         Ok(()) => {
             if !trend {
                 println!(
-                    "check-refs: {} references and the workflow gate wiring are consistent",
+                    "check-refs: {} references, their XMark matrix counts and the workflow gate wiring are consistent",
                     REF_SPECS.len()
                 );
             }

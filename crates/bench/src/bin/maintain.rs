@@ -1,5 +1,5 @@
 //! The continuous-maintenance harness binary: sustained updates against live
-//! registered views (naive vs independence-pruned vs delta-patched),
+//! registered views (naive vs independence-pruned),
 //! `BENCH_maintain.json` emission, and (with `--check`) the CI perf gates.
 //!
 //! ```text
@@ -14,8 +14,7 @@
 //! * `--scales LIST`  — comma-separated ladder subset (default `S,M`)
 //! * `--quick`        — the S,M PR-CI ladder (gates apply at M, the largest)
 //!
-//! Gate thresholds come from `QUI_MAINTAIN_MIN_DELTA_SPEEDUP`,
-//! `QUI_MAINTAIN_MIN_PRUNED_SPEEDUP`, `QUI_MAINTAIN_MAX_REEVAL_RATIO` and
+//! Gate thresholds come from `QUI_MAINTAIN_MIN_PRUNED_SPEEDUP` and
 //! `QUI_MAINTAIN_TOLERANCE` (see `qui_bench::maintain`).
 
 use qui_bench::baseline::json_number_field;
@@ -101,10 +100,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let failures = check_maintain_gates(&report, Some((committed_norm, committed_nodes)), &cfg);
     if failures.is_empty() {
         println!(
-            "perf gates PASS (delta {:.2}x vs pruned, pruned {:.2}x vs naive, reeval ratio {:.2}, norm cost {:.3} vs committed {:.3})",
-            report.largest().delta_speedup,
+            "perf gates PASS (pruned {:.2}x vs naive, norm cost {:.3} vs committed {:.3})",
             report.largest().pruned_speedup,
-            report.largest().reeval_ratio,
             report.norm_cost,
             committed_norm
         );

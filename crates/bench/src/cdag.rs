@@ -1,14 +1,12 @@
-//! The CDAG perf harness: CI-gated evidence that the CDAG-first engine
-//! policy carries its weight.
+//! The CDAG perf harness: CI-gated evidence that the CDAG engine carries
+//! its weight.
 //!
 //! `cargo run -p qui-bench --bin cdag --release` measures, on the full
 //! 36 × 31 XMark views × updates matrix:
 //!
-//! * **engine order** — whole-matrix wall time of the default CDAG-first
-//!   `EngineKind::Auto` vs the legacy explicit-first order
-//!   (`AnalyzerConfig::cdag_first = false`), plus a verdict-by-verdict
-//!   equality check between the two (must be zero mismatches — the orders
-//!   may only differ in cost, never in answers);
+//! * **whole matrix** — wall time of the default `EngineKind::Auto`
+//!   analysis (CDAG first, explicit confirmation of the dependent cells) at
+//!   `jobs = 1`, with its independent-cell count as a determinism check;
 //! * **incremental k-ladder** — the CDAG prepass walking each expression's
 //!   distinct `k` bounds through a `QueryKLadder`/`UpdateKLadder` vs
 //!   recomputing per `(expr, k)`, with the deterministic share of bounds
@@ -21,11 +19,9 @@
 //!
 //! The JSON artifact (`BENCH_cdag.json`, committed reference in
 //! `ci/BENCH_cdag.json`) feeds the `perf-cdag` CI job. Thresholds are
-//! env-tunable: `QUI_CDAG_MAX_AUTO_RATIO` (default 1.10 — CDAG-first may
-//! not be more than 10% slower than explicit-first; in practice it wins),
-//! `QUI_CDAG_MIN_LADDER_SPEEDUP` (default 0.85 — a parity guard: the
-//! saturating recursive expressions rebuild at every bound and dominate
-//! wall time, so the honest headline metric for the ladder is the
+//! env-tunable: `QUI_CDAG_MIN_LADDER_SPEEDUP` (default 0.85 — a parity
+//! guard: the saturating recursive expressions rebuild at every bound and
+//! dominate wall time, so the honest headline metric for the ladder is the
 //! *deterministic* reuse share, not noisy wall clock),
 //! `QUI_CDAG_MIN_LADDER_REUSE` (default 0.30; ~51% of the XMark matrix's
 //! (expr, k) bounds are served from the ladder cache),
@@ -36,8 +32,8 @@
 
 use crate::baseline::calibrate;
 use qui_core::engine::cdag::{QueryKLadder, UpdateKLadder};
-use qui_core::parallel::{group_prepass_tasks, matrix_prepass_tasks};
-use qui_core::{analyze_matrix, AnalyzerConfig, ChainProjector, EngineKind, Jobs, MatrixVerdicts};
+use qui_core::parallel::{group_prepass_tasks, machine_parallelism, matrix_prepass_tasks};
+use qui_core::{analyze_matrix, AnalyzerConfig, ChainProjector, Jobs, MatrixVerdicts};
 use qui_workloads::{all_updates, all_views, xmark_document, xmark_dtd, XmarkScale};
 use qui_xmlstore::{parse_xml_stream, Projection, StreamConfig};
 use qui_xquery::{parse_query, Query, Update};
@@ -54,6 +50,10 @@ pub const CDAG_SEED: u64 = 7;
 /// The full harness report (all times in milliseconds; minima over reps).
 #[derive(Clone, Debug)]
 pub struct CdagReport {
+    /// Hardware workers of the measuring machine (every timing below runs
+    /// at `jobs = 1`; recorded so references from different hosts are
+    /// told apart).
+    pub workers: usize,
     /// Wall time of the fixed CPU-calibration workload on this machine.
     pub calibration_ms: f64,
     /// Number of views in the measured matrix.
@@ -62,16 +62,9 @@ pub struct CdagReport {
     pub updates: usize,
     /// Number of matrix cells.
     pub cells: usize,
-    /// Whole matrix, `Auto` with the default CDAG-first order, `jobs = 1`.
-    pub auto_cdag_first_ms: f64,
-    /// Whole matrix, `Auto` with the legacy explicit-first order, `jobs = 1`.
-    pub auto_explicit_first_ms: f64,
-    /// `auto_cdag_first_ms / auto_explicit_first_ms` (< 1 = CDAG-first wins).
-    pub auto_ratio: f64,
-    /// Cells whose independence verdict differs between the two orders
-    /// (must be 0).
-    pub verdict_mismatches: usize,
-    /// Independent cells under the CDAG-first order (determinism check).
+    /// Whole matrix, `Auto`, `jobs = 1`.
+    pub auto_ms: f64,
+    /// Independent cells of the matrix (determinism check).
     pub independent_cells: usize,
     /// CDAG prepass over all (expr, k) tasks via per-expression k-ladders.
     pub ladder_ms: f64,
@@ -98,7 +91,7 @@ pub struct CdagReport {
     pub automaton_pruned_nodes: usize,
     /// Percentage of parsed nodes pruned (deterministic given the seed).
     pub automaton_saving_pct: f64,
-    /// `auto_cdag_first_ms / calibration_ms` — the machine-normalized cost
+    /// `auto_ms / calibration_ms` — the machine-normalized cost
     /// the regression gate tracks.
     pub norm_cost: f64,
 }
@@ -110,22 +103,12 @@ impl CdagReport {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
         let _ = writeln!(s, "  \"schema_version\": 1,");
+        let _ = writeln!(s, "  \"workers\": {},", self.workers);
         let _ = writeln!(s, "  \"calibration_ms\": {:.3},", self.calibration_ms);
         let _ = writeln!(s, "  \"views\": {},", self.views);
         let _ = writeln!(s, "  \"updates\": {},", self.updates);
         let _ = writeln!(s, "  \"cells\": {},", self.cells);
-        let _ = writeln!(
-            s,
-            "  \"auto_cdag_first_ms\": {:.3},",
-            self.auto_cdag_first_ms
-        );
-        let _ = writeln!(
-            s,
-            "  \"auto_explicit_first_ms\": {:.3},",
-            self.auto_explicit_first_ms
-        );
-        let _ = writeln!(s, "  \"auto_ratio\": {:.4},", self.auto_ratio);
-        let _ = writeln!(s, "  \"verdict_mismatches\": {},", self.verdict_mismatches);
+        let _ = writeln!(s, "  \"auto_ms\": {:.3},", self.auto_ms);
         let _ = writeln!(s, "  \"independent_cells\": {},", self.independent_cells);
         let _ = writeln!(s, "  \"ladder_ms\": {:.3},", self.ladder_ms);
         let _ = writeln!(s, "  \"per_k_ms\": {:.3},", self.per_k_ms);
@@ -169,17 +152,13 @@ impl CdagReport {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "cdag harness — {}x{} matrix ({} cells), calibration {:.1} ms, norm cost {:.3}",
-            self.views, self.updates, self.cells, self.calibration_ms, self.norm_cost
+            "cdag harness — {}x{} matrix ({} cells), {} workers, calibration {:.1} ms, norm cost {:.3}",
+            self.views, self.updates, self.cells, self.workers, self.calibration_ms, self.norm_cost
         );
         let _ = writeln!(
             s,
-            "auto order : cdag-first {:.2} ms vs explicit-first {:.2} ms (ratio {:.3}, {} mismatches, {} independent)",
-            self.auto_cdag_first_ms,
-            self.auto_explicit_first_ms,
-            self.auto_ratio,
-            self.verdict_mismatches,
-            self.independent_cells
+            "auto       : {:.2} ms ({} independent)",
+            self.auto_ms, self.independent_cells
         );
         let _ = writeln!(
             s,
@@ -209,16 +188,17 @@ fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
 }
 
-/// One whole-matrix measurement at `jobs = 1` with the given engine order.
-fn auto_matrix(views: &[Query], updates: &[Update], cdag_first: bool) -> (f64, MatrixVerdicts) {
+/// One whole-matrix `Auto` measurement at `jobs = 1`.
+fn auto_matrix(views: &[Query], updates: &[Update]) -> (f64, MatrixVerdicts) {
     let dtd = xmark_dtd();
-    let config = AnalyzerConfig {
-        engine: EngineKind::Auto,
-        cdag_first,
-        ..Default::default()
-    };
     let start = Instant::now();
-    let verdicts = analyze_matrix(&dtd, views, updates, &config, Jobs::Fixed(1));
+    let verdicts = analyze_matrix(
+        &dtd,
+        views,
+        updates,
+        &AnalyzerConfig::default(),
+        Jobs::Fixed(1),
+    );
     (ms(start), verdicts)
 }
 
@@ -303,27 +283,16 @@ pub fn run_cdag(reps: usize) -> CdagReport {
     let updates: Vec<Update> = all_updates().into_iter().map(|u| u.update).collect();
     let calibration_ms = calibrate();
 
-    let mut cdag_first_ms = f64::MAX;
-    let mut explicit_first_ms = f64::MAX;
+    let mut auto_ms = f64::MAX;
     let mut ladder_ms = f64::MAX;
     let mut per_k_ms = f64::MAX;
-    let mut mismatches = 0;
     let mut independent_cells = 0;
     let mut ladder_inferences = 0;
     let mut per_k_inferences = 0;
     for _ in 0..reps.max(1) {
-        let (t_new, new_order) = auto_matrix(&views, &updates, true);
-        let (t_old, old_order) = auto_matrix(&views, &updates, false);
-        cdag_first_ms = cdag_first_ms.min(t_new);
-        explicit_first_ms = explicit_first_ms.min(t_old);
-        independent_cells = new_order.independent_count();
-        mismatches = (0..updates.len())
-            .flat_map(|ui| (0..views.len()).map(move |vi| (ui, vi)))
-            .filter(|&(ui, vi)| {
-                new_order.verdict(ui, vi).is_independent()
-                    != old_order.verdict(ui, vi).is_independent()
-            })
-            .count();
+        let (t_auto, verdicts) = auto_matrix(&views, &updates);
+        auto_ms = auto_ms.min(t_auto);
+        independent_cells = verdicts.independent_count();
         let (t_ladder, n_ladder) = ladder_prepass(&views, &updates);
         let (t_per_k, n_per_k) = per_k_prepass(&views, &updates);
         ladder_ms = ladder_ms.min(t_ladder);
@@ -334,14 +303,12 @@ pub fn run_cdag(reps: usize) -> CdagReport {
     let auto = measure_automaton_projection();
     let parsed = auto.kept + auto.pruned;
     CdagReport {
+        workers: machine_parallelism(),
         calibration_ms,
         views: views.len(),
         updates: updates.len(),
         cells: views.len() * updates.len(),
-        auto_cdag_first_ms: cdag_first_ms,
-        auto_explicit_first_ms: explicit_first_ms,
-        auto_ratio: cdag_first_ms / explicit_first_ms.max(f64::EPSILON),
-        verdict_mismatches: mismatches,
+        auto_ms,
         independent_cells,
         ladder_ms,
         per_k_ms,
@@ -359,15 +326,13 @@ pub fn run_cdag(reps: usize) -> CdagReport {
         } else {
             100.0 * auto.pruned as f64 / parsed as f64
         },
-        norm_cost: cdag_first_ms / calibration_ms.max(f64::EPSILON),
+        norm_cost: auto_ms / calibration_ms.max(f64::EPSILON),
     }
 }
 
 /// Gate thresholds (see the module docs for the environment overrides).
 #[derive(Clone, Copy, Debug)]
 pub struct CdagGateConfig {
-    /// Largest allowed `auto_ratio` (CDAG-first over explicit-first).
-    pub max_auto_ratio: f64,
     /// Required `ladder_speedup`.
     pub min_ladder_speedup: f64,
     /// Required `ladder_reuse_share` (deterministic).
@@ -382,7 +347,6 @@ pub struct CdagGateConfig {
 impl Default for CdagGateConfig {
     fn default() -> Self {
         CdagGateConfig {
-            max_auto_ratio: 1.10,
             min_ladder_speedup: 0.85,
             min_ladder_reuse: 0.30,
             min_automaton_saving: 5.0,
@@ -395,7 +359,6 @@ impl Default for CdagGateConfig {
 /// with the reader so the `check-refs` binary can cross-check the workflow
 /// YAML against the real gate wiring.
 pub const GATE_ENV_VARS: &[&str] = &[
-    "QUI_CDAG_MAX_AUTO_RATIO",
     "QUI_CDAG_MIN_LADDER_SPEEDUP",
     "QUI_CDAG_MIN_LADDER_REUSE",
     "QUI_CDAG_MIN_AUTOMATON_SAVING",
@@ -406,9 +369,6 @@ impl CdagGateConfig {
     /// Reads the environment overrides on top of the defaults.
     pub fn from_env() -> Self {
         let mut cfg = CdagGateConfig::default();
-        if let Some(v) = env_f64("QUI_CDAG_MAX_AUTO_RATIO") {
-            cfg.max_auto_ratio = v;
-        }
         if let Some(v) = env_f64("QUI_CDAG_MIN_LADDER_SPEEDUP") {
             cfg.min_ladder_speedup = v;
         }
@@ -439,18 +399,6 @@ pub fn check_cdag_gates(
     cfg: &CdagGateConfig,
 ) -> Vec<String> {
     let mut failures = Vec::new();
-    if report.verdict_mismatches != 0 {
-        failures.push(format!(
-            "{} cells change verdicts between the CDAG-first and explicit-first orders (must be 0)",
-            report.verdict_mismatches
-        ));
-    }
-    if report.auto_ratio > cfg.max_auto_ratio {
-        failures.push(format!(
-            "CDAG-first auto is {:.3}x the explicit-first wall time, allowed <= {:.2}x",
-            report.auto_ratio, cfg.max_auto_ratio
-        ));
-    }
     if report.ladder_speedup < cfg.min_ladder_speedup {
         failures.push(format!(
             "k-ladder prepass speedup is {:.2}x over per-k recomputation, required >= {:.2}x",
@@ -488,7 +436,7 @@ pub fn check_cdag_gates(
         let limit = committed_norm * (1.0 + cfg.tolerance);
         if report.norm_cost > limit {
             failures.push(format!(
-                "normalized CDAG-first matrix cost regressed: {:.3} vs committed {:.3} (limit {:.3}, tolerance {:.0}%)",
+                "normalized auto matrix cost regressed: {:.3} vs committed {:.3} (limit {:.3}, tolerance {:.0}%)",
                 report.norm_cost,
                 committed_norm,
                 limit,
@@ -506,14 +454,12 @@ mod tests {
 
     fn tiny_report() -> CdagReport {
         CdagReport {
+            workers: 2,
             calibration_ms: 10.0,
             views: 2,
             updates: 2,
             cells: 4,
-            auto_cdag_first_ms: 20.0,
-            auto_explicit_first_ms: 25.0,
-            auto_ratio: 0.8,
-            verdict_mismatches: 0,
+            auto_ms: 20.0,
             independent_cells: 3,
             ladder_ms: 10.0,
             per_k_ms: 20.0,
@@ -536,10 +482,10 @@ mod tests {
         let json = tiny_report().to_json();
         assert_eq!(json_number_field(&json, "norm_cost"), Some(2.0));
         assert_eq!(json_number_field(&json, "cells"), Some(4.0));
-        assert_eq!(json_number_field(&json, "auto_ratio"), Some(0.8));
+        assert_eq!(json_number_field(&json, "auto_ms"), Some(20.0));
+        assert_eq!(json_number_field(&json, "workers"), Some(2.0));
         assert_eq!(json_number_field(&json, "ladder_speedup"), Some(2.0));
         assert_eq!(json_number_field(&json, "automaton_saving_pct"), Some(50.0));
-        assert_eq!(json_number_field(&json, "verdict_mismatches"), Some(0.0));
     }
 
     #[test]
@@ -551,14 +497,6 @@ mod tests {
         assert_eq!(check_cdag_gates(&report, Some((1.0, 4)), &cfg).len(), 1);
         // A committed reference at a different matrix size skips regression.
         assert!(check_cdag_gates(&report, Some((1.0, 999)), &cfg).is_empty());
-        // Verdict mismatches always fail.
-        let mut bad = report.clone();
-        bad.verdict_mismatches = 1;
-        assert!(!check_cdag_gates(&bad, None, &cfg).is_empty());
-        // A slower CDAG-first order fails.
-        let mut slow = report.clone();
-        slow.auto_ratio = 1.5;
-        assert!(!check_cdag_gates(&slow, None, &cfg).is_empty());
         // Losing the ladder speedup or its reuse share fails.
         let mut lost = report.clone();
         lost.ladder_speedup = 0.5;
@@ -574,7 +512,7 @@ mod tests {
     #[test]
     fn tiny_cdag_run_is_consistent() {
         // A reduced matrix keeps the test fast while exercising the whole
-        // measurement pipeline (both auto orders, both prepass strategies,
+        // measurement pipeline (the auto matrix, both prepass strategies,
         // the automaton projection).
         let views: Vec<Query> = all_views().into_iter().take(4).map(|v| v.query).collect();
         let updates: Vec<Update> = all_updates()
@@ -582,19 +520,9 @@ mod tests {
             .take(3)
             .map(|u| u.update)
             .collect();
-        let (t_new, new_order) = auto_matrix(&views, &updates, true);
-        let (t_old, old_order) = auto_matrix(&views, &updates, false);
-        assert!(t_new > 0.0 && t_old > 0.0);
-        assert_eq!(new_order.cell_count(), 12);
-        for ui in 0..updates.len() {
-            for vi in 0..views.len() {
-                assert_eq!(
-                    new_order.verdict(ui, vi).is_independent(),
-                    old_order.verdict(ui, vi).is_independent(),
-                    "cell ({ui}, {vi})"
-                );
-            }
-        }
+        let (t_auto, verdicts) = auto_matrix(&views, &updates);
+        assert!(t_auto > 0.0);
+        assert_eq!(verdicts.cell_count(), 12);
         let (t_ladder, n_ladder) = ladder_prepass(&views, &updates);
         let (t_per_k, n_per_k) = per_k_prepass(&views, &updates);
         assert!(t_ladder > 0.0 && t_per_k > 0.0);

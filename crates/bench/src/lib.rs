@@ -16,7 +16,7 @@
 //! | CI cdag gate (CDAG-first auto, k-ladder, path automaton)     | — | `cdag` |
 //! | CI session gate (warm vs cold matrix, per-edit incremental)  | — | `session` |
 //! | CI serve gate (concurrent `&self` checks, HTTP round trips)  | — | `serve` |
-//! | CI maintain gate (live views: naive vs pruned vs delta)      | — | `maintain` |
+//! | CI maintain gate (live views: naive vs pruned)               | — | `maintain` |
 //! | CI traffic gate (multi-tenant corpus sim, tiered answering)  | — | `traffic` |
 //!
 //! Run a binary with `cargo run --release -p qui-bench --bin fig3a`.

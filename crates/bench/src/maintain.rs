@@ -1,5 +1,5 @@
 //! The continuous-maintenance perf harness: sustained updates against live
-//! registered views, naive vs independence-pruned vs delta-patched.
+//! registered views, naive vs independence-pruned.
 //!
 //! `cargo run -p qui-bench --bin maintain --release` extends the Fig. 3.c
 //! simulation into an end-to-end maintenance benchmark: a
@@ -9,30 +9,19 @@
 //! times. It emits `BENCH_maintain.json` (committed reference in
 //! `ci/BENCH_maintain.json`).
 //!
-//! Three strategies run over the identical update stream:
+//! Two strategies run over the identical update stream:
 //!
 //! * **naive** — every view re-evaluates after every batch;
 //! * **pruned** — only the views not statically independent of the batch
-//!   re-evaluate (the Fig. 3.c discipline, applied live);
-//! * **delta** — dependent views whose conflicts are all strictly below
-//!   their return chains are patched in place (`Store::patch_subtree`); the
-//!   rest re-evaluate.
+//!   re-evaluate (the Fig. 3.c discipline, applied live).
 //!
-//! The headline gates compare the *maintenance phase* (the work the
+//! The headline gate compares the *maintenance phase* (the work the
 //! strategies differ on; update application and analysis cost are common):
-//! `QUI_MAINTAIN_MIN_DELTA_SPEEDUP` (delta vs pruned wall, default 0.55 —
-//! a collapse floor, not a win claim: at S the delta path beats pruned
-//! re-evaluation (~1.1x), but at M — where the gates now apply — each
-//! patched entry touches a larger subtree and the wall-clock trade roughly
-//! breaks even or worse on one core, while the deterministic
-//! `reeval_ratio` gate still pins the actual precision win),
 //! `QUI_MAINTAIN_MIN_PRUNED_SPEEDUP` (pruned vs naive wall, default 1.15),
-//! `QUI_MAINTAIN_MAX_REEVAL_RATIO` (delta re-evaluations / pruned
-//! re-evaluations, deterministic, default 0.9), and
-//! `QUI_MAINTAIN_TOLERANCE` (allowed regression of the machine-normalized
-//! delta cost vs the committed baseline, default 0.30). The harness also
-//! hard-fails if the serialized views ever disagree across strategies —
-//! the correctness invariant the delta path must never trade away. All
+//! and `QUI_MAINTAIN_TOLERANCE` (allowed regression of the
+//! machine-normalized pruned cost vs the committed baseline, default 0.30).
+//! The harness also hard-fails if the serialized views ever disagree across
+//! strategies — pruning may only skip work, never change an answer. All
 //! gates apply at the largest measured scale — M on the default `--quick`
 //! PR-CI ladder, so the margin is proven where the effects are real, not
 //! just on the S smoke scale.
@@ -52,18 +41,13 @@ use std::time::{Duration, Instant};
 /// The seed every maintenance measurement uses.
 pub const MAINTAIN_SEED: u64 = 13;
 
-/// The three strategies, in report order.
-pub const STRATEGIES: [MaintainStrategy; 3] = [
-    MaintainStrategy::Naive,
-    MaintainStrategy::Pruned,
-    MaintainStrategy::Delta,
-];
+/// The two strategies, in report order.
+pub const STRATEGIES: [MaintainStrategy; 2] = [MaintainStrategy::Naive, MaintainStrategy::Pruned];
 
 fn strategy_name(s: MaintainStrategy) -> &'static str {
     match s {
         MaintainStrategy::Naive => "naive",
         MaintainStrategy::Pruned => "pruned",
-        MaintainStrategy::Delta => "delta",
     }
 }
 
@@ -115,8 +99,8 @@ impl MaintainSpec {
 }
 
 /// The default PR-CI ladder (also what `--quick` runs). The gates apply at
-/// the largest scale, so `--quick` now proves the delta margin at M — not
-/// just the S smoke scale it originally covered.
+/// the largest scale, so `--quick` proves the pruning margin at M — not
+/// just the S smoke scale.
 pub const QUICK_SCALES: [XmarkScale; 2] = [XmarkScale::Small, XmarkScale::Medium];
 
 /// The default full ladder of the report binary.
@@ -126,7 +110,7 @@ pub const DEFAULT_SCALES: [XmarkScale; 2] = [XmarkScale::Small, XmarkScale::Medi
 /// milliseconds, minima over reps; counters are deterministic).
 #[derive(Clone, Debug)]
 pub struct StrategyRow {
-    /// Strategy name ("naive", "pruned", "delta").
+    /// Strategy name ("naive", "pruned").
     pub strategy: String,
     /// Updates applied across the stream.
     pub updates_applied: usize,
@@ -134,17 +118,13 @@ pub struct StrategyRow {
     pub batches: usize,
     /// View refreshes skipped as independent.
     pub skipped: usize,
-    /// Views repaired in place.
-    pub patched_views: usize,
-    /// Result subtrees re-copied in place.
-    pub patched_entries: usize,
     /// Views re-evaluated from scratch.
     pub reevaluated: usize,
     /// Wall time of the static analysis passes.
     pub analysis_ms: f64,
     /// Wall time of update evaluation + application.
     pub apply_ms: f64,
-    /// Wall time of view maintenance (patches + re-evaluations).
+    /// Wall time of view maintenance (re-evaluations).
     pub maintain_ms: f64,
     /// End-to-end wall time of the stream.
     pub total_ms: f64,
@@ -167,17 +147,13 @@ pub struct MaintainScaleResult {
     pub views: usize,
     /// Updates per batch.
     pub batch: usize,
-    /// Whether all three strategies produced identical serialized views at
+    /// Whether both strategies produced identical serialized views at
     /// the end of the stream (hard correctness gate).
     pub strategies_agree: bool,
     /// Per-strategy rows, in [`STRATEGIES`] order.
     pub rows: Vec<StrategyRow>,
     /// Naive / pruned maintenance-phase wall ratio.
     pub pruned_speedup: f64,
-    /// Pruned / delta maintenance-phase wall ratio — the delta headline.
-    pub delta_speedup: f64,
-    /// Delta re-evaluations / pruned re-evaluations (deterministic).
-    pub reeval_ratio: f64,
 }
 
 impl MaintainScaleResult {
@@ -198,7 +174,7 @@ pub struct MaintainReport {
     pub calibration_ms: f64,
     /// Per-scale measurements, smallest to largest.
     pub scales: Vec<MaintainScaleResult>,
-    /// Delta-strategy maintenance wall of the largest scale divided by
+    /// Pruned-strategy maintenance wall of the largest scale divided by
     /// `calibration_ms` — the machine-normalized cost the regression gate
     /// tracks.
     pub norm_cost: f64,
@@ -221,9 +197,7 @@ impl MaintainReport {
         let _ = writeln!(s, "  \"calibration_ms\": {:.3},", self.calibration_ms);
         let _ = writeln!(s, "  \"norm_cost\": {:.4},", self.norm_cost);
         let _ = writeln!(s, "  \"largest_doc_nodes\": {},", largest.doc_nodes);
-        let _ = writeln!(s, "  \"delta_speedup\": {:.3},", largest.delta_speedup);
         let _ = writeln!(s, "  \"pruned_speedup\": {:.3},", largest.pruned_speedup);
-        let _ = writeln!(s, "  \"reeval_ratio\": {:.4},", largest.reeval_ratio);
         let _ = writeln!(
             s,
             "  \"strategies_agree\": {},",
@@ -234,30 +208,20 @@ impl MaintainReport {
             let _ = writeln!(
                 s,
                 "    {{\"scale\": \"{}\", \"doc_nodes\": {}, \"views\": {}, \"batch\": {}, \
-                 \"strategies_agree\": {}, \"pruned_speedup\": {:.3}, \"delta_speedup\": {:.3}, \
-                 \"reeval_ratio\": {:.4}, \"rows\": [",
-                r.scale,
-                r.doc_nodes,
-                r.views,
-                r.batch,
-                r.strategies_agree,
-                r.pruned_speedup,
-                r.delta_speedup,
-                r.reeval_ratio
+                 \"strategies_agree\": {}, \"pruned_speedup\": {:.3}, \"rows\": [",
+                r.scale, r.doc_nodes, r.views, r.batch, r.strategies_agree, r.pruned_speedup
             );
             for (j, row) in r.rows.iter().enumerate() {
                 let _ = write!(
                     s,
                     "      {{\"strategy\": \"{}\", \"updates_applied\": {}, \"batches\": {}, \
-                     \"skipped\": {}, \"patched_views\": {}, \"patched_entries\": {}, \
-                     \"reevaluated\": {}, \"analysis_ms\": {:.3}, \"apply_ms\": {:.3}, \
-                     \"maintain_ms\": {:.3}, \"total_ms\": {:.3}, \"updates_per_sec\": {:.1}}}",
+                     \"skipped\": {}, \"reevaluated\": {}, \"analysis_ms\": {:.3}, \
+                     \"apply_ms\": {:.3}, \"maintain_ms\": {:.3}, \"total_ms\": {:.3}, \
+                     \"updates_per_sec\": {:.1}}}",
                     row.strategy,
                     row.updates_applied,
                     row.batches,
                     row.skipped,
-                    row.patched_views,
-                    row.patched_entries,
                     row.reevaluated,
                     row.analysis_ms,
                     row.apply_ms,
@@ -288,11 +252,10 @@ impl MaintainReport {
         );
         let _ = writeln!(
             s,
-            "{:<5} {:<8} {:>8} {:>8} {:>8} {:>8} {:>10} {:>10} {:>10} {:>9}",
+            "{:<5} {:<8} {:>8} {:>8} {:>8} {:>10} {:>10} {:>10} {:>9}",
             "scale",
             "strategy",
             "reeval",
-            "patched",
             "skipped",
             "batches",
             "maint ms",
@@ -304,11 +267,10 @@ impl MaintainReport {
             for row in &r.rows {
                 let _ = writeln!(
                     s,
-                    "{:<5} {:<8} {:>8} {:>8} {:>8} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>9}",
+                    "{:<5} {:<8} {:>8} {:>8} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>9}",
                     r.scale,
                     row.strategy,
                     row.reevaluated,
-                    row.patched_entries,
                     row.skipped,
                     row.batches,
                     row.maintain_ms,
@@ -317,11 +279,7 @@ impl MaintainReport {
                     r.strategies_agree
                 );
             }
-            let _ = writeln!(
-                s,
-                "{:<5} pruned {:.2}x vs naive, delta {:.2}x vs pruned, reeval ratio {:.2}",
-                r.scale, r.pruned_speedup, r.delta_speedup, r.reeval_ratio
-            );
+            let _ = writeln!(s, "{:<5} pruned {:.2}x vs naive", r.scale, r.pruned_speedup);
         }
         s
     }
@@ -373,9 +331,9 @@ fn run_scale(spec: &MaintainSpec, workers: usize, reps: usize) -> MaintainScaleR
         let doc = xmark_document(spec.nodes, MAINTAIN_SEED);
         doc.size()
     };
-    // Repetitions interleave the strategies ((naive, pruned, delta) per
-    // round) so slow machine drift biases the speedup ratios as little as
-    // possible; minima are kept per strategy.
+    // Repetitions interleave the strategies ((naive, pruned) per round) so
+    // slow machine drift biases the speedup ratio as little as possible;
+    // minima are kept per strategy.
     let jobs = Jobs::Fixed(workers);
     let mut best: Vec<Option<(BatchStats, Duration)>> = vec![None; STRATEGIES.len()];
     let mut finals: Vec<Vec<String>> = vec![Vec::new(); STRATEGIES.len()];
@@ -408,8 +366,6 @@ fn run_scale(spec: &MaintainSpec, workers: usize, reps: usize) -> MaintainScaleR
             updates_applied: stats.updates,
             batches: spec.rounds.max(1) * spec.updates.div_ceil(spec.batch.max(1)),
             skipped: stats.skipped,
-            patched_views: stats.patched_views,
-            patched_entries: stats.patched_entries,
             reevaluated: stats.reevaluated,
             analysis_ms: ms_f64(stats.analysis),
             apply_ms: ms_f64(stats.apply),
@@ -420,18 +376,13 @@ fn run_scale(spec: &MaintainSpec, workers: usize, reps: usize) -> MaintainScaleR
         });
     }
     let strategies_agree = finals.windows(2).all(|w| w[0] == w[1]);
-    let naive = &rows[0];
-    let pruned = &rows[1];
-    let delta = &rows[2];
     MaintainScaleResult {
         scale: spec.name.to_string(),
         doc_nodes,
         views: spec.views,
         batch: spec.batch,
         strategies_agree,
-        pruned_speedup: naive.maintain_ms / pruned.maintain_ms.max(f64::EPSILON),
-        delta_speedup: pruned.maintain_ms / delta.maintain_ms.max(f64::EPSILON),
-        reeval_ratio: delta.reevaluated as f64 / pruned.reevaluated.max(1) as f64,
+        pruned_speedup: rows[0].maintain_ms / rows[1].maintain_ms.max(f64::EPSILON),
         rows,
     }
 }
@@ -445,7 +396,7 @@ pub fn run_maintain(scales: &[MaintainSpec], workers: usize, reps: usize) -> Mai
         .collect();
     let norm_cost = results
         .last()
-        .map(|r| r.row(MaintainStrategy::Delta).maintain_ms / calibration_ms.max(f64::EPSILON))
+        .map(|r| r.row(MaintainStrategy::Pruned).maintain_ms / calibration_ms.max(f64::EPSILON))
         .unwrap_or(0.0);
     MaintainReport {
         workers,
@@ -458,12 +409,8 @@ pub fn run_maintain(scales: &[MaintainSpec], workers: usize, reps: usize) -> Mai
 /// Gate thresholds (see the module docs for the environment overrides).
 #[derive(Clone, Copy, Debug)]
 pub struct MaintainGateConfig {
-    /// Required pruned / delta maintenance-wall ratio at the largest scale.
-    pub min_delta_speedup: f64,
     /// Required naive / pruned maintenance-wall ratio at the largest scale.
     pub min_pruned_speedup: f64,
-    /// Largest allowed delta/pruned re-evaluation ratio (deterministic).
-    pub max_reeval_ratio: f64,
     /// Allowed relative regression of `norm_cost` against the committed
     /// baseline (0.30 = 30%).
     pub tolerance: f64,
@@ -472,9 +419,7 @@ pub struct MaintainGateConfig {
 impl Default for MaintainGateConfig {
     fn default() -> Self {
         MaintainGateConfig {
-            min_delta_speedup: 0.55,
             min_pruned_speedup: 1.15,
-            max_reeval_ratio: 0.9,
             tolerance: 0.30,
         }
     }
@@ -483,25 +428,14 @@ impl Default for MaintainGateConfig {
 /// The environment variables [`MaintainGateConfig::from_env`] reads,
 /// colocated with the reader so the `check-refs` binary can cross-check the
 /// workflow YAML against the real gate wiring.
-pub const GATE_ENV_VARS: &[&str] = &[
-    "QUI_MAINTAIN_MIN_DELTA_SPEEDUP",
-    "QUI_MAINTAIN_MIN_PRUNED_SPEEDUP",
-    "QUI_MAINTAIN_MAX_REEVAL_RATIO",
-    "QUI_MAINTAIN_TOLERANCE",
-];
+pub const GATE_ENV_VARS: &[&str] = &["QUI_MAINTAIN_MIN_PRUNED_SPEEDUP", "QUI_MAINTAIN_TOLERANCE"];
 
 impl MaintainGateConfig {
     /// Reads the environment overrides on top of the defaults.
     pub fn from_env() -> Self {
         let mut cfg = MaintainGateConfig::default();
-        if let Some(v) = env_f64("QUI_MAINTAIN_MIN_DELTA_SPEEDUP") {
-            cfg.min_delta_speedup = v;
-        }
         if let Some(v) = env_f64("QUI_MAINTAIN_MIN_PRUNED_SPEEDUP") {
             cfg.min_pruned_speedup = v;
-        }
-        if let Some(v) = env_f64("QUI_MAINTAIN_MAX_REEVAL_RATIO") {
-            cfg.max_reeval_ratio = v;
         }
         if let Some(v) = env_f64("QUI_MAINTAIN_TOLERANCE") {
             cfg.tolerance = v;
@@ -528,30 +462,16 @@ pub fn check_maintain_gates(
     for r in &report.scales {
         if !r.strategies_agree {
             failures.push(format!(
-                "strategies disagree on the final view contents at scale {} (delta correctness broken)",
+                "strategies disagree on the final view contents at scale {} (pruning changed an answer)",
                 r.scale
             ));
         }
     }
     let largest = report.largest();
-    if largest.delta_speedup < cfg.min_delta_speedup {
-        failures.push(format!(
-            "delta maintenance at scale {} is {:.2}x faster than pruned re-evaluation, required >= {:.2}x",
-            largest.scale, largest.delta_speedup, cfg.min_delta_speedup
-        ));
-    }
     if largest.pruned_speedup < cfg.min_pruned_speedup {
         failures.push(format!(
             "pruned maintenance at scale {} is {:.2}x faster than naive, required >= {:.2}x",
             largest.scale, largest.pruned_speedup, cfg.min_pruned_speedup
-        ));
-    }
-    if largest.reeval_ratio > cfg.max_reeval_ratio {
-        failures.push(format!(
-            "delta re-evaluates {:.0}% of what pruning re-evaluates at scale {}, allowed <= {:.0}%",
-            largest.reeval_ratio * 100.0,
-            largest.scale,
-            cfg.max_reeval_ratio * 100.0
         ));
     }
     if let Some((committed_norm, committed_nodes)) = committed {
@@ -565,7 +485,7 @@ pub fn check_maintain_gates(
         let limit = committed_norm * (1.0 + cfg.tolerance);
         if report.norm_cost > limit {
             failures.push(format!(
-                "normalized delta maintenance cost regressed: {:.3} vs committed {:.3} (limit {:.3}, tolerance {:.0}%)",
+                "normalized pruned maintenance cost regressed: {:.3} vs committed {:.3} (limit {:.3}, tolerance {:.0}%)",
                 report.norm_cost,
                 committed_norm,
                 limit,
@@ -587,8 +507,6 @@ mod tests {
             updates_applied: 62,
             batches: 32,
             skipped: 900,
-            patched_views: 20,
-            patched_entries: 40,
             reevaluated: reeval,
             analysis_ms: 5.0,
             apply_ms: 20.0,
@@ -609,14 +527,8 @@ mod tests {
                 views: 36,
                 batch: 2,
                 strategies_agree: true,
-                rows: vec![
-                    row("naive", 1152, 300.0),
-                    row("pruned", 184, 120.0),
-                    row("delta", 128, 80.0),
-                ],
+                rows: vec![row("naive", 1152, 300.0), row("pruned", 184, 120.0)],
                 pruned_speedup: 2.5,
-                delta_speedup: 1.5,
-                reeval_ratio: 128.0 / 184.0,
             }],
         }
     }
@@ -626,10 +538,9 @@ mod tests {
         let json = tiny_report().to_json();
         assert_eq!(json_number_field(&json, "norm_cost"), Some(8.0));
         assert_eq!(json_number_field(&json, "largest_doc_nodes"), Some(5000.0));
-        assert_eq!(json_number_field(&json, "delta_speedup"), Some(1.5));
         assert_eq!(json_number_field(&json, "pruned_speedup"), Some(2.5));
         assert!(json.contains("\"strategies_agree\": true"));
-        assert!(json.contains("\"strategy\": \"delta\""));
+        assert!(json.contains("\"strategy\": \"pruned\""));
     }
 
     #[test]
@@ -644,14 +555,10 @@ mod tests {
         );
         // A committed baseline at a different scale skips the regression gate.
         assert!(check_maintain_gates(&report, Some((4.0, 4999)), &cfg).is_empty());
-        // Delta wall collapsing below the floor fails.
+        // Pruning falling below the naive-speedup floor fails.
         let mut slow = report.clone();
-        slow.scales[0].delta_speedup = 0.5;
+        slow.scales[0].pruned_speedup = 1.0;
         assert_eq!(check_maintain_gates(&slow, None, &cfg).len(), 1);
-        // Losing the deterministic re-evaluation saving fails.
-        let mut fat = report.clone();
-        fat.scales[0].reeval_ratio = 1.0;
-        assert_eq!(check_maintain_gates(&fat, None, &cfg).len(), 1);
         // A correctness divergence is always fatal.
         let mut wrong = report.clone();
         wrong.scales[0].strategies_agree = false;
@@ -669,8 +576,8 @@ mod tests {
 
     #[test]
     fn tiny_maintain_run_is_consistent() {
-        // A miniature stream exercises the whole pipeline end to end: all
-        // three strategies, batching, patching and the agreement check.
+        // A miniature stream exercises the whole pipeline end to end: both
+        // strategies, batching and the agreement check.
         let spec = MaintainSpec {
             name: "tiny",
             nodes: 2_000,
@@ -683,19 +590,17 @@ mod tests {
         assert_eq!(report.scales.len(), 1);
         let r = &report.scales[0];
         assert!(r.strategies_agree, "strategies must agree");
-        assert_eq!(r.rows.len(), 3);
+        assert_eq!(r.rows.len(), 2);
         let naive = &r.rows[0];
         let pruned = &r.rows[1];
-        let delta = &r.rows[2];
         assert_eq!(naive.updates_applied, 6);
         assert_eq!(naive.batches, 3);
         assert_eq!(naive.reevaluated, 8 * 3, "naive refreshes every view");
         assert!(pruned.reevaluated <= naive.reevaluated);
-        assert!(delta.reevaluated <= pruned.reevaluated);
-        assert!(delta.maintain_ms > 0.0 && delta.total_ms > 0.0);
+        assert!(pruned.total_ms > 0.0);
         let json = report.to_json();
         assert_eq!(json_number_field(&json, "workers"), Some(2.0));
-        assert!(json_number_field(&json, "reeval_ratio").is_some());
+        assert!(json_number_field(&json, "pruned_speedup").is_some());
         assert!(!report.render().is_empty());
     }
 }

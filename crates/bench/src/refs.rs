@@ -9,7 +9,13 @@
 //!    harness no longer reads), after which the intended threshold silently
 //!    falls back to the in-code default.
 //!
-//! The `check-refs` binary runs both checks in CI. The source of truth for
+//! A third check guards against references drifting apart: every reference
+//! that records `independent_cells` for the full XMark views × updates
+//! matrix must record the same count ([`check_matrix_agreement`]) — the
+//! verdicts are deterministic, so a disagreement means some reference was
+//! measured on older code and is stale.
+//!
+//! The `check-refs` binary runs all three checks in CI. The source of truth for
 //! the second check is the `GATE_ENV_VARS` const colocated with each gate's
 //! `from_env` reader ([`crate::baseline::GATE_ENV_VARS`] and friends) — the
 //! const and the reader sit next to each other precisely so a reviewer sees
@@ -56,15 +62,16 @@ pub const REF_SPECS: &[RefSpec] = &[
         file: "BENCH_cdag.json",
         required: &[
             "schema_version",
+            "workers",
             "calibration_ms",
-            "auto_ratio",
-            "verdict_mismatches",
+            "auto_ms",
+            "independent_cells",
             "ladder_speedup",
             "ladder_reuse_share",
             "automaton_saving_pct",
             "norm_cost",
         ],
-        trend: &["ladder_speedup", "auto_ratio", "ladder_reuse_share"],
+        trend: &["ladder_speedup", "ladder_reuse_share"],
     },
     RefSpec {
         file: "BENCH_fig3c.json",
@@ -103,12 +110,10 @@ pub const REF_SPECS: &[RefSpec] = &[
             "calibration_ms",
             "norm_cost",
             "largest_doc_nodes",
-            "delta_speedup",
             "pruned_speedup",
-            "reeval_ratio",
             "updates_per_sec",
         ],
-        trend: &["delta_speedup", "pruned_speedup", "reeval_ratio"],
+        trend: &["pruned_speedup"],
     },
     RefSpec {
         file: "BENCH_serve.json",
@@ -223,6 +228,49 @@ pub fn validate_reference(name: &str, json: &str, spec: &RefSpec) -> Vec<String>
                 "{name}: required numeric field {field:?} is missing"
             ));
         }
+    }
+    failures
+}
+
+/// The `independent_cells` counts a reference records for a `views ×
+/// updates` matrix, in document order. A reference may hold several
+/// matrices (the baseline ladder has one per scale), so each count is
+/// attributed to the nearest preceding `views` and `updates` fields.
+pub fn independent_cells_for(json: &str, views: usize, updates: usize) -> Result<Vec<f64>, String> {
+    let mut shape = (None, None);
+    let mut out = Vec::new();
+    for (key, value) in scan_json_numbers(json)? {
+        match key.as_str() {
+            "views" => shape.0 = Some(value),
+            "updates" => shape.1 = Some(value),
+            "independent_cells" if shape == (Some(views as f64), Some(updates as f64)) => {
+                out.push(value)
+            }
+            _ => {}
+        }
+    }
+    Ok(out)
+}
+
+/// Fails when the given `(file, json)` references disagree on the
+/// `independent_cells` of the `views × updates` matrix (references that do
+/// not record it are ignored).
+pub fn check_matrix_agreement(refs: &[(&str, &str)], views: usize, updates: usize) -> Vec<String> {
+    let mut seen: Vec<(&str, f64)> = Vec::new();
+    let mut failures = Vec::new();
+    for &(file, json) in refs {
+        match independent_cells_for(json, views, updates) {
+            Ok(counts) => seen.extend(counts.into_iter().map(|c| (file, c))),
+            Err(e) => failures.push(format!("{file}: {e}")),
+        }
+    }
+    if seen.windows(2).any(|w| w[0].1 != w[1].1) {
+        let listed: Vec<String> = seen.iter().map(|(f, c)| format!("{f} = {c}")).collect();
+        failures.push(format!(
+            "references disagree on independent_cells of the {views}x{updates} matrix ({}); \
+             regenerate the stale ones",
+            listed.join(", ")
+        ));
     }
     failures
 }
@@ -415,6 +463,47 @@ mod tests {
             let failures = validate_reference(spec.file, &json, spec);
             assert!(failures.is_empty(), "{failures:?}");
         }
+    }
+
+    #[test]
+    fn committed_references_agree_on_the_xmark_matrix() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci");
+        let refs: Vec<(&str, String)> = REF_SPECS
+            .iter()
+            .map(|spec| {
+                (
+                    spec.file,
+                    std::fs::read_to_string(root.join(spec.file)).unwrap(),
+                )
+            })
+            .collect();
+        let refs: Vec<(&str, &str)> = refs.iter().map(|(f, j)| (*f, j.as_str())).collect();
+        let (views, updates) = (
+            qui_workloads::all_views().len(),
+            qui_workloads::all_updates().len(),
+        );
+        let failures = check_matrix_agreement(&refs, views, updates);
+        assert!(failures.is_empty(), "{failures:?}");
+        let recorded: usize = refs
+            .iter()
+            .map(|(_, j)| independent_cells_for(j, views, updates).unwrap().len())
+            .sum();
+        assert!(
+            recorded >= 2,
+            "the cross-check needs two references to compare"
+        );
+    }
+
+    #[test]
+    fn matrix_disagreement_is_flagged_per_shape() {
+        let ladder = r#"{"scales": [{"views": 2, "updates": 1, "independent_cells": 1},
+                                    {"views": 36, "updates": 31, "independent_cells": 918}]}"#;
+        let flat = r#"{"views": 36, "updates": 31, "cells": 1116, "independent_cells": 932}"#;
+        assert_eq!(independent_cells_for(ladder, 36, 31).unwrap(), vec![918.0]);
+        assert!(check_matrix_agreement(&[("a", ladder), ("b", ladder)], 36, 31).is_empty());
+        let failures = check_matrix_agreement(&[("a", ladder), ("b", flat)], 36, 31);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("b = 932"), "{failures:?}");
     }
 
     #[test]

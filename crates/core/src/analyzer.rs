@@ -11,9 +11,9 @@
 //! engine under a materialization budget — this recovers full explicit
 //! precision *and* the conflict witness — and when that budget overflows the
 //! conservative CDAG verdict stands, which matches the paper's strategy of
-//! keeping inference polynomial. The legacy explicit-first behaviour is kept
-//! behind [`AnalyzerConfig::cdag_first`]` = false` for the perf harness to
-//! compare against.
+//! keeping inference polynomial. [`EngineKind::Cdag`] stops after the CDAG
+//! pass — the engine the view-maintenance path uses to decide which views
+//! an update may skip.
 
 use crate::conflict::ConflictWitness;
 use crate::engine::explicit::ExplicitEngine;
@@ -28,10 +28,10 @@ use qui_xquery::{Query, Update};
 /// Which inference engine produced a verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Combine both engines: the CDAG engine proves independence outright,
-    /// the explicit engine confirms dependence (and produces the witness)
-    /// within its materialization budget. See
-    /// [`AnalyzerConfig::cdag_first`] for the engine order.
+    /// Combine both engines: the CDAG engine runs first and proves
+    /// independence outright; the explicit engine confirms the remaining
+    /// dependences (and produces the witness) within its materialization
+    /// budget.
     Auto,
     /// Always use the explicit (reference) engine.
     Explicit,
@@ -70,14 +70,6 @@ pub struct AnalyzerConfig {
     /// Overrides the multiplicity bound `k` computed from the pair — used by
     /// the R-benchmark, which sweeps `k` explicitly.
     pub k_override: Option<usize>,
-    /// Engine order of [`EngineKind::Auto`]. `true` (the default) runs the
-    /// CDAG engine first and the explicit engine only on pairs the CDAG
-    /// could not prove independent; `false` is the legacy order (explicit
-    /// first, CDAG only on budget overflow), kept for the `cdag` perf
-    /// harness to compare the two policies. Verdicts are identical either
-    /// way — the orders differ only in cost profile and in which
-    /// [`Verdict::engine_used`] is reported for independent pairs.
-    pub cdag_first: bool,
 }
 
 impl Default for AnalyzerConfig {
@@ -87,7 +79,6 @@ impl Default for AnalyzerConfig {
             explicit_budget: 20_000,
             element_chains: true,
             k_override: None,
-            cdag_first: true,
         }
     }
 }
@@ -396,41 +387,6 @@ mod tests {
             },
         );
         assert!(bad.check(&q, &u).is_independent());
-    }
-
-    #[test]
-    fn auto_orders_agree_and_differ_only_in_engine_reporting() {
-        let d = figure1();
-        let (queries, updates) = (
-            ["//a//c", "//c", "//b", "/a/c"],
-            [
-                "delete //b//c",
-                "delete //c",
-                "for $x in /a return insert <c/> into $x",
-            ],
-        );
-        let cdag_first = IndependenceAnalyzer::new(&d);
-        let legacy = IndependenceAnalyzer::with_config(
-            &d,
-            AnalyzerConfig {
-                cdag_first: false,
-                ..Default::default()
-            },
-        );
-        for q in queries.iter().map(|s| parse_query(s).unwrap()) {
-            for u in updates.iter().map(|s| parse_update(s).unwrap()) {
-                let a = cdag_first.check(&q, &u);
-                let b = legacy.check(&q, &u);
-                assert_eq!(a.is_independent(), b.is_independent(), "({q}, {u})");
-                assert_eq!(a.k, b.k);
-                if !a.is_independent() {
-                    // Dependent pairs are confirmed by the explicit engine in
-                    // both orders, witness included.
-                    assert_eq!(a.engine_used, EngineKind::Explicit);
-                    assert_eq!(a.witness, b.witness);
-                }
-            }
-        }
     }
 
     #[test]

@@ -1346,45 +1346,6 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
         }
     }
 
-    /// The insertion-base chains of an update: for every INSERT/REPLACE
-    /// component, the chains of the nodes that *receive* newly constructed
-    /// content (the `c` of each inferred `c:c'`). DELETE and RENAME contribute
-    /// nothing — their full chains already prefix-cover everything they can
-    /// affect, so `dag_conflicts(infer_update(..), returns)` is enough to
-    /// detect membership changes. For insertions it is not: the full chains
-    /// `c.c'` can be strictly deeper than a return chain `r` even when
-    /// `c ⪯ r`, i.e. when the inserted content materializes *new* nodes
-    /// matching `r`. Delta classification uses this DAG to detect that case
-    /// (`dag_conflicts(bases, returns)`) and fall back to re-evaluation.
-    pub fn infer_update_bases(&self, gamma: &DagGamma, u: &Update) -> ChainDag {
-        match u {
-            Update::Empty | Update::Delete { .. } | Update::Rename { .. } => ChainDag::empty(),
-            Update::Concat(a, b) => self
-                .infer_update_bases(gamma, a)
-                .union(&self.infer_update_bases(gamma, b)),
-            Update::If { cond: _, then, els } => self
-                .infer_update_bases(gamma, then)
-                .union(&self.infer_update_bases(gamma, els)),
-            Update::Let { var, source, body } | Update::For { var, source, body } => {
-                let q1 = self.infer_query(gamma, source);
-                let mut inner = gamma.clone();
-                inner.insert(var.clone(), q1.returns);
-                self.infer_update_bases(&inner, body)
-            }
-            Update::Insert { pos, target, .. } => {
-                let r0 = self.infer_query(gamma, target).returns;
-                match pos {
-                    UpdatePos::Into | UpdatePos::IntoAsFirst | UpdatePos::IntoAsLast => r0,
-                    UpdatePos::Before | UpdatePos::After => self.parents_of(&r0),
-                }
-            }
-            Update::Replace { target, .. } => {
-                let r0 = self.infer_query(gamma, target).returns;
-                self.parents_of(&r0)
-            }
-        }
-    }
-
     /// The set of parent chains of every chain in `dag` (within the DAG).
     fn parents_of(&self, dag: &ChainDag) -> ChainDag {
         let mut preds: FxHashMap<NodeIdx, Vec<NodeIdx>> = FxHashMap::default();

@@ -92,7 +92,6 @@ pub mod bitset;
 pub mod commutativity;
 pub mod concurrent;
 pub mod conflict;
-pub mod delta;
 pub mod engine;
 pub mod explain;
 pub mod fxhash;
@@ -110,7 +109,6 @@ pub mod universe;
 pub use analyzer::{AnalyzerConfig, EngineKind, IndependenceAnalyzer, Verdict};
 pub use commutativity::{read_projection, CommutVerdict, CommutativityAnalyzer};
 pub use conflict::{chains_conflict, item_conflicts};
-pub use delta::{DeltaClass, DeltaClassifier};
 pub use explain::{explain_verdict, matrix_report, matrix_reports, ExplainOptions, MatrixReport};
 pub use json::Json;
 pub use kbound::{k_for_pair, k_of_query, k_of_update};

@@ -272,16 +272,13 @@ mod tests {
         let d = figure1();
         let (views, updates) = small_matrix();
         for engine in [EngineKind::Auto, EngineKind::Explicit, EngineKind::Cdag] {
-            for cdag_first in [true, false] {
-                let config = AnalyzerConfig {
-                    engine,
-                    cdag_first,
-                    ..Default::default()
-                };
-                for jobs in [1, 2, 8] {
-                    let m = analyze_matrix(&d, &views, &updates, &config, Jobs::Fixed(jobs));
-                    assert_matches_sequential(&d, &views, &updates, &config, &m);
-                }
+            let config = AnalyzerConfig {
+                engine,
+                ..Default::default()
+            };
+            for jobs in [1, 2, 8] {
+                let m = analyze_matrix(&d, &views, &updates, &config, Jobs::Fixed(jobs));
+                assert_matches_sequential(&d, &views, &updates, &config, &m);
             }
         }
     }

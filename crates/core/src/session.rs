@@ -61,9 +61,16 @@
 //! The session is the **single implementation** of the analysis pipeline:
 //! [`IndependenceAnalyzer::check`](crate::IndependenceAnalyzer::check),
 //! `check_views*`, `matrix_report*` and `analyze_matrix` are all thin
-//! wrappers over it, and the [`crate::service`] layer (`qui serve`, the
+//! wrappers over it, the [`crate::service`] layer (`qui serve`, the
 //! `qui session` REPL) dispatches onto it through the shared
-//! [`crate::protocol`] request types.
+//! [`crate::protocol`] request types, and the view-maintenance engine of
+//! `qui-workloads` reads its skip decisions from a CDAG-engine session's
+//! materialized matrix.
+//!
+//! Engine order: [`EngineKind::Explicit`] runs only the explicit engine,
+//! [`EngineKind::Cdag`] only the CDAG engine, and [`EngineKind::Auto`] runs
+//! the CDAG engine on every cell and the explicit engine on the cells the
+//! CDAG could not prove independent.
 //!
 //! ```
 //! use qui_schema::Dtd;
@@ -178,13 +185,6 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
     /// Overrides the multiplicity bound `k` computed per pair.
     pub fn k_override(mut self, k: Option<usize>) -> Self {
         self.config.k_override = k;
-        self
-    }
-
-    /// Engine order of [`EngineKind::Auto`] (see
-    /// [`AnalyzerConfig::cdag_first`]).
-    pub fn cdag_first(mut self, on: bool) -> Self {
-        self.config.cdag_first = on;
         self
     }
 
@@ -565,10 +565,8 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
         let qkey = expr_key(q);
         let ukey = expr_key(u);
         let engine = self.config.engine;
-        let cdag_first = self.config.cdag_first;
-        let cdag_all = engine == EngineKind::Cdag || (engine == EngineKind::Auto && cdag_first);
         let mut cdag_flag = None;
-        if cdag_all {
+        if engine != EngineKind::Explicit {
             self.ensure_cdag_query(&qkey, q, k);
             self.ensure_cdag_update(&ukey, u, k);
             cdag_flag = Some(self.cdag_independent(&qkey, &ukey, k));
@@ -576,7 +574,7 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
         let need_explicit = match engine {
             EngineKind::Explicit => true,
             EngineKind::Cdag => false,
-            EngineKind::Auto => !cdag_first || cdag_flag != Some(true),
+            EngineKind::Auto => cdag_flag != Some(true),
         };
         if need_explicit {
             // Query side first: when it overflows the budget the explicit
@@ -591,20 +589,6 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
                 .is_some_and(|qc| qc.is_some());
             if q_ok {
                 self.ensure_explicit_update(&ukey, u, k);
-            }
-        }
-        if engine == EngineKind::Auto && !cdag_first {
-            let q_ok = self
-                .caches
-                .explicit_query(&qkey, k)
-                .is_some_and(|qc| qc.is_some());
-            let u_ok = self
-                .caches
-                .explicit_update(&ukey, k)
-                .is_some_and(|uc| uc.is_some());
-            if !(q_ok && u_ok) {
-                self.ensure_cdag_query(&qkey, q, k);
-                self.ensure_cdag_update(&ukey, u, k);
             }
         }
         cell_verdict(&self.config, meta, &qkey, &ukey, &self.caches, cdag_flag)
@@ -892,8 +876,7 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
             return Vec::new();
         }
         let engine = self.config.engine;
-        let cdag_first = self.config.cdag_first;
-        let cdag_all = engine == EngineKind::Cdag || (engine == EngineKind::Auto && cdag_first);
+        let cdag_all = engine != EngineKind::Explicit;
         let ks: Vec<usize> = cells
             .iter()
             .map(|&(vi, ui)| {
@@ -938,38 +921,13 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
             let mut qt = BTreeSet::new();
             let mut ut = BTreeSet::new();
             for ((&(vi, ui), &k), proved) in cells.iter().zip(&ks).zip(&cdag_flags) {
-                if engine == EngineKind::Auto && cdag_first && *proved == Some(true) {
+                if *proved == Some(true) {
                     continue;
                 }
                 qt.insert((vi, k));
                 ut.insert((ui, k));
             }
             self.ensure_explicit_bulk(&qt, &ut);
-        }
-
-        // ------------------------------------------------ legacy CDAG pass
-        // Under the legacy (explicit-first) auto order the CDAG engine only
-        // runs for cells where either side overflowed its budget.
-        if engine == EngineKind::Auto && !cdag_first {
-            let mut qt = BTreeSet::new();
-            let mut ut = BTreeSet::new();
-            for (&(vi, ui), &k) in cells.iter().zip(&ks) {
-                let q_ok = self
-                    .caches
-                    .explicit_query(&self.views[vi].key, k)
-                    .is_some_and(|qc| qc.is_some());
-                let u_ok = self
-                    .caches
-                    .explicit_update(&self.updates[ui].key, k)
-                    .is_some_and(|uc| uc.is_some());
-                if !(q_ok && u_ok) {
-                    qt.insert((vi, k));
-                    ut.insert((ui, k));
-                }
-            }
-            if !qt.is_empty() || !ut.is_empty() {
-                self.ensure_cdag_bulk(&qt, &ut);
-            }
         }
 
         // ------------------------------------------------ cell pass
@@ -1229,10 +1187,9 @@ fn infer_update_explicit<S: SchemaLike>(
     eng.infer_update(&eng.root_gamma(u.free_vars()), u).ok()
 }
 
-/// Produces one cell's verdict from the session caches, mirroring the
-/// engine order of the historical `IndependenceAnalyzer::check` case for
-/// case (including [`AnalyzerConfig::cdag_first`]). This is the only place
-/// a [`Verdict`] is assembled.
+/// Produces one cell's verdict from the session caches. `cdag_independent`
+/// is the CDAG cell-pass result, present for every non-explicit engine.
+/// This is the only place a [`Verdict`] is assembled.
 fn cell_verdict<S: SchemaLike>(
     config: &AnalyzerConfig,
     (k, k_query, k_update): (usize, usize, usize),
@@ -1256,15 +1213,13 @@ fn cell_verdict<S: SchemaLike>(
             witness,
         })
     };
-    let cdag = |independent: Option<bool>| -> Verdict {
+    let cdag = |independent: bool| -> Verdict {
         let qc = caches
             .cdag_query(qkey, k)
             .expect("cdag query chains ensured");
         let uc = caches
             .cdag_update(ukey, k)
             .expect("cdag update chains ensured");
-        let independent =
-            independent.unwrap_or_else(|| caches.engines.checkout(k).independent(&qc, &uc));
         // Dependent CDAG verdicts carry a synthesized witness (deterministic
         // BFS over the conflicting sub-DAG), so pairs whose explicit
         // confirmation overflowed still explain *which* chains collide.
@@ -1284,18 +1239,15 @@ fn cell_verdict<S: SchemaLike>(
             update_chain_count: uc.edge_count(),
         }
     };
-    match config.engine {
-        EngineKind::Explicit => {
+    match (config.engine, cdag_independent) {
+        (EngineKind::Explicit, _) => {
             explicit().unwrap_or_else(|| conservative_explicit_verdict((k, k_query, k_update)))
         }
-        EngineKind::Cdag => cdag(cdag_independent),
-        EngineKind::Auto if config.cdag_first => {
-            if cdag_independent == Some(true) {
-                return cdag(Some(true));
-            }
-            explicit().unwrap_or_else(|| cdag(cdag_independent))
+        (EngineKind::Cdag, Some(independent)) | (EngineKind::Auto, Some(independent @ true)) => {
+            cdag(independent)
         }
-        EngineKind::Auto => explicit().unwrap_or_else(|| cdag(None)),
+        (EngineKind::Auto, Some(false)) => explicit().unwrap_or_else(|| cdag(false)),
+        (_, None) => unreachable!("the CDAG cell pass runs for every non-explicit engine"),
     }
 }
 

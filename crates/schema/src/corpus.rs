@@ -4,7 +4,7 @@
 //!
 //! Every analysis result in this repository was originally demonstrated
 //! against exactly one schema (XMark). The corpus breaks that monoculture:
-//! the differential, precision and delta-maintenance suites iterate a
+//! the differential, precision and view-maintenance suites iterate a
 //! [`Corpus`] — five fixtures (shallow-wide catalog, deep-recursive
 //! treatise, attribute-heavy records, mixed-content article,
 //! mutual-recursion orgchart) optionally extended with [`SchemaGen`]

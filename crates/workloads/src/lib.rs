@@ -19,7 +19,7 @@
 //!   Fig. 3.b, and the view-maintenance simulation of Fig. 3.c.
 //! * [`maintain`] — the continuous-maintenance engine extending Fig. 3.c:
 //!   live materialized views under a sustained update stream, refreshed
-//!   naively, pruned by independence, or delta-patched in place.
+//!   naively or pruned by independence.
 
 pub mod harness;
 pub mod maintain;

@@ -1,47 +1,43 @@
-//! Continuous view maintenance: from "is it independent?" to "how little
-//! must we recompute?".
+//! Continuous view maintenance: from "is it independent?" to "what must
+//! we recompute?".
 //!
 //! The Fig. 3.c simulation measures how much re-materialization the static
 //! analysis *prunes*. This module goes one step further and actually keeps
 //! a set of materialized views live under a sustained update stream, with
-//! three strategies of increasing precision:
+//! two strategies:
 //!
 //! * [`MaintainStrategy::Naive`] — re-evaluate every view after every batch
 //!   (the no-analysis baseline of the paper's experiment);
 //! * [`MaintainStrategy::Pruned`] — re-evaluate only the views the chain
 //!   analysis cannot prove independent of some update in the batch
-//!   (Fig. 3.c, extended to batches);
-//! * [`MaintainStrategy::Delta`] — additionally split the dependent pairs
-//!   with [`DeltaClassifier`]: views whose conflicts all run strictly
-//!   *downward* from a return chain keep their result membership, so they
-//!   are repaired in place by re-copying exactly the result subtrees that
-//!   contain an update site ([`Store::patch_subtree`] against the
-//!   copy-on-write tail) instead of re-running the query over the whole
-//!   document. Anything inconclusive falls back to re-evaluation —
-//!   correctness first.
+//!   (Fig. 3.c, extended to batches).
 //!
-//! One analysis pass runs per batch (the classifier caches per
-//! (view, update) expression, so a recurring workload pays it once);
-//! update application is sequential (the semantics of a batch is the
+//! The skip decision is the C-independence verdict (Def. 4.1) of an
+//! [`AnalysisSession`] the engine owns, built once with the polynomial CDAG
+//! engine ([`EngineKind::Cdag`], §6.1). Every view is registered on the
+//! session when it is registered here; an update joins the session as a
+//! matrix row the first time it is seen, so a recurring update stream pays
+//! the chain analysis once per distinct update and then one matrix lookup
+//! per (view, update) per batch. Views registered later get their column
+//! computed against every row already present.
+//!
+//! Update application is sequential (the semantics of a batch is the
 //! sequential composition of its updates); re-evaluations are sharded over
 //! the `qui-core` thread pool with one O(1) copy-on-write snapshot per
-//! worker, while patches — the cheap path — run inline. The deterministic
-//! outcome (which views were skipped / patched / re-evaluated, and the
-//! serialized view contents) is bit-identical for any worker count and for
-//! any strategy; `tests/delta_maintenance.rs` pins both properties.
+//! worker. The deterministic outcome (which views were skipped or
+//! re-evaluated, and the serialized view contents) is bit-identical for any
+//! worker count and for either strategy; `tests/view_maintenance.rs` pins
+//! both properties.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use qui_core::delta::{DeltaClass, DeltaClassifier};
 use qui_core::parallel::run_indexed;
-use qui_core::Jobs;
+use qui_core::session::{AnalysisSession, SessionBuilder};
+use qui_core::{EngineKind, Jobs};
 use qui_schema::SchemaLike;
 use qui_xmlstore::{serialize_node, NodeId, Store, Tree};
-use qui_xquery::{
-    apply_pending_list, evaluate_query, evaluate_update, update_sites, EvalError, Query, Update,
-    UpdateSite,
-};
+use qui_xquery::{apply_pending_list, evaluate_query, evaluate_update, EvalError, Query, Update};
 
 /// How a [`MaintenanceEngine`] refreshes its views after each batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,16 +46,11 @@ pub enum MaintainStrategy {
     Naive,
     /// Re-evaluate only views not statically independent of the batch.
     Pruned,
-    /// Patch result subtrees in place where the conflict classification
-    /// allows it; re-evaluate the rest.
-    Delta,
 }
 
-/// A live materialized view: the query, its own result store (one synthetic
-/// `<view>` element whose children are deep copies of the result sequence),
-/// and — when the result consists of document nodes rather than constructed
-/// ones — the source [`NodeId`]s the entries were copied from, which is what
-/// the delta path patches against.
+/// A live materialized view: the query and its own result store (one
+/// synthetic `<view>` element whose children are deep copies of the result
+/// sequence).
 pub struct MaintainedView {
     /// The view's name (workload label).
     pub name: String,
@@ -67,37 +58,26 @@ pub struct MaintainedView {
     pub query: Query,
     store: Store,
     root: NodeId,
-    entry_roots: Vec<NodeId>,
-    source_entries: Vec<NodeId>,
-    tracks_sources: bool,
 }
 
 impl MaintainedView {
     /// Materializes `query` over `doc` (which must be frozen, so workers can
     /// snapshot it in O(1)).
     fn materialize(name: &str, query: &Query, doc: &Tree) -> Result<MaintainedView, EvalError> {
-        let frozen_len = doc.store.len();
         let mut work = doc.snapshot();
         let root = work.root;
         let results = evaluate_query(&mut work.store, root, query)?;
-        // A result id past the frozen prefix is a node the query constructed
-        // during evaluation; it has no stable identity in the live document,
-        // so the delta path cannot track it and the view always re-evaluates.
-        let tracks_sources = results.iter().all(|n| n.index() < frozen_len);
         let mut store = Store::new();
-        let entry_roots: Vec<NodeId> = results
+        let entries = results
             .iter()
             .map(|&n| store.deep_copy_from(&work.store, n))
             .collect();
-        let view_root = store.new_element("view", entry_roots.clone());
+        let view_root = store.new_element("view", entries);
         Ok(MaintainedView {
             name: name.to_string(),
             query: query.clone(),
             store,
             root: view_root,
-            entry_roots,
-            source_entries: if tracks_sources { results } else { Vec::new() },
-            tracks_sources,
         })
     }
 
@@ -105,11 +85,6 @@ impl MaintainedView {
     /// This is the value the differential tests compare across strategies.
     pub fn serialized(&self) -> String {
         serialize_node(&self.store, self.root)
-    }
-
-    /// Number of result entries currently materialized.
-    pub fn entry_count(&self) -> usize {
-        self.entry_roots.len()
     }
 }
 
@@ -123,17 +98,13 @@ pub struct BatchStats {
     pub updates: usize,
     /// Views left untouched (independent of the whole batch).
     pub skipped: usize,
-    /// Views repaired in place by subtree patching.
-    pub patched_views: usize,
-    /// Total result subtrees re-copied across all patched views.
-    pub patched_entries: usize,
     /// Views re-evaluated from scratch.
     pub reevaluated: usize,
     /// Wall time of the static analysis pass.
     pub analysis: Duration,
     /// Wall time of update evaluation + application.
     pub apply: Duration,
-    /// Wall time of view maintenance (patches + sharded re-evaluations).
+    /// Wall time of view maintenance (sharded re-evaluations).
     pub maintain: Duration,
 }
 
@@ -141,8 +112,6 @@ impl BatchStats {
     fn absorb(&mut self, other: &BatchStats) {
         self.updates += other.updates;
         self.skipped += other.skipped;
-        self.patched_views += other.patched_views;
-        self.patched_entries += other.patched_entries;
         self.reevaluated += other.reevaluated;
         self.analysis += other.analysis;
         self.apply += other.apply;
@@ -150,32 +119,19 @@ impl BatchStats {
     }
 
     /// The worker-count-independent part, for bit-identity assertions.
-    pub fn deterministic_fields(&self) -> [usize; 5] {
-        [
-            self.updates,
-            self.skipped,
-            self.patched_views,
-            self.patched_entries,
-            self.reevaluated,
-        ]
+    pub fn deterministic_fields(&self) -> [usize; 3] {
+        [self.updates, self.skipped, self.reevaluated]
     }
-}
-
-/// What the per-view decision pass concluded for one batch.
-enum Decision {
-    Skip,
-    Patch(Vec<usize>),
-    Reeval,
 }
 
 /// Keeps a set of materialized views live under a stream of update batches.
 pub struct MaintenanceEngine<'s, S: SchemaLike> {
-    classifier: DeltaClassifier<'s, S>,
-    /// Per-update classification of every registered view, keyed by the
-    /// update's expression fingerprint: a recurring update stream pays the
-    /// chain analysis once per distinct update, then one hash lookup per
-    /// batch — the "one analysis pass per batch" discipline.
-    class_cache: HashMap<String, Vec<DeltaClass>>,
+    /// The CDAG analysis of every registered view against every distinct
+    /// update seen so far (see the [module docs](self)).
+    session: AnalysisSession<'s, S>,
+    /// Session row of each distinct update, keyed by its expression
+    /// fingerprint.
+    update_rows: HashMap<String, usize>,
     strategy: MaintainStrategy,
     jobs: Jobs,
     doc: Tree,
@@ -183,14 +139,17 @@ pub struct MaintenanceEngine<'s, S: SchemaLike> {
     totals: BatchStats,
 }
 
-impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
+impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
     /// Creates an engine over `doc` (frozen on entry so every snapshot below
     /// is O(1)).
     pub fn new(schema: &'s S, mut doc: Tree, strategy: MaintainStrategy, jobs: Jobs) -> Self {
         doc.freeze();
         MaintenanceEngine {
-            classifier: DeltaClassifier::new(schema),
-            class_cache: HashMap::new(),
+            session: SessionBuilder::new(schema)
+                .engine(EngineKind::Cdag)
+                .jobs(jobs)
+                .build(),
+            update_rows: HashMap::new(),
             strategy,
             jobs,
             doc,
@@ -203,6 +162,7 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
     pub fn register_view(&mut self, name: &str, query: &Query) -> Result<(), EvalError> {
         let view = MaintainedView::materialize(name, query, &self.doc)?;
         self.views.push(view);
+        self.session.add_view(name, query.clone());
         Ok(())
     }
 
@@ -227,6 +187,33 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
         &self.totals
     }
 
+    /// Per registered view, whether it is independent of every update in
+    /// `updates` — the pruned strategy's skip set. An update seen for the
+    /// first time joins the session as a new row (analyzed against every
+    /// registered view); a seen one is a row lookup.
+    fn independent_views(&mut self, updates: &[Update]) -> Vec<bool> {
+        let mut rows = Vec::with_capacity(updates.len());
+        for u in updates {
+            let fingerprint = format!("{u:?}");
+            let row = match self.update_rows.get(&fingerprint) {
+                Some(&row) => row,
+                None => {
+                    let name = format!("u{}", self.update_rows.len());
+                    let row = self.session.add_update(name, u.clone());
+                    self.update_rows.insert(fingerprint, row);
+                    row
+                }
+            };
+            rows.push(row);
+        }
+        (0..self.views.len())
+            .map(|vi| {
+                rows.iter()
+                    .all(|&ui| self.session.verdict(ui, vi).is_independent())
+            })
+            .collect()
+    }
+
     /// Applies one batch of updates to the document and maintains every
     /// registered view according to the engine's strategy.
     ///
@@ -241,84 +228,33 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
 
         // Phase 1: one static analysis pass for the whole batch — skipped
         // entirely by the naive strategy, which refreshes everything anyway.
-        // Each distinct update is classified against every view once and
-        // cached; the per-view class is the worst across the batch's
-        // updates: a single membership-threatening update forces
-        // re-evaluation no matter how benign the others are.
+        // A view is skipped iff it is independent of every update in the
+        // batch: a single dependent update forces re-evaluation.
         let analysis_start = Instant::now();
-        let classes: Vec<DeltaClass> = if self.strategy == MaintainStrategy::Naive {
-            vec![DeltaClass::Reevaluate; self.views.len()]
+        let reeval: Vec<usize> = if self.strategy == MaintainStrategy::Naive {
+            (0..self.views.len()).collect()
         } else {
-            let cache = &mut self.class_cache;
-            let classifier = &mut self.classifier;
-            let views = &self.views;
-            let fps: Vec<String> = updates.iter().map(|u| format!("{u:?}")).collect();
-            for (u, fp) in updates.iter().zip(&fps) {
-                let entry = cache.entry(fp.clone()).or_default();
-                // Views registered since this update was last seen.
-                while entry.len() < views.len() {
-                    let v = &views[entry.len()];
-                    entry.push(classifier.classify(&v.query, u));
-                }
-            }
-            (0..views.len())
-                .map(|vi| {
-                    fps.iter()
-                        .map(|fp| cache[fp][vi])
-                        .max_by_key(|c| match c {
-                            DeltaClass::Independent => 0,
-                            DeltaClass::Patchable => 1,
-                            DeltaClass::Reevaluate => 2,
-                        })
-                        .unwrap_or(DeltaClass::Independent)
-                })
+            let independent = self.independent_views(updates);
+            (0..self.views.len())
+                .filter(|&vi| !independent[vi])
                 .collect()
         };
         stats.analysis = analysis_start.elapsed();
+        stats.reevaluated = reeval.len();
+        stats.skipped = self.views.len() - reeval.len();
 
-        // Phase 2: apply the updates sequentially, recording each pending
-        // list's update sites *before* application (application may clear
-        // the parent pointers the site computation needs).
+        // Phase 2: apply the updates sequentially.
         let apply_start = Instant::now();
-        let mut sites: Vec<UpdateSite> = Vec::new();
         for u in updates {
             let root = self.doc.root;
             let cmds = evaluate_update(&mut self.doc.store, root, u)?;
-            sites.extend(update_sites(&self.doc.store, &cmds));
             apply_pending_list(&mut self.doc.store, &cmds);
         }
         self.doc.freeze();
         stats.apply = apply_start.elapsed();
 
-        // Phase 3: decide per view, then execute — patches inline (they are
-        // the cheap path), re-evaluations sharded over the thread pool.
+        // Phase 3: re-evaluate the dependent views, sharded over the pool.
         let maintain_start = Instant::now();
-        let decisions = self.decide(&classes, &sites);
-        let reeval: Vec<usize> = decisions
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| matches!(d, Decision::Reeval))
-            .map(|(i, _)| i)
-            .collect();
-        for (vi, decision) in decisions.iter().enumerate() {
-            match decision {
-                Decision::Skip => stats.skipped += 1,
-                Decision::Reeval => stats.reevaluated += 1,
-                Decision::Patch(entries) => {
-                    stats.patched_views += 1;
-                    stats.patched_entries += entries.len();
-                    let view = &mut self.views[vi];
-                    for &ei in entries {
-                        let fresh = view.store.patch_subtree(
-                            view.entry_roots[ei],
-                            &self.doc.store,
-                            view.source_entries[ei],
-                        );
-                        view.entry_roots[ei] = fresh;
-                    }
-                }
-            }
-        }
         let doc = &self.doc;
         let views = &self.views;
         let rebuilt: Vec<Result<MaintainedView, EvalError>> =
@@ -334,88 +270,6 @@ impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
         self.totals.absorb(&stats);
         Ok(stats)
     }
-
-    /// Maps each view to its maintenance decision for this batch.
-    ///
-    /// Beyond the static class, the delta path re-checks the *dynamic*
-    /// preconditions of a patch and demotes to re-evaluation when any
-    /// fails: the view must track source nodes (no constructed results), no
-    /// update site may be unresolvable (a pending-list target with no
-    /// parent), and no structural command may target an entry root itself —
-    /// each a conservative fallback, never a wrong patch.
-    fn decide(&self, classes: &[DeltaClass], sites: &[UpdateSite]) -> Vec<Decision> {
-        let inconclusive_site = sites.iter().any(|s| s.site.is_none());
-        // Source-entry index over the views still eligible for patching,
-        // so each site resolves its affected entries in one ancestor walk.
-        let mut entry_of: HashMap<NodeId, Vec<(usize, usize)>> = HashMap::new();
-        let mut eligible: Vec<bool> = Vec::with_capacity(self.views.len());
-        for (vi, view) in self.views.iter().enumerate() {
-            let ok = self.strategy == MaintainStrategy::Delta
-                && classes[vi] == DeltaClass::Patchable
-                && view.tracks_sources
-                && !inconclusive_site;
-            eligible.push(ok);
-            if ok {
-                for (ei, &src) in view.source_entries.iter().enumerate() {
-                    entry_of.entry(src).or_default().push((vi, ei));
-                }
-            }
-        }
-        // A structural command aimed at a tracked entry root means the
-        // entry node itself is deleted/renamed/replaced; the static class
-        // should already have demoted the pair, but verify dynamically.
-        let mut demoted: Vec<bool> = vec![false; self.views.len()];
-        for s in sites {
-            if s.touches_target {
-                if let Some(hits) = entry_of.get(&s.target) {
-                    for &(vi, _) in hits {
-                        demoted[vi] = true;
-                    }
-                }
-            }
-        }
-        // Ancestor-or-self walk from each site in the *final* document: an
-        // entry contains the site iff the entry's source node is on the
-        // walk. Sites detached by a later update of the batch stop early —
-        // their content change is invisible in the final document, and any
-        // visible consequence is covered by the detaching update's own site.
-        let mut affected: Vec<Vec<usize>> = vec![Vec::new(); self.views.len()];
-        for s in sites {
-            let mut cur = s.site;
-            while let Some(n) = cur {
-                if let Some(hits) = entry_of.get(&n) {
-                    for &(vi, ei) in hits {
-                        affected[vi].push(ei);
-                    }
-                }
-                cur = self.doc.store.parent(n);
-            }
-        }
-        (0..self.views.len())
-            .map(|vi| match self.strategy {
-                MaintainStrategy::Naive => Decision::Reeval,
-                MaintainStrategy::Pruned => {
-                    if classes[vi] == DeltaClass::Independent {
-                        Decision::Skip
-                    } else {
-                        Decision::Reeval
-                    }
-                }
-                MaintainStrategy::Delta => {
-                    if classes[vi] == DeltaClass::Independent {
-                        Decision::Skip
-                    } else if eligible[vi] && !demoted[vi] {
-                        let mut entries = std::mem::take(&mut affected[vi]);
-                        entries.sort_unstable();
-                        entries.dedup();
-                        Decision::Patch(entries)
-                    } else {
-                        Decision::Reeval
-                    }
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -429,45 +283,147 @@ mod tests {
     use qui_xquery::{parse_query, parse_update};
 
     #[test]
-    fn patchable_view_is_repaired_in_place() {
-        let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c* ; b -> c*", "doc").unwrap();
-        let doc = parse_xml("<doc><a><c/><c/></a><b><c/></b><a><c/></a></doc>").unwrap();
-        let q = parse_query("//a").unwrap();
-        let u = parse_update("delete //a/c").unwrap();
-
-        let mut delta = MaintenanceEngine::new(&dtd, doc, MaintainStrategy::Delta, Jobs::Fixed(1));
-        delta.register_view("as", &q).unwrap();
-        let stats = delta.apply_batch(std::slice::from_ref(&u)).unwrap();
-        assert_eq!(stats.patched_views, 1, "the only view must be patched");
-        assert_eq!(stats.patched_entries, 2, "both <a> entries contain a site");
-        assert_eq!(stats.reevaluated, 0);
-
-        let doc2 = parse_xml("<doc><a><c/><c/></a><b><c/></b><a><c/></a></doc>").unwrap();
-        let mut naive = MaintenanceEngine::new(&dtd, doc2, MaintainStrategy::Naive, Jobs::Fixed(1));
-        naive.register_view("as", &q).unwrap();
-        naive.apply_batch(std::slice::from_ref(&u)).unwrap();
-        assert_eq!(delta.serialized_views(), naive.serialized_views());
-        assert_eq!(delta.serialized_views(), vec!["<view><a/><a/></view>"]);
-    }
-
-    #[test]
     fn independent_view_is_skipped_and_membership_threat_reevaluates() {
         let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c* ; b -> c*", "doc").unwrap();
         let doc = parse_xml("<doc><a><c/></a><b><c/></b></doc>").unwrap();
-        let mut eng = MaintenanceEngine::new(&dtd, doc, MaintainStrategy::Delta, Jobs::Fixed(1));
+        let mut eng = MaintenanceEngine::new(&dtd, doc, MaintainStrategy::Pruned, Jobs::Fixed(1));
         eng.register_view("bs", &parse_query("//b/c").unwrap())
             .unwrap();
         eng.register_view("as", &parse_query("//a").unwrap())
             .unwrap();
-        // Deleting //a threatens the membership of "as" (chain equality) and
-        // is independent of "bs".
+        // Deleting //a changes "as" and is independent of "bs".
         let stats = eng
             .apply_batch(&[parse_update("delete //a").unwrap()])
             .unwrap();
         assert_eq!(stats.skipped, 1);
         assert_eq!(stats.reevaluated, 1);
-        assert_eq!(stats.patched_views, 0);
         assert_eq!(eng.serialized_views(), vec!["<view><c/></view>", "<view/>"]);
+    }
+
+    #[test]
+    fn reapplying_a_seen_update_runs_no_new_inference() {
+        let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c* ; b -> c*", "doc").unwrap();
+        let doc = parse_xml("<doc><a><c/><c/></a><b><c/></b></doc>").unwrap();
+        let mut eng = MaintenanceEngine::new(&dtd, doc, MaintainStrategy::Pruned, Jobs::Fixed(1));
+        eng.register_view("as", &parse_query("//a").unwrap())
+            .unwrap();
+        eng.register_view("bs", &parse_query("//b/c").unwrap())
+            .unwrap();
+        let u = parse_update("delete //a/c").unwrap();
+        let first = eng.apply_batch(std::slice::from_ref(&u)).unwrap();
+        let inferences = eng.session.stats().cdag_inferences;
+        assert!(inferences > 0, "the first sighting runs the CDAG inference");
+        let again = eng.apply_batch(std::slice::from_ref(&u)).unwrap();
+        assert_eq!(
+            eng.session.stats().cdag_inferences,
+            inferences,
+            "a seen update is answered from the session matrix"
+        );
+        assert_eq!(
+            eng.session.n_updates(),
+            1,
+            "one session row per distinct update"
+        );
+        assert_eq!(first.deterministic_fields(), again.deterministic_fields());
+    }
+
+    /// The skip set of a workload, computed directly per pair by a plain
+    /// CDAG engine at `k_q + k_u` (one inference per expression and bound,
+    /// no session) — the oracle the session-backed decision must reproduce
+    /// bit for bit.
+    fn direct_cdag_oracle<S: SchemaLike>(
+        schema: &S,
+        views: &[Query],
+        updates: &[Update],
+    ) -> Vec<Vec<bool>> {
+        use qui_core::engine::cdag::CdagEngine;
+        use qui_core::k_for_pair;
+        let mut engines = HashMap::new();
+        let mut query_chains = HashMap::new();
+        let mut update_chains = HashMap::new();
+        updates
+            .iter()
+            .enumerate()
+            .map(|(ui, u)| {
+                views
+                    .iter()
+                    .enumerate()
+                    .map(|(vi, q)| {
+                        let k = k_for_pair(q, u);
+                        let eng = engines
+                            .entry(k)
+                            .or_insert_with(|| CdagEngine::new(schema, k));
+                        let qc = query_chains
+                            .entry((vi, k))
+                            .or_insert_with(|| eng.infer_query(&eng.root_gamma(q.free_vars()), q));
+                        let uc = update_chains
+                            .entry((ui, k))
+                            .or_insert_with(|| eng.infer_update(&eng.root_gamma(u.free_vars()), u));
+                        eng.independent(qc, uc)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn engine_skip_sets<S: SchemaLike + Sync>(
+        schema: &S,
+        doc: Tree,
+        views: &[Query],
+        updates: &[Update],
+    ) -> Vec<Vec<bool>> {
+        let mut eng = MaintenanceEngine::new(schema, doc, MaintainStrategy::Pruned, Jobs::Fixed(2));
+        for (i, q) in views.iter().enumerate() {
+            eng.register_view(&format!("v{i}"), q).unwrap();
+        }
+        updates
+            .iter()
+            .map(|u| eng.independent_views(std::slice::from_ref(u)))
+            .collect()
+    }
+
+    #[test]
+    fn pruned_skip_set_matches_direct_cdag_oracle_on_xmark() {
+        let dtd = xmark_dtd();
+        let views: Vec<Query> = all_views().into_iter().map(|v| v.query).collect();
+        let updates: Vec<Update> = all_updates().into_iter().map(|u| u.update).collect();
+        let got = engine_skip_sets(&dtd, xmark_document(200, 3), &views, &updates);
+        let expected = direct_cdag_oracle(&dtd, &views, &updates);
+        assert_eq!(got, expected);
+        let independent = got.iter().flatten().filter(|&&b| b).count();
+        assert_eq!(
+            independent, 918,
+            "independent cells of the 36 x 31 XMark matrix"
+        );
+    }
+
+    #[test]
+    fn pruned_skip_set_matches_direct_cdag_oracle_on_the_corpus() {
+        use qui_schema::{generate_valid, random_query, random_update, Corpus, GenValidConfig};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut cells = 0usize;
+        for (si, schema) in Corpus::seeded(1, 6).iter().enumerate() {
+            let dtd = schema.dtd();
+            let labels = schema.labels();
+            let mut rng = StdRng::seed_from_u64(0x0AC1E ^ si as u64);
+            let views: Vec<Query> = (0..5)
+                .map(|_| parse_query(&random_query(&labels, &mut rng)).unwrap())
+                .collect();
+            let updates: Vec<Update> = (0..5)
+                .map(|_| parse_update(&random_update(&schema.start, &labels, &mut rng)).unwrap())
+                .collect();
+            let doc = generate_valid(&dtd, &GenValidConfig::with_target(40), si as u64);
+            let got = engine_skip_sets(&dtd, doc, &views, &updates);
+            assert_eq!(
+                got,
+                direct_cdag_oracle(&dtd, &views, &updates),
+                "corpus schema {}",
+                schema.name
+            );
+            cells += views.len() * updates.len();
+        }
+        assert_eq!(cells, 11 * 25);
     }
 
     #[test]
@@ -482,14 +438,11 @@ mod tests {
             .filter(|u| ["UA1", "UI2", "UN1", "UP5", "UB2", "UI4"].contains(&u.name))
             .map(|u| u.update)
             .collect();
-        let mut engines: Vec<MaintenanceEngine<Dtd>> = [
-            MaintainStrategy::Naive,
-            MaintainStrategy::Pruned,
-            MaintainStrategy::Delta,
-        ]
-        .into_iter()
-        .map(|s| MaintenanceEngine::new(&dtd, xmark_document(3_000, 11), s, Jobs::Fixed(2)))
-        .collect();
+        let mut engines: Vec<MaintenanceEngine<Dtd>> =
+            [MaintainStrategy::Naive, MaintainStrategy::Pruned]
+                .into_iter()
+                .map(|s| MaintenanceEngine::new(&dtd, xmark_document(3_000, 11), s, Jobs::Fixed(2)))
+                .collect();
         for eng in &mut engines {
             for v in &views {
                 eng.register_view(v.name, &v.query).unwrap();
@@ -500,14 +453,10 @@ mod tests {
                 .iter_mut()
                 .map(|e| e.apply_batch(batch).unwrap())
                 .collect();
-            let reference = engines[0].serialized_views();
-            assert_eq!(engines[1].serialized_views(), reference);
-            assert_eq!(engines[2].serialized_views(), reference);
-            // Strategy precision is monotone: naive refreshes everything,
-            // pruning skips at least as little as delta does.
+            assert_eq!(engines[1].serialized_views(), engines[0].serialized_views());
+            // Naive refreshes everything; pruning never refreshes more.
             assert_eq!(stats[0].reevaluated, views.len());
             assert!(stats[1].reevaluated <= stats[0].reevaluated);
-            assert!(stats[2].reevaluated <= stats[1].reevaluated);
         }
     }
 }

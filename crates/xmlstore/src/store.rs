@@ -921,28 +921,6 @@ impl Store {
         }
     }
 
-    /// Splices a fresh deep copy of `src_root`'s subtree (read from `src`,
-    /// which may be a different store — typically the live document a
-    /// materialized view was built from) in place of `target`: the copy is
-    /// allocated on this store's copy-on-write tail, takes `target`'s
-    /// position among its siblings, and `target`'s old subtree is detached.
-    /// Returns the location of the new subtree root.
-    ///
-    /// This is the splice primitive of the delta view-maintenance path:
-    /// after an update that only touches the *interior* of some result
-    /// subtrees, a materialized view is repaired by re-copying exactly those
-    /// subtrees instead of re-evaluating the view.
-    ///
-    /// # Panics
-    /// Panics if `target` has no parent (a view's synthetic root cannot be
-    /// patched in place — rebuild the view instead).
-    pub fn patch_subtree(&mut self, target: NodeId, src: &Store, src_root: NodeId) -> NodeId {
-        let fresh = self.deep_copy_from(src, src_root);
-        let spliced = self.replace(target, &[fresh]);
-        assert!(spliced, "patch_subtree target must be attached");
-        fresh
-    }
-
     // ----- freeze / snapshot -----
 
     /// Flattens this store into an immutable shared base, after which

@@ -81,16 +81,6 @@ pub enum UpdateCommand {
 }
 
 impl UpdateCommand {
-    /// The target location of the command.
-    pub fn target(&self) -> NodeId {
-        match self {
-            UpdateCommand::Ins { target, .. }
-            | UpdateCommand::Del { target }
-            | UpdateCommand::Repl { target, .. }
-            | UpdateCommand::Ren { target, .. } => *target,
-        }
-    }
-
     /// The source/content locations of the command (roots of inserted or
     /// replacing trees) — the paper's *critical locations*.
     pub fn content(&self) -> &[NodeId] {
@@ -211,52 +201,6 @@ pub fn apply_pending_list(store: &mut Store, upl: &[UpdateCommand]) {
             store.detach(*target);
         }
     }
-}
-
-/// Where one pending-list command lands in the tree, for delta view
-/// maintenance: the deepest *surviving* node whose serialized content
-/// changes, plus whether the command removes, renames or replaces the
-/// target node itself (in which case a view entry equal to the target
-/// cannot be repaired by a content patch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UpdateSite {
-    /// The deepest node whose serialized subtree changes while the node
-    /// itself survives: the target for into-insertions, the target's parent
-    /// otherwise. `None` when the command edits a parentless node (the
-    /// document root), which delta maintenance treats as unpatchable.
-    pub site: Option<NodeId>,
-    /// The command's target location.
-    pub target: NodeId,
-    /// `true` for delete / rename / replace — commands that change the
-    /// target node itself rather than only its content.
-    pub touches_target: bool,
-}
-
-/// Computes the [`UpdateSite`] of every command in a pending list.
-///
-/// Must be called **before** [`apply_pending_list`]: deletions clear parent
-/// pointers, so the sites are only meaningful against the pre-update store.
-pub fn update_sites(store: &Store, upl: &[UpdateCommand]) -> Vec<UpdateSite> {
-    upl.iter()
-        .map(|cmd| {
-            let (site, touches_target) = match cmd {
-                UpdateCommand::Ins { pos, target, .. } => match pos {
-                    UpdatePos::Into | UpdatePos::IntoAsFirst | UpdatePos::IntoAsLast => {
-                        (Some(*target), false)
-                    }
-                    UpdatePos::Before | UpdatePos::After => (store.parent(*target), false),
-                },
-                UpdateCommand::Del { target }
-                | UpdateCommand::Repl { target, .. }
-                | UpdateCommand::Ren { target, .. } => (store.parent(*target), true),
-            };
-            UpdateSite {
-                site,
-                target: cmd.target(),
-                touches_target,
-            }
-        })
-        .collect()
 }
 
 /// Convenience: evaluates and applies an update on a tree in place

@@ -35,7 +35,7 @@ pub use ast::{Axis, NodeTest, Query, Update, UpdatePos};
 pub use dynamic::{dynamic_independent, DynamicOutcome};
 pub use eval::{
     apply_pending_list, evaluate_query, evaluate_query_into, evaluate_update, run_update,
-    update_sites, EvalError, Evaluation, UpdateCommand, UpdateSite,
+    EvalError, Evaluation, UpdateCommand,
 };
 pub use parser::{parse_query, parse_update, QueryParseError};
 pub use rewrite::{normalize_query, normalize_update};

@@ -14,10 +14,18 @@
 //!
 //! This mirrors the rewriting the paper applies to the XMark / XPathMark
 //! expressions before analysis (§6.2).
+//!
+//! Nesting (parentheses, FLWR bodies, conditionals, predicates, element
+//! constructors) is bounded by a fixed depth limit, so a hostile input is
+//! rejected with a [`QueryParseError`] instead of overflowing the stack.
 
 use crate::ast::{Axis, NodeTest, Query, Update, UpdatePos};
 use crate::ROOT_VAR;
 use std::fmt;
+
+/// Maximum nesting depth the parser accepts; beyond this the input is
+/// rejected rather than recursed into (bounding stack use on hostile input).
+const MAX_DEPTH: usize = 64;
 
 /// An error produced while parsing a query or update.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,6 +73,8 @@ struct P {
     context_var: String,
     /// Fresh-variable counter for desugaring.
     fresh: usize,
+    /// Current nesting depth (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl P {
@@ -74,7 +84,24 @@ impl P {
             pos: 0,
             context_var: ROOT_VAR.to_string(),
             fresh: 0,
+            depth: 0,
         }
+    }
+
+    /// Runs one nested production, failing once the nesting exceeds
+    /// [`MAX_DEPTH`]. Every recursive cycle of the grammar passes through a
+    /// production wrapped in this.
+    fn nested<T>(
+        &mut self,
+        production: impl FnOnce(&mut P) -> Result<T, QueryParseError>,
+    ) -> Result<T, QueryParseError> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = production(self);
+        self.depth -= 1;
+        out
     }
 
     fn err(&self, msg: impl Into<String>) -> QueryParseError {
@@ -227,6 +254,10 @@ impl P {
     }
 
     fn parse_query_single(&mut self) -> Result<Query, QueryParseError> {
+        self.nested(P::query_single)
+    }
+
+    fn query_single(&mut self) -> Result<Query, QueryParseError> {
         self.skip_ws();
         if self.eat_keyword("for") {
             let var = self.parse_varname()?;
@@ -321,6 +352,10 @@ impl P {
     /// `<a>…</a>`, `<a/>`, `<a>{q}</a>`, nested literal elements and literal
     /// text content.
     fn parse_element_constructor(&mut self) -> Result<Query, QueryParseError> {
+        self.nested(P::element_constructor)
+    }
+
+    fn element_constructor(&mut self) -> Result<Query, QueryParseError> {
         self.expect('<')?;
         let tag = self.parse_name()?;
         self.skip_ws();
@@ -639,6 +674,10 @@ impl P {
     }
 
     fn parse_update_single(&mut self) -> Result<Update, QueryParseError> {
+        self.nested(P::update_single)
+    }
+
+    fn update_single(&mut self) -> Result<Update, QueryParseError> {
         self.skip_ws();
         if self.eat_keyword("for") {
             let var = self.parse_varname()?;
@@ -903,6 +942,28 @@ mod tests {
             Update::Insert { pos, .. } => assert_eq!(pos, UpdatePos::Before),
             other => panic!("expected insert, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_an_error() {
+        let deep = |n: usize, inner: &str| format!("{}{inner}{}", "(".repeat(n), ")".repeat(n));
+        for n in [MAX_DEPTH + 1, 20_000] {
+            let err = parse_query(&deep(n, "//a")).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            let err = parse_update(&format!("delete {}", deep(n, "//a"))).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        let err = parse_update(&"for $x in //a return ".repeat(20_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = parse_query(&"<a>".repeat(20_000)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = parse_query(&format!("//a{}", "[b".repeat(20_000))).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Nesting just inside the limit still parses.
+        assert_eq!(
+            parse_query(&deep(MAX_DEPTH - 1, "//a")).unwrap(),
+            parse_query("//a").unwrap()
+        );
     }
 
     #[test]

@@ -202,6 +202,53 @@ fn interleaved_edits_and_readers_match_from_scratch_matrix() {
 
 /// Sends one HTTP request over a fresh connection and returns the parsed
 /// JSON body.
+/// A query nested far beyond the parser's depth limit costs one error
+/// response, not the process: handled on a thread with the 2 MB stack of a
+/// scoped `qui serve` worker, both the ad-hoc check and the view
+/// registration answer `Response::Error`, and the session keeps serving.
+#[test]
+fn deeply_nested_query_is_an_error_response() {
+    let dtd = Dtd::parse_compact(FIG1, "doc").unwrap();
+    let shared = SharedSession::new(SessionBuilder::new(&dtd).build());
+    let deep = format!("{}//a{}", "(".repeat(20_000), ")".repeat(20_000));
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, || {
+                let requests = [
+                    Request::Check {
+                        query: deep.clone(),
+                        update: "delete //b//c".to_string(),
+                    },
+                    Request::AddView {
+                        name: Some("deep".to_string()),
+                        expr: deep.clone(),
+                    },
+                ];
+                for request in &requests {
+                    match shared.handle(request) {
+                        Response::Error { message } => {
+                            assert!(message.contains("nesting"), "{message}")
+                        }
+                        other => panic!("expected an error response, got {other:?}"),
+                    }
+                }
+                let check = Request::Check {
+                    query: "//a//c".to_string(),
+                    update: "delete //b//c".to_string(),
+                };
+                assert!(matches!(
+                    shared.handle(&check),
+                    Response::Check {
+                        independent: true,
+                        ..
+                    }
+                ));
+            })
+            .unwrap();
+    });
+}
+
 fn http_json(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Json {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream

@@ -501,24 +501,6 @@ fn budget_straddling_matrix_mixes_engines_and_stays_bit_identical() {
             }
         }
     }
-    // The legacy explicit-first order agrees verdict-for-verdict on the
-    // same straddling workload (only engine attribution may differ).
-    let legacy = AnalyzerConfig {
-        explicit_budget: 60,
-        cdag_first: false,
-        ..Default::default()
-    };
-    let legacy_m = analyze_matrix(&schema, &views, &updates, &legacy, Jobs::Fixed(2));
-    assert_matches_sequential(&schema, &views, &updates, &legacy, &legacy_m);
-    for ui in 0..updates.len() {
-        for vi in 0..views.len() {
-            assert_eq!(
-                reference.verdict(ui, vi).is_independent(),
-                legacy_m.verdict(ui, vi).is_independent(),
-                "orders disagree at cell ({ui}, {vi})"
-            );
-        }
-    }
 }
 
 #[test]

@@ -168,11 +168,10 @@ proptest! {
         q_idx in 0usize..QUERY_POOL.len(),
         u_idx in 0usize..UPDATE_POOL.len(),
         engine_idx in 0usize..3,
-        cdag_first_idx in 0usize..2,
     ) {
         let dtd = &schemas()[schema_idx];
         let engine = [EngineKind::Auto, EngineKind::Explicit, EngineKind::Cdag][engine_idx];
-        let config = AnalyzerConfig { engine, cdag_first: cdag_first_idx == 0, ..Default::default() };
+        let config = AnalyzerConfig { engine, ..Default::default() };
         let analyzer = IndependenceAnalyzer::with_config(dtd, config.clone());
         let session = SessionBuilder::new(dtd).config(config).build();
         // Unrelated checks first, so the target pair hits a part-warm cache.

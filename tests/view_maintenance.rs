@@ -1,21 +1,18 @@
-//! Differential property suite for delta view maintenance
-//! (`qui_workloads::maintain` + `qui_core::delta`):
+//! Differential property suite for view maintenance
+//! (`qui_workloads::maintain`):
 //!
-//! * **`delta_patch_matches_reeval`** — the tentpole property. Under random
-//!   update streams over schema-valid documents, the delta-patched engine's
-//!   serialized view contents are bit-identical to independence-pruned and
-//!   to naive full re-evaluation, for every registered view after every
-//!   batch, at jobs ∈ {1, 2, 8}. The view pools deliberately include the
-//!   conservative-fallback shapes: constructed results (the view cannot
-//!   track source nodes, so the delta path must re-evaluate), updates that
-//!   threaten result membership (classified `Reevaluate`), and insertions
-//!   whose base chains reach return depth (the `grows` demotion).
+//! * **`pruned_matches_naive`** — under random update streams over
+//!   schema-valid documents, the independence-pruned engine's serialized
+//!   view contents are bit-identical to naive full re-evaluation, for every
+//!   registered view after every batch, at jobs ∈ {1, 2, 8}. The view pools
+//!   include constructed results, updates that change result membership,
+//!   and insertions that materialize new result nodes.
 //! * **worker-count bit-identity** — the deterministic per-batch counters
-//!   (skipped / patched / re-evaluated) and the view contents of the delta
-//!   strategy are identical across worker counts, pinning that sharded
+//!   (skipped / re-evaluated) and the view contents of the pruned strategy
+//!   are identical across worker counts, pinning that sharded
 //!   re-evaluation is invisible to the observable outcome.
 //! * **strategy monotonicity** — naive re-evaluates everything, pruning
-//!   re-evaluates no more than naive, delta no more than pruning.
+//!   re-evaluates no more than naive.
 //!
 //! The nightly CI run multiplies the deterministic case count via
 //! `QUI_PROPTEST_CASES`.
@@ -45,10 +42,10 @@ fn fixtures() -> Vec<Fixture> {
     vec![
         // Fig. 1 shape with fully starred content models: deletes, inner
         // inserts and the a<->b rename all keep the document valid. The
-        // pool spans every DeltaClass: `//a` vs `delete //a/c/d` is
-        // Patchable, `//c` vs `delete //a` is Reevaluate (conflict runs
-        // upward), `insert <c/> into //a` vs `//a/c` trips the `grows`
-        // demotion, and the constructor view can never track sources.
+        // pool mixes conflicts strictly below a return chain (`//a` vs
+        // `delete //a/c/d`), above it (`//c` vs `delete //a`), insertions
+        // that create new results (`insert <c/> into //a` vs `//a/c`), and
+        // a constructor view.
         Fixture {
             dtd: Dtd::parse_compact("doc -> (a|b)* ; a -> c* ; b -> c* ; c -> d*", "doc").unwrap(),
             doc: || {
@@ -77,9 +74,9 @@ fn fixtures() -> Vec<Fixture> {
             ],
         },
         // Mutually recursive core (the b/c clique) plus a flat wing: the
-        // recursion keeps the CDAG chain sets saturated and coarse, so the
-        // classifier leans on its conservative fallbacks; the x/y wing
-        // gives the pruner genuinely independent pairs to skip.
+        // recursion keeps the CDAG chain sets saturated and coarse, so most
+        // pairs there re-evaluate; the x/y wing gives the pruner genuinely
+        // independent pairs to skip.
         Fixture {
             dtd: Dtd::parse_compact(
                 "r -> (a|x)* ; a -> (b|c)* ; b -> (b|c)* ; c -> (b|c)* ; x -> y* ; y -> #PCDATA",
@@ -142,21 +139,15 @@ fn cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-const STRATEGIES: [MaintainStrategy; 3] = [
-    MaintainStrategy::Naive,
-    MaintainStrategy::Pruned,
-    MaintainStrategy::Delta,
-];
+const STRATEGIES: [MaintainStrategy; 2] = [MaintainStrategy::Naive, MaintainStrategy::Pruned];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
-    /// The tentpole differential property: delta-patched view contents are
-    /// bit-identical to pruned and naive full re-evaluation after every
-    /// batch of a random update stream, at any worker count — including
-    /// every conservative-fallback shape the fixture pools contain.
+    /// Pruned view contents are bit-identical to naive full re-evaluation
+    /// after every batch of a random update stream, at any worker count.
     #[test]
-    fn delta_patch_matches_reeval(
+    fn pruned_matches_naive(
         fixture_idx in 0usize..3,
         batches in prop::collection::vec(prop::collection::vec(0usize..16, 1..4), 1..4),
         jobs_idx in 0usize..3,
@@ -164,8 +155,8 @@ proptest! {
         let fx = &fixtures()[fixture_idx];
         let jobs = [1usize, 2, 8][jobs_idx];
 
-        // The three strategies at the sampled worker count, plus a
-        // single-threaded delta reference for worker-count bit-identity.
+        // Both strategies at the sampled worker count, plus a
+        // single-threaded pruned reference for worker-count bit-identity.
         let mut engines: Vec<MaintenanceEngine<Dtd>> = STRATEGIES
             .iter()
             .map(|&s| MaintenanceEngine::new(&fx.dtd, (fx.doc)(), s, Jobs::Fixed(jobs)))
@@ -173,7 +164,7 @@ proptest! {
         engines.push(MaintenanceEngine::new(
             &fx.dtd,
             (fx.doc)(),
-            MaintainStrategy::Delta,
+            MaintainStrategy::Pruned,
             Jobs::Fixed(1),
         ));
         for eng in &mut engines {
@@ -194,7 +185,7 @@ proptest! {
 
             // Bit-identical contents across strategies and worker counts.
             let reference = engines[0].serialized_views();
-            for (eng, label) in engines[1..].iter().zip(["pruned", "delta", "delta@jobs=1"]) {
+            for (eng, label) in engines[1..].iter().zip(["pruned", "pruned@jobs=1"]) {
                 prop_assert_eq!(
                     &eng.serialized_views(),
                     &reference,
@@ -206,58 +197,98 @@ proptest! {
             }
             // Deterministic counters are worker-count independent.
             prop_assert_eq!(
+                stats[1].deterministic_fields(),
                 stats[2].deterministic_fields(),
-                stats[3].deterministic_fields(),
-                "delta counters depend on the worker count"
+                "pruned counters depend on the worker count"
             );
-            // Strategy precision is monotone in re-evaluation work.
+            // Naive refreshes everything; pruning never refreshes more.
             prop_assert_eq!(stats[0].reevaluated, fx.queries.len());
             prop_assert!(stats[1].reevaluated <= stats[0].reevaluated);
-            prop_assert!(stats[2].reevaluated <= stats[1].reevaluated);
         }
     }
 }
 
-/// The conservative fallbacks fire — and stay correct — on one concrete
-/// stream: a constructed-result view is never patched (it cannot track
-/// source nodes), while a sibling source-tracking view over the same data
-/// is patched in place, and both end bit-identical to naive.
+/// A view whose results are constructed nodes is re-evaluated like any
+/// other dependent view, while an independent sibling is skipped, and both
+/// end bit-identical to naive.
 #[test]
 fn constructed_results_fall_back_to_reevaluation() {
     let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c* ; b -> c* ; c -> d*", "doc").unwrap();
     let doc = || parse_xml("<doc><a><c><d/></c></a><b><c/></b><a><c/></a></doc>").unwrap();
-    let q_tracked = parse_query("//a").unwrap();
+    let q_independent = parse_query("//b").unwrap();
     // Copies the `c` subtrees into fresh `<wrap>` elements: the results are
     // constructed nodes, yet their content changes under the update below.
     let q_constructed = parse_query("for $x in //a return <wrap>{$x/c}</wrap>").unwrap();
     let u = parse_update("delete //a/c/d").unwrap();
 
-    let mut delta = MaintenanceEngine::new(&dtd, doc(), MaintainStrategy::Delta, Jobs::Fixed(2));
-    delta.register_view("tracked", &q_tracked).unwrap();
-    delta.register_view("constructed", &q_constructed).unwrap();
-    let stats = delta.apply_batch(std::slice::from_ref(&u)).unwrap();
+    let mut engines: Vec<MaintenanceEngine<Dtd>> = STRATEGIES
+        .iter()
+        .map(|&s| MaintenanceEngine::new(&dtd, doc(), s, Jobs::Fixed(2)))
+        .collect();
+    for eng in &mut engines {
+        eng.register_view("independent", &q_independent).unwrap();
+        eng.register_view("constructed", &q_constructed).unwrap();
+    }
+    let stats: Vec<BatchStats> = engines
+        .iter_mut()
+        .map(|e| e.apply_batch(std::slice::from_ref(&u)).unwrap())
+        .collect();
+    assert_eq!(stats[1].skipped, 1, "the //b view is independent");
     assert_eq!(
-        stats.patched_views, 1,
-        "the source-tracking view must be patched in place"
+        stats[1].reevaluated, 1,
+        "the constructed-result view must be re-evaluated"
     );
+    assert_eq!(engines[1].serialized_views(), engines[0].serialized_views());
     assert_eq!(
-        stats.reevaluated, 1,
-        "the constructed-result view must fall back to re-evaluation"
+        engines[1].serialized_views()[1],
+        "<view><wrap><c/></wrap><wrap><c/></wrap></view>"
     );
+}
 
-    let mut naive = MaintenanceEngine::new(&dtd, doc(), MaintainStrategy::Naive, Jobs::Fixed(1));
-    naive.register_view("tracked", &q_tracked).unwrap();
-    naive.register_view("constructed", &q_constructed).unwrap();
-    naive.apply_batch(std::slice::from_ref(&u)).unwrap();
-    assert_eq!(delta.serialized_views(), naive.serialized_views());
+/// A view registered after an update was first seen is analyzed against
+/// that update when it registers, so the next batch carrying the update
+/// decides it correctly: the dependent late view is refreshed, the
+/// independent one skipped, and both match naive.
+#[test]
+fn late_registered_view_is_decided_against_seen_updates() {
+    let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c* ; b -> c*", "doc").unwrap();
+    let doc = || parse_xml("<doc><a><c/></a><b><c/></b></doc>").unwrap();
+    let grow_b = parse_update("for $x in //b return insert <c/> into $x").unwrap();
+
+    let mut engines: Vec<MaintenanceEngine<Dtd>> = STRATEGIES
+        .iter()
+        .map(|&s| MaintenanceEngine::new(&dtd, doc(), s, Jobs::Fixed(1)))
+        .collect();
+    for eng in &mut engines {
+        eng.register_view("as", &parse_query("//a/c").unwrap())
+            .unwrap();
+        eng.apply_batch(std::slice::from_ref(&grow_b)).unwrap();
+        // Registered after `grow_b` was first seen.
+        eng.register_view("bs", &parse_query("//b/c").unwrap())
+            .unwrap();
+        eng.register_view("as-again", &parse_query("//a").unwrap())
+            .unwrap();
+    }
+    let stats: Vec<BatchStats> = engines
+        .iter_mut()
+        .map(|e| e.apply_batch(std::slice::from_ref(&grow_b)).unwrap())
+        .collect();
+    assert_eq!(stats[1].reevaluated, 1, "only the late //b/c view depends");
+    assert_eq!(stats[1].skipped, 2);
+    assert_eq!(engines[1].serialized_views(), engines[0].serialized_views());
+    assert_eq!(
+        engines[1].serialized_views()[1],
+        "<view><c/><c/><c/></view>",
+        "the late view must see the second insertion"
+    );
 }
 
 /// The corpus sweep: on every schema of the shared corpus (hand fixtures
 /// plus seeded generated shapes), a *validity-preserving* random update
-/// stream keeps the three strategies bit-identical at two worker counts.
+/// stream keeps both strategies bit-identical at two worker counts.
 ///
 /// The corpus generators draw arbitrary updates, and an off-schema document
-/// voids the static analysis the pruned/delta strategies rest on — so each
+/// voids the static analysis the pruned strategy rests on — so each
 /// candidate update is first applied to a probe clone and validated; only
 /// validity-preserving candidates enter the stream. The sweep scales with
 /// `QUI_PROPTEST_CASES` like the proptest suites.
@@ -284,7 +315,7 @@ fn corpus_streams_stay_bit_identical_across_strategies() {
         engines.push(MaintenanceEngine::new(
             &dtd,
             doc.clone(),
-            MaintainStrategy::Delta,
+            MaintainStrategy::Pruned,
             Jobs::Fixed(1),
         ));
         for eng in &mut engines {
@@ -319,7 +350,7 @@ fn corpus_streams_stay_bit_identical_across_strategies() {
                 .map(|e| e.apply_batch(batch).unwrap())
                 .collect();
             let reference = engines[0].serialized_views();
-            for (eng, label) in engines[1..].iter().zip(["pruned", "delta", "delta@jobs=1"]) {
+            for (eng, label) in engines[1..].iter().zip(["pruned", "pruned@jobs=1"]) {
                 assert_eq!(
                     eng.serialized_views(),
                     reference,
@@ -329,7 +360,10 @@ fn corpus_streams_stay_bit_identical_across_strategies() {
                 );
             }
             assert!(stats[1].reevaluated <= stats[0].reevaluated);
-            assert!(stats[2].reevaluated <= stats[1].reevaluated);
+            assert_eq!(
+                stats[1].deterministic_fields(),
+                stats[2].deterministic_fields()
+            );
         }
         applied_total += applied;
     }
@@ -339,15 +373,15 @@ fn corpus_streams_stay_bit_identical_across_strategies() {
     );
 }
 
-/// The real workload: an XMark update stream over views that span all three
-/// maintenance decisions, bit-identical across strategies and jobs ∈
-/// {1, 2, 8}, with the delta engine demonstrably patching.
+/// The real workload: an XMark update stream over views that are skipped
+/// by some updates and refreshed by others, bit-identical across
+/// strategies and jobs ∈ {1, 2, 8}.
 #[test]
 fn xmark_stream_is_bit_identical_across_strategies_and_jobs() {
     let dtd = xmark_dtd();
-    // q7/q8/q9/q13 × {UA1, UB2, UN1, UI3} contain statically Patchable
-    // pairs; A1 gives the pruner genuinely independent cells; UP5's replace
-    // exercises the membership-threatening fallback.
+    // q7/q8/q9/q13 × {UA1, UB2, UN1, UI3} contain conflicts strictly below
+    // a return chain; A1 gives the pruner genuinely independent cells;
+    // UP5's replace changes result membership.
     let views: Vec<_> = all_views()
         .into_iter()
         .filter(|v| ["q7", "q8", "q9", "q13", "A1"].contains(&v.name))
@@ -385,13 +419,19 @@ fn xmark_stream_is_bit_identical_across_strategies_and_jobs() {
             );
         }
     }
-    let delta_totals = engines[6].totals();
+    let pruned_totals = engines[3].totals();
+    for eng in &engines[4..] {
+        assert_eq!(
+            eng.totals().deterministic_fields(),
+            pruned_totals.deterministic_fields()
+        );
+    }
     assert!(
-        delta_totals.patched_views > 0,
-        "the XMark stream must exercise the patch path, not only fallbacks"
+        pruned_totals.skipped > 0,
+        "the XMark stream must exercise independence pruning"
     );
     assert!(
-        delta_totals.skipped > 0,
-        "the XMark stream must exercise independence pruning"
+        pruned_totals.reevaluated > 0,
+        "the XMark stream must exercise re-evaluation"
     );
 }
