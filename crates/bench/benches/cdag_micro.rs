@@ -6,13 +6,12 @@
 //!   (building the chain universe / sizing the CDAG grid) measured
 //!   separately from **per-query inference**, so a regression in either
 //!   phase is attributable;
-//! * the incremental k-ladder vs a fresh build per bound;
 //! * the `k = k_q + k_u` bound vs the unsound `k = max(k_q, k_u)` choice
 //!   (§5's `/descendant::b` vs `delete /descendant::c` example), again with
 //!   the universe construction hoisted out of the measured loop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qui_core::engine::cdag::{CdagEngine, QueryKLadder};
+use qui_core::engine::cdag::CdagEngine;
 use qui_core::engine::explicit::ExplicitEngine;
 use qui_core::Universe;
 use qui_schema::Dtd;
@@ -86,34 +85,6 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The incremental k-ladder vs one fresh CDAG inference per bound.
-fn bench_k_ladder(c: &mut Criterion) {
-    let mut group = quick_group(c, "k_ladder_footnote8");
-    let schema = footnote8_schema(8);
-    let query = parse_query("//a8").unwrap();
-    group.bench_function("ladder_k1_to_k4", |b| {
-        b.iter(|| {
-            let mut ladder = QueryKLadder::new(&schema, &query, 1, true);
-            for k in 2..=4 {
-                ladder.extend_to(&query, k);
-            }
-            black_box(ladder.result().returns.edge_count())
-        })
-    });
-    group.bench_function("fresh_k1_to_k4", |b| {
-        b.iter(|| {
-            let mut edges = 0;
-            for k in 1..=4 {
-                let eng = CdagEngine::new(&schema, k);
-                let chains = eng.infer_query(&eng.root_gamma(query.free_vars()), &query);
-                edges = chains.returns.edge_count();
-            }
-            black_box(edges)
-        })
-    });
-    group.finish();
-}
-
 fn bench_k_choice(c: &mut Criterion) {
     let mut group = quick_group(c, "k_bound_ablation");
     let d1 = Dtd::builder()
@@ -144,7 +115,6 @@ criterion_group!(
     benches,
     bench_closure_construction,
     bench_inference,
-    bench_k_ladder,
     bench_k_choice
 );
 criterion_main!(benches);

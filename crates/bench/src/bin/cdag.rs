@@ -10,10 +10,8 @@
 //! * `--check FILE` — read a committed reference and fail (exit 1) on gate violations
 //! * `--reps N`     — repetitions per timing, minimum kept (default 3)
 //!
-//! Gate thresholds come from `QUI_CDAG_MIN_LADDER_SPEEDUP`,
-//! `QUI_CDAG_MIN_LADDER_REUSE`,
-//! `QUI_CDAG_MIN_AUTOMATON_SAVING` and `QUI_CDAG_TOLERANCE` (see
-//! `qui_bench::cdag`).
+//! Gate thresholds come from `QUI_CDAG_MIN_AUTOMATON_SAVING` and
+//! `QUI_CDAG_TOLERANCE` (see `qui_bench::cdag`).
 
 use qui_bench::baseline::json_number_field;
 use qui_bench::cdag::{check_cdag_gates, run_cdag, CdagGateConfig};
@@ -72,10 +70,8 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let failures = check_cdag_gates(&report, Some((committed_norm, committed_cells)), &cfg);
     if failures.is_empty() {
         println!(
-            "perf gates PASS (auto {:.1} ms, ladder {:.2}x / {:.0}% reuse, projection saves {:.1}%, norm cost {:.3} vs committed {:.3})",
+            "perf gates PASS (auto {:.1} ms, projection saves {:.1}%, norm cost {:.3} vs committed {:.3})",
             report.auto_ms,
-            report.ladder_speedup,
-            report.ladder_reuse_share * 100.0,
             report.automaton_saving_pct,
             report.norm_cost,
             committed_norm

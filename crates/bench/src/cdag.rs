@@ -7,10 +7,6 @@
 //! * **whole matrix** — wall time of the default `EngineKind::Auto`
 //!   analysis (CDAG first, explicit confirmation of the dependent cells) at
 //!   `jobs = 1`, with its independent-cell count as a determinism check;
-//! * **incremental k-ladder** — the CDAG prepass walking each expression's
-//!   distinct `k` bounds through a `QueryKLadder`/`UpdateKLadder` vs
-//!   recomputing per `(expr, k)`, with the deterministic share of bounds
-//!   served from the ladder cache;
 //! * **CDAG-backed projection** — a descendant-axis view over the XMark
 //!   `parlist`/`listitem` recursive clique whose explicit chain spec
 //!   overflows any budget: the compiled `PathAutomaton` must still prune a
@@ -19,20 +15,13 @@
 //!
 //! The JSON artifact (`BENCH_cdag.json`, committed reference in
 //! `ci/BENCH_cdag.json`) feeds the `perf-cdag` CI job. Thresholds are
-//! env-tunable: `QUI_CDAG_MIN_LADDER_SPEEDUP` (default 0.85 — a parity
-//! guard: the saturating recursive expressions rebuild at every bound and
-//! dominate wall time, so the honest headline metric for the ladder is the
-//! *deterministic* reuse share, not noisy wall clock),
-//! `QUI_CDAG_MIN_LADDER_REUSE` (default 0.30; ~51% of the XMark matrix's
-//! (expr, k) bounds are served from the ladder cache),
-//! `QUI_CDAG_MIN_AUTOMATON_SAVING` (percent, default 5; measured ~87%),
+//! env-tunable: `QUI_CDAG_MIN_AUTOMATON_SAVING` (percent, default 5; measured ~87%),
 //! `QUI_CDAG_TOLERANCE` (default 0.25, normalized-cost regression vs the
 //! committed reference). Regenerate the committed file with
 //! `--out ci/BENCH_cdag.json` when the engine legitimately changes cost.
 
 use crate::baseline::calibrate;
-use qui_core::engine::cdag::{QueryKLadder, UpdateKLadder};
-use qui_core::parallel::{group_prepass_tasks, machine_parallelism, matrix_prepass_tasks};
+use qui_core::parallel::machine_parallelism;
 use qui_core::{analyze_matrix, AnalyzerConfig, ChainProjector, Jobs, MatrixVerdicts};
 use qui_workloads::{all_updates, all_views, xmark_document, xmark_dtd, XmarkScale};
 use qui_xmlstore::{parse_xml_stream, Projection, StreamConfig};
@@ -66,18 +55,6 @@ pub struct CdagReport {
     pub auto_ms: f64,
     /// Independent cells of the matrix (determinism check).
     pub independent_cells: usize,
-    /// CDAG prepass over all (expr, k) tasks via per-expression k-ladders.
-    pub ladder_ms: f64,
-    /// The same prepass recomputing every (expr, k) from scratch.
-    pub per_k_ms: f64,
-    /// `per_k_ms / ladder_ms`.
-    pub ladder_speedup: f64,
-    /// Inferences the ladder actually ran (initial builds + rebuilds).
-    pub ladder_inferences: usize,
-    /// Inferences the per-k strategy runs (= number of (expr, k) tasks).
-    pub per_k_inferences: usize,
-    /// `1 - ladder_inferences / per_k_inferences` (deterministic).
-    pub ladder_reuse_share: f64,
     /// The view the projection measurement used.
     pub automaton_view: String,
     /// Whether its explicit chain spec overflowed the default budget (it
@@ -110,16 +87,6 @@ impl CdagReport {
         let _ = writeln!(s, "  \"cells\": {},", self.cells);
         let _ = writeln!(s, "  \"auto_ms\": {:.3},", self.auto_ms);
         let _ = writeln!(s, "  \"independent_cells\": {},", self.independent_cells);
-        let _ = writeln!(s, "  \"ladder_ms\": {:.3},", self.ladder_ms);
-        let _ = writeln!(s, "  \"per_k_ms\": {:.3},", self.per_k_ms);
-        let _ = writeln!(s, "  \"ladder_speedup\": {:.3},", self.ladder_speedup);
-        let _ = writeln!(s, "  \"ladder_inferences\": {},", self.ladder_inferences);
-        let _ = writeln!(s, "  \"per_k_inferences\": {},", self.per_k_inferences);
-        let _ = writeln!(
-            s,
-            "  \"ladder_reuse_share\": {:.4},",
-            self.ladder_reuse_share
-        );
         let _ = writeln!(s, "  \"automaton_view\": \"{}\",", self.automaton_view);
         let _ = writeln!(
             s,
@@ -162,16 +129,6 @@ impl CdagReport {
         );
         let _ = writeln!(
             s,
-            "k-ladder   : {:.2} ms vs per-k {:.2} ms ({:.2}x, {}/{} inferences, reuse {:.0}%)",
-            self.ladder_ms,
-            self.per_k_ms,
-            self.ladder_speedup,
-            self.ladder_inferences,
-            self.per_k_inferences,
-            self.ladder_reuse_share * 100.0
-        );
-        let _ = writeln!(
-            s,
             "projection : {} — {} states, kept {} / pruned {} ({:.1}% saved), explicit overflow: {}",
             self.automaton_view,
             self.automaton_states,
@@ -200,47 +157,6 @@ fn auto_matrix(views: &[Query], updates: &[Update]) -> (f64, MatrixVerdicts) {
         Jobs::Fixed(1),
     );
     (ms(start), verdicts)
-}
-
-/// Runs the CDAG prepass through k-ladders — the production task set
-/// ([`matrix_prepass_tasks`]) walked by the production `walk_bounds`, result
-/// materialization included; returns (wall ms, inferences actually run).
-fn ladder_prepass(views: &[Query], updates: &[Update]) -> (f64, usize) {
-    let dtd = xmark_dtd();
-    let (qt, ut) = matrix_prepass_tasks(views, updates, None);
-    let start = Instant::now();
-    let mut inferences = 0usize;
-    for (vi, ks) in group_prepass_tasks(&qt) {
-        let (out, n) = QueryKLadder::walk_bounds(&dtd, &views[vi], &ks, true);
-        std::hint::black_box(out);
-        inferences += n;
-    }
-    for (ui, ks) in group_prepass_tasks(&ut) {
-        let (out, n) = UpdateKLadder::walk_bounds(&dtd, &updates[ui], &ks, true);
-        std::hint::black_box(out);
-        inferences += n;
-    }
-    (ms(start), inferences)
-}
-
-/// Runs the CDAG prepass with one fresh inference per (expression, k);
-/// returns (wall ms, inferences run).
-fn per_k_prepass(views: &[Query], updates: &[Update]) -> (f64, usize) {
-    use qui_core::engine::cdag::CdagEngine;
-    let dtd = xmark_dtd();
-    let (qt, ut) = matrix_prepass_tasks(views, updates, None);
-    let start = Instant::now();
-    for &(vi, k) in &qt {
-        let eng = CdagEngine::new(&dtd, k);
-        let q = &views[vi];
-        std::hint::black_box(eng.infer_query(&eng.root_gamma(q.free_vars()), q));
-    }
-    for &(ui, k) in &ut {
-        let eng = CdagEngine::new(&dtd, k);
-        let u = &updates[ui];
-        std::hint::black_box(eng.infer_update(&eng.root_gamma(u.free_vars()), u));
-    }
-    (ms(start), qt.len() + ut.len())
 }
 
 /// The automaton-projection measurement over a streamed S-scale XMark
@@ -284,21 +200,11 @@ pub fn run_cdag(reps: usize) -> CdagReport {
     let calibration_ms = calibrate();
 
     let mut auto_ms = f64::MAX;
-    let mut ladder_ms = f64::MAX;
-    let mut per_k_ms = f64::MAX;
     let mut independent_cells = 0;
-    let mut ladder_inferences = 0;
-    let mut per_k_inferences = 0;
     for _ in 0..reps.max(1) {
         let (t_auto, verdicts) = auto_matrix(&views, &updates);
         auto_ms = auto_ms.min(t_auto);
         independent_cells = verdicts.independent_count();
-        let (t_ladder, n_ladder) = ladder_prepass(&views, &updates);
-        let (t_per_k, n_per_k) = per_k_prepass(&views, &updates);
-        ladder_ms = ladder_ms.min(t_ladder);
-        per_k_ms = per_k_ms.min(t_per_k);
-        ladder_inferences = n_ladder;
-        per_k_inferences = n_per_k;
     }
     let auto = measure_automaton_projection();
     let parsed = auto.kept + auto.pruned;
@@ -310,12 +216,6 @@ pub fn run_cdag(reps: usize) -> CdagReport {
         cells: views.len() * updates.len(),
         auto_ms,
         independent_cells,
-        ladder_ms,
-        per_k_ms,
-        ladder_speedup: per_k_ms / ladder_ms.max(f64::EPSILON),
-        ladder_inferences,
-        per_k_inferences,
-        ladder_reuse_share: 1.0 - ladder_inferences as f64 / per_k_inferences.max(1) as f64,
         automaton_view: AUTOMATON_VIEW.to_string(),
         explicit_spec_overflows: auto.explicit_overflows,
         automaton_states: auto.states,
@@ -333,10 +233,6 @@ pub fn run_cdag(reps: usize) -> CdagReport {
 /// Gate thresholds (see the module docs for the environment overrides).
 #[derive(Clone, Copy, Debug)]
 pub struct CdagGateConfig {
-    /// Required `ladder_speedup`.
-    pub min_ladder_speedup: f64,
-    /// Required `ladder_reuse_share` (deterministic).
-    pub min_ladder_reuse: f64,
     /// Required `automaton_saving_pct` (deterministic given the seed).
     pub min_automaton_saving: f64,
     /// Allowed relative regression of `norm_cost` against the committed
@@ -347,8 +243,6 @@ pub struct CdagGateConfig {
 impl Default for CdagGateConfig {
     fn default() -> Self {
         CdagGateConfig {
-            min_ladder_speedup: 0.85,
-            min_ladder_reuse: 0.30,
             min_automaton_saving: 5.0,
             tolerance: 0.25,
         }
@@ -358,23 +252,12 @@ impl Default for CdagGateConfig {
 /// The environment variables [`CdagGateConfig::from_env`] reads, colocated
 /// with the reader so the `check-refs` binary can cross-check the workflow
 /// YAML against the real gate wiring.
-pub const GATE_ENV_VARS: &[&str] = &[
-    "QUI_CDAG_MIN_LADDER_SPEEDUP",
-    "QUI_CDAG_MIN_LADDER_REUSE",
-    "QUI_CDAG_MIN_AUTOMATON_SAVING",
-    "QUI_CDAG_TOLERANCE",
-];
+pub const GATE_ENV_VARS: &[&str] = &["QUI_CDAG_MIN_AUTOMATON_SAVING", "QUI_CDAG_TOLERANCE"];
 
 impl CdagGateConfig {
     /// Reads the environment overrides on top of the defaults.
     pub fn from_env() -> Self {
         let mut cfg = CdagGateConfig::default();
-        if let Some(v) = env_f64("QUI_CDAG_MIN_LADDER_SPEEDUP") {
-            cfg.min_ladder_speedup = v;
-        }
-        if let Some(v) = env_f64("QUI_CDAG_MIN_LADDER_REUSE") {
-            cfg.min_ladder_reuse = v;
-        }
         if let Some(v) = env_f64("QUI_CDAG_MIN_AUTOMATON_SAVING") {
             cfg.min_automaton_saving = v;
         }
@@ -399,19 +282,6 @@ pub fn check_cdag_gates(
     cfg: &CdagGateConfig,
 ) -> Vec<String> {
     let mut failures = Vec::new();
-    if report.ladder_speedup < cfg.min_ladder_speedup {
-        failures.push(format!(
-            "k-ladder prepass speedup is {:.2}x over per-k recomputation, required >= {:.2}x",
-            report.ladder_speedup, cfg.min_ladder_speedup
-        ));
-    }
-    if report.ladder_reuse_share < cfg.min_ladder_reuse {
-        failures.push(format!(
-            "k-ladder served only {:.0}% of (expr, k) bounds from cache, required >= {:.0}%",
-            report.ladder_reuse_share * 100.0,
-            cfg.min_ladder_reuse * 100.0
-        ));
-    }
     if !report.explicit_spec_overflows {
         failures.push(format!(
             "the explicit chain spec for {} no longer overflows — the automaton measurement is vacuous",
@@ -461,12 +331,6 @@ mod tests {
             cells: 4,
             auto_ms: 20.0,
             independent_cells: 3,
-            ladder_ms: 10.0,
-            per_k_ms: 20.0,
-            ladder_speedup: 2.0,
-            ladder_inferences: 4,
-            per_k_inferences: 8,
-            ladder_reuse_share: 0.5,
             automaton_view: AUTOMATON_VIEW.to_string(),
             explicit_spec_overflows: true,
             automaton_states: 40,
@@ -484,7 +348,7 @@ mod tests {
         assert_eq!(json_number_field(&json, "cells"), Some(4.0));
         assert_eq!(json_number_field(&json, "auto_ms"), Some(20.0));
         assert_eq!(json_number_field(&json, "workers"), Some(2.0));
-        assert_eq!(json_number_field(&json, "ladder_speedup"), Some(2.0));
+        assert_eq!(json_number_field(&json, "independent_cells"), Some(3.0));
         assert_eq!(json_number_field(&json, "automaton_saving_pct"), Some(50.0));
     }
 
@@ -497,11 +361,6 @@ mod tests {
         assert_eq!(check_cdag_gates(&report, Some((1.0, 4)), &cfg).len(), 1);
         // A committed reference at a different matrix size skips regression.
         assert!(check_cdag_gates(&report, Some((1.0, 999)), &cfg).is_empty());
-        // Losing the ladder speedup or its reuse share fails.
-        let mut lost = report.clone();
-        lost.ladder_speedup = 0.5;
-        lost.ladder_reuse_share = 0.0;
-        assert_eq!(check_cdag_gates(&lost, None, &cfg).len(), 2);
         // A vacuous or keep-everything projection fails.
         let mut vac = report.clone();
         vac.explicit_spec_overflows = false;
@@ -512,8 +371,8 @@ mod tests {
     #[test]
     fn tiny_cdag_run_is_consistent() {
         // A reduced matrix keeps the test fast while exercising the whole
-        // measurement pipeline (the auto matrix, both prepass strategies,
-        // the automaton projection).
+        // measurement pipeline (the auto matrix and the automaton
+        // projection).
         let views: Vec<Query> = all_views().into_iter().take(4).map(|v| v.query).collect();
         let updates: Vec<Update> = all_updates()
             .into_iter()
@@ -523,10 +382,6 @@ mod tests {
         let (t_auto, verdicts) = auto_matrix(&views, &updates);
         assert!(t_auto > 0.0);
         assert_eq!(verdicts.cell_count(), 12);
-        let (t_ladder, n_ladder) = ladder_prepass(&views, &updates);
-        let (t_per_k, n_per_k) = per_k_prepass(&views, &updates);
-        assert!(t_ladder > 0.0 && t_per_k > 0.0);
-        assert!(n_ladder <= n_per_k, "the ladder never runs MORE inferences");
         let auto = measure_automaton_projection();
         assert!(auto.explicit_overflows, "{AUTOMATON_VIEW} must overflow");
         assert!(auto.states > 0);

@@ -13,7 +13,7 @@
 //! | §6.1 complexity discussion (CDAG vs explicit chain sets)     | `cdag_micro` | — |
 //! | CI perf baseline (matrix wall-time, seq vs parallel)         | — | `baseline` |
 //! | CI fig3c gate (paper-scale ingest + maintenance)             | — | `fig3c` |
-//! | CI cdag gate (CDAG-first auto, k-ladder, path automaton)     | — | `cdag` |
+//! | CI cdag gate (CDAG-first auto matrix, path automaton)        | — | `cdag` |
 //! | CI session gate (warm vs cold matrix, per-edit incremental)  | — | `session` |
 //! | CI serve gate (concurrent `&self` checks, HTTP round trips)  | — | `serve` |
 //! | CI maintain gate (live views: naive vs pruned)               | — | `maintain` |

@@ -23,7 +23,7 @@
 //!
 //! The module also renders the nightly `speedup-trend` artifact: a markdown
 //! table diffing freshly measured headline metrics (`speedup_parallel`,
-//! `ladder_speedup`, …) against the committed references, so speedup drift is
+//! `warm_speedup`, …) against the committed references, so speedup drift is
 //! visible across nightly runs without failing the build.
 
 use std::collections::BTreeSet;
@@ -66,12 +66,10 @@ pub const REF_SPECS: &[RefSpec] = &[
             "calibration_ms",
             "auto_ms",
             "independent_cells",
-            "ladder_speedup",
-            "ladder_reuse_share",
             "automaton_saving_pct",
             "norm_cost",
         ],
-        trend: &["ladder_speedup", "ladder_reuse_share"],
+        trend: &[],
     },
     RefSpec {
         file: "BENCH_fig3c.json",

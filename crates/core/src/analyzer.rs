@@ -188,27 +188,12 @@ impl<'a, S: SchemaLike> IndependenceAnalyzer<'a, S> {
     where
         S: Sync,
     {
-        self.check_views_jobs(views, u, Jobs::Auto)
-    }
-
-    /// [`check_views`](Self::check_views) with an explicit worker-count
-    /// policy; `Jobs::Fixed(1)` is the strictly sequential path.
-    ///
-    /// **Deprecation note:** retained as a thin wrapper over
-    /// [`crate::session::AnalysisSession`]; prefer registering the views on
-    /// a session and reading
-    /// [`independent_flags`](crate::session::AnalysisSession::independent_flags),
-    /// which stays warm across updates.
-    pub fn check_views_jobs(&self, views: &[Query], u: &Update, jobs: Jobs) -> Vec<bool>
-    where
-        S: Sync,
-    {
         analyze_matrix(
             self.schema,
             views,
             std::slice::from_ref(u),
             &self.config,
-            jobs,
+            Jobs::Auto,
         )
         .independent_flags(0)
     }

@@ -112,7 +112,7 @@ pub use conflict::{chains_conflict, item_conflicts};
 pub use explain::{explain_verdict, matrix_report, matrix_reports, ExplainOptions, MatrixReport};
 pub use json::Json;
 pub use kbound::{k_for_pair, k_of_query, k_of_update};
-pub use parallel::{analyze_matrix, BatchAnalyzer, Jobs, MatrixVerdicts};
+pub use parallel::{analyze_matrix, Jobs, MatrixVerdicts};
 pub use projector::{ChainProjector, ProjectionSpec};
 pub use protocol::{Request, Response};
 pub use service::{ServeConfig, Server, SessionHandler, SessionRegistry, SharedSession};

@@ -14,9 +14,9 @@
 //! Since the session API landed, the implementation of all of this lives in
 //! [`crate::session`]: [`analyze_matrix`] constructs a one-shot
 //! [`AnalysisSession`](crate::session::AnalysisSession), registers the
-//! workload in bulk (one batched prepass: per-expression k-ladders for the
-//! CDAG side, per-`(expression, k)` explicit inference for the cells the
-//! CDAG could not prove, all sharded over the [`pool`](super::pool)
+//! workload in bulk (one batched prepass: per-expression ascending bounds
+//! for the CDAG side, per-`(expression, k)` explicit inference for the cells
+//! the CDAG could not prove, all sharded over the [`pool`](super::pool)
 //! work-stealing thread pool), and returns the materialized matrix. With
 //! `jobs = 1` nothing is spawned and the evaluation order matches a
 //! sequential double loop, so verdicts — including witnesses — are
@@ -27,11 +27,9 @@
 
 use super::pool::Jobs;
 use crate::analyzer::{AnalyzerConfig, IndependenceAnalyzer, Verdict};
-use crate::kbound::{k_of_query, k_of_update};
 use crate::session::SessionBuilder;
 use qui_schema::SchemaLike;
 use qui_xquery::{Query, Update};
-use std::collections::BTreeSet;
 
 /// The verdicts of a full views × updates matrix, indexed `[update][view]`.
 #[derive(Clone, Debug)]
@@ -90,51 +88,6 @@ impl MatrixVerdicts {
     }
 }
 
-/// The batch analyzer: a one-shot wrapper pairing a schema with a
-/// configuration and a worker policy.
-///
-/// **Session note:** this type predates
-/// [`AnalysisSession`](crate::session::AnalysisSession); it is retained as a
-/// thin wrapper (every [`analyze`](Self::analyze) call builds a fresh
-/// session). Long-lived callers should construct a session once and reuse
-/// its caches across calls.
-pub struct BatchAnalyzer<'a, S: SchemaLike> {
-    schema: &'a S,
-    config: AnalyzerConfig,
-    jobs: Jobs,
-}
-
-impl<'a, S: SchemaLike + Sync> BatchAnalyzer<'a, S> {
-    /// Creates a batch analyzer with the default configuration.
-    pub fn new(schema: &'a S) -> Self {
-        BatchAnalyzer {
-            schema,
-            config: AnalyzerConfig::default(),
-            jobs: Jobs::Auto,
-        }
-    }
-
-    /// Creates a batch analyzer with an explicit configuration.
-    pub fn with_config(schema: &'a S, config: AnalyzerConfig) -> Self {
-        BatchAnalyzer {
-            schema,
-            config,
-            jobs: Jobs::Auto,
-        }
-    }
-
-    /// Sets the worker-count policy (`Jobs::Fixed(1)` = sequential).
-    pub fn jobs(mut self, jobs: Jobs) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Analyzes the full matrix.
-    pub fn analyze(&self, views: &[Query], updates: &[Update]) -> MatrixVerdicts {
-        analyze_matrix(self.schema, views, updates, &self.config, self.jobs)
-    }
-}
-
 /// Analyzes every (view, update) cell of the matrix, sharing chain inference
 /// across cells and sharding the work over `jobs` workers.
 ///
@@ -165,47 +118,6 @@ pub fn analyze_matrix<S: SchemaLike + Sync>(
             .map(|(i, u)| (format!("u{}", i + 1), u.clone())),
     );
     session.into_verdicts()
-}
-
-/// One side's sorted `(expression index, k)` inference tasks.
-pub type PrepassTasks = BTreeSet<(usize, usize)>;
-
-/// The distinct `(expression index, k)` inference tasks of a full matrix
-/// prepass (query side, update side). This is exactly the task set the CDAG
-/// prepass covers under the CDAG-first auto policy; it is public so the
-/// `cdag` perf harness measures the very same workload the production
-/// prepass runs.
-pub fn matrix_prepass_tasks(
-    views: &[Query],
-    updates: &[Update],
-    k_override: Option<usize>,
-) -> (PrepassTasks, PrepassTasks) {
-    let kq: Vec<usize> = views.iter().map(k_of_query).collect();
-    let ku: Vec<usize> = updates.iter().map(k_of_update).collect();
-    let mut qt = BTreeSet::new();
-    let mut ut = BTreeSet::new();
-    for (vi, &kqv) in kq.iter().enumerate() {
-        for (ui, &kuv) in ku.iter().enumerate() {
-            let k = k_override.unwrap_or(kqv + kuv);
-            qt.insert((vi, k));
-            ut.insert((ui, k));
-        }
-    }
-    (qt, ut)
-}
-
-/// Groups sorted `(expression, k)` tasks into per-expression ascending bound
-/// lists — the shape the k-ladders' `walk_bounds` consumes. Public for the
-/// same reason as [`matrix_prepass_tasks`].
-pub fn group_prepass_tasks(tasks: &PrepassTasks) -> Vec<(usize, Vec<usize>)> {
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for &(i, k) in tasks {
-        match groups.last_mut() {
-            Some((gi, ks)) if *gi == i => ks.push(k),
-            _ => groups.push((i, vec![k])),
-        }
-    }
-    groups
 }
 
 /// Asserts that the batch verdict for every cell equals the verdict of a

@@ -24,8 +24,5 @@
 pub mod batch;
 pub mod pool;
 
-pub use batch::{
-    analyze_matrix, assert_matches_sequential, group_prepass_tasks, matrix_prepass_tasks,
-    BatchAnalyzer, MatrixVerdicts,
-};
+pub use batch::{analyze_matrix, assert_matches_sequential, MatrixVerdicts};
 pub use pool::{machine_parallelism, run_indexed, Jobs, JOBS_ENV};

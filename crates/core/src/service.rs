@@ -1010,6 +1010,36 @@ mod tests {
         assert!(registry.load_schema("bad", "", None).is_err());
     }
 
+    /// A DTD nested far beyond the content-model parser's depth limit costs
+    /// one `POST /schemas` error response, routed on a thread with the 2 MB
+    /// stack of a `qui serve` worker; the registry keeps serving.
+    #[test]
+    fn deeply_nested_dtd_is_an_error_response() {
+        let registry = SessionRegistry::new(AnalyzerConfig::default(), Jobs::Fixed(1));
+        let shutdown = AtomicBool::new(false);
+        let dtd = format!("a -> {}b{}", "(".repeat(20_000), ")".repeat(20_000));
+        let request = HttpRequest {
+            method: "POST".to_string(),
+            path: "/schemas".to_string(),
+            body: format!("{{\"name\":\"deep\",\"dtd\":\"{dtd}\"}}"),
+            keep_alive: false,
+        };
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(s, || {
+                    let (status, _, body) = route(&request, &registry, &shutdown);
+                    assert_eq!(status, 400, "{body}");
+                    assert!(body.contains("nested deeper"), "{body}");
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+        });
+        assert!(registry.names().is_empty());
+        assert_eq!(registry.load_schema("fig1", FIG1, None), Ok(4));
+    }
+
     /// Sends one HTTP request over a fresh connection and returns the raw
     /// response text.
     fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {

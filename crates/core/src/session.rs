@@ -3,19 +3,20 @@
 //!
 //! Everything expensive in the paper's static analysis depends only on the
 //! *schema* and the *expressions* — chain universes, CDAG closures,
-//! k-ladders, compiled path automata — never on which pair a check happens
+//! compiled path automata — never on which pair a check happens
 //! to be part of. The historical API was stateless (`check`, `check_views`,
 //! `matrix_report`, …), so every call rebuilt that state from scratch. A
 //! session is constructed **once per schema** and owns all reusable
 //! inference state, so repeated checks and matrix queries are warm:
 //!
-//! * CDAG chain sets per `(expression, k)`, with the incremental k-ladder
-//!   policy (a bound whose inference never saturated serves every larger
-//!   bound from the same result);
+//! * CDAG chain sets per `(expression, k)`, inferred straight from
+//!   [`CdagEngine`]; a result whose inference never hit the `k·|d|` depth
+//!   cap serves every larger bound of that expression, so a matrix prepass
+//!   walks each expression's bounds in ascending order and stops inferring
+//!   at the first complete result;
 //! * explicit chain sets per `(expression, k)` (including remembered budget
 //!   overflows, so a hopeless expression is never re-materialized);
-//! * a checkout pool of [`CdagEngine`](crate::engine::cdag::CdagEngine)s
-//!   per multiplicity bound, whose
+//! * a checkout pool of [`CdagEngine`]s per multiplicity bound, whose
 //!   generation-stamped scratch workspaces are reused across ad-hoc
 //!   [`check`](AnalysisSession::check) calls and across the parallel
 //!   matrix cell passes (each worker checks an engine out, runs without
@@ -100,7 +101,7 @@
 use crate::analyzer::{conservative_explicit_verdict, AnalyzerConfig, EngineKind, Verdict};
 use crate::concurrent::{EnginePool, ShardedMap};
 use crate::conflict::find_conflict;
-use crate::engine::cdag::{ChainDag, DagQueryChains, QueryKLadder, UpdateKLadder};
+use crate::engine::cdag::{CdagEngine, ChainDag, DagQueryChains};
 use crate::engine::explicit::ExplicitEngine;
 use crate::explain::{explain_verdict, ExplainOptions, MatrixReport};
 use crate::kbound::{k_for_pair, k_of_query, k_of_update};
@@ -219,10 +220,10 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
 // Caches
 // ---------------------------------------------------------------------------
 
-/// Per-expression CDAG results across multiplicity bounds, with the
-/// k-ladder serving policy: a result whose inference never saturated at
-/// bound `k0` is exact for *every* bound `≥ k0` (the DAG node encoding is
-/// k-independent), so it serves all of them from one `Arc`.
+/// Per-expression CDAG results across multiplicity bounds. A result whose
+/// inference never saturated at bound `k0` is exact for *every* bound
+/// `≥ k0` (the DAG node encoding is k-independent), so it serves all of
+/// them from one `Arc`.
 struct CdagCache<T> {
     /// `(k0, result)`: exact for every bound `≥ k0`.
     complete: Option<(usize, Arc<T>)>,
@@ -249,16 +250,14 @@ impl<T> CdagCache<T> {
         self.per_k.get(&k).cloned()
     }
 
-    /// Records a result served at bound `k`; `complete_from` is the build
-    /// bound when the inference never saturated there.
-    fn insert(&mut self, k: usize, complete_from: Option<usize>, result: Arc<T>) {
-        if let Some(k0) = complete_from {
-            match &self.complete {
-                Some((existing, _)) if *existing <= k0 => {}
-                _ => self.complete = Some((k0, Arc::clone(&result))),
-            }
+    /// Records a result inferred at bound `k`; `complete` when that
+    /// inference never saturated, so it serves every bound `≥ k`.
+    fn insert(&mut self, k: usize, complete: bool, result: Arc<T>) {
+        if !complete {
+            self.per_k.insert(k, result);
+        } else if !matches!(self.complete, Some((k0, _)) if k0 <= k) {
+            self.complete = Some((k, result));
         }
-        self.per_k.insert(k, result);
     }
 }
 
@@ -283,7 +282,8 @@ struct RegisteredUpdate {
 /// individually accurate but not mutually atomic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Fresh CDAG inferences run (ladder builds and rebuilds).
+    /// Fresh CDAG inferences run (one per `(expression, k)` the cache could
+    /// not serve).
     pub cdag_inferences: usize,
     /// `(expression, k)` CDAG requests served from the session cache.
     pub cdag_cache_hits: usize,
@@ -397,6 +397,26 @@ impl<'a, S: SchemaLike> SessionCaches<'a, S> {
 
     fn explicit_update(&self, key: &Arc<str>, k: usize) -> Option<Option<Arc<UpdateChains>>> {
         self.explicit_updates.get(&(Arc::clone(key), k))
+    }
+
+    /// Stores one expression's fresh CDAG inferences `(k, result, complete)`
+    /// and counts them; the other `requested - built.len()` bounds were
+    /// served from the cache.
+    fn store_cdag<T>(
+        &self,
+        map: &ShardedMap<Arc<str>, CdagCache<T>>,
+        key: &Arc<str>,
+        requested: usize,
+        built: Vec<(usize, T, bool)>,
+    ) {
+        let inferences = built.len();
+        map.write_with(Arc::clone(key), |cache| {
+            for (k, result, complete) in built {
+                cache.insert(k, complete, Arc::new(result));
+            }
+        });
+        SessionCounters::bump(&self.counters.cdag_inferences, inferences);
+        SessionCounters::bump(&self.counters.cdag_cache_hits, requested - inferences);
     }
 }
 
@@ -668,15 +688,10 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
             return;
         }
         // The inference runs outside any lock; a racing thread may compute
-        // the same ladder — both insert equal values, so last-wins is fine.
-        let ladder = QueryKLadder::new(self.schema, q, k, self.config.element_chains);
-        let complete = ladder.is_complete().then_some(k);
+        // the same chains — both insert equal values, so last-wins is fine.
+        let (qc, complete) = cdag_query_at(self.schema, q, k, self.config.element_chains);
         self.caches
-            .cdag_queries
-            .write_with(Arc::clone(key), |cache| {
-                cache.insert(k, complete, Arc::new(ladder.result().clone()));
-            });
-        SessionCounters::bump(&self.caches.counters.cdag_inferences, 1);
+            .store_cdag(&self.caches.cdag_queries, key, 1, vec![(k, qc, complete)]);
     }
 
     fn ensure_cdag_update(&self, key: &Arc<str>, u: &Update, k: usize) {
@@ -684,14 +699,9 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
             SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
             return;
         }
-        let ladder = UpdateKLadder::new(self.schema, u, k, self.config.element_chains);
-        let complete = ladder.is_complete().then_some(k);
+        let (uc, complete) = cdag_update_at(self.schema, u, k, self.config.element_chains);
         self.caches
-            .cdag_updates
-            .write_with(Arc::clone(key), |cache| {
-                cache.insert(k, complete, Arc::new(ladder.result().clone()));
-            });
-        SessionCounters::bump(&self.caches.counters.cdag_inferences, 1);
+            .store_cdag(&self.caches.cdag_updates, key, 1, vec![(k, uc, complete)]);
     }
 
     fn ensure_explicit_query(&self, key: &Arc<str>, q: &Query, k: usize) {
@@ -865,12 +875,13 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
     /// Evaluates the given cells `(view, update)` and returns their
     /// verdicts in input order. This is the single implementation of the
     /// analysis pipeline: a CDAG prepass over missing `(expression, k)`
-    /// chain sets (per-expression k-ladders, sharded over the pool), the
-    /// CDAG cell pass, the explicit prepass for cells the CDAG could not
-    /// prove (mirroring the configured engine order), and the final cell
-    /// pass — all reading from and filling the session caches. Workers in
-    /// the cell passes check engines out of the session pool, so scratch
-    /// workspaces are reused across cells instead of rebuilt per cell.
+    /// chain sets (per expression in ascending bound order, sharded over
+    /// the pool), the CDAG cell pass, the explicit prepass for cells the
+    /// CDAG could not prove (mirroring the configured engine order), and the
+    /// final cell pass — all reading from and filling the session caches.
+    /// Workers in the cell passes check engines out of the session pool, so
+    /// scratch workspaces are reused across cells instead of rebuilt per
+    /// cell.
     fn compute_cells(&self, cells: &[(usize, usize)]) -> Vec<Verdict> {
         if cells.is_empty() {
             return Vec::new();
@@ -951,8 +962,8 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
 
     /// Fills the CDAG caches for the requested `(view index, k)` /
     /// `(update index, k)` tasks: missing bounds are grouped per distinct
-    /// expression, each group walks its ascending bounds through a
-    /// k-ladder, and the groups run in parallel over the pool.
+    /// expression, each group runs [`infer_ascending`] over its bounds, and
+    /// the groups run in parallel over the pool.
     fn ensure_cdag_bulk(
         &self,
         query_tasks: &BTreeSet<(usize, usize)>,
@@ -1007,55 +1018,34 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
         let element_chains = self.config.element_chains;
         let n_q = qg.len();
         enum Out {
-            Query(usize, Vec<LadderStep<DagQueryChains>>, usize),
-            Update(usize, Vec<LadderStep<ChainDag>>, usize),
+            Query(usize, Vec<(usize, DagQueryChains, bool)>),
+            Update(usize, Vec<(usize, ChainDag, bool)>),
         }
         let results = run_indexed(self.jobs, n_q + ug.len(), |i| {
             if i < n_q {
                 let (_, q, ks) = &qg[i];
-                let (steps, inferences) =
-                    QueryKLadder::walk_bounds_complete(schema, q, ks, element_chains);
-                Out::Query(i, steps, inferences)
+                Out::Query(
+                    i,
+                    infer_ascending(ks, |k| cdag_query_at(schema, q, k, element_chains)),
+                )
             } else {
                 let (_, u, ks) = &ug[i - n_q];
-                let (steps, inferences) =
-                    UpdateKLadder::walk_bounds_complete(schema, u, ks, element_chains);
-                Out::Update(i - n_q, steps, inferences)
+                Out::Update(
+                    i - n_q,
+                    infer_ascending(ks, |k| cdag_update_at(schema, u, k, element_chains)),
+                )
             }
         });
+        let caches = &self.caches;
         for r in results {
             match r {
-                Out::Query(i, steps, inferences) => {
-                    let key = &qg[i].0;
-                    let served = steps.len();
-                    self.caches
-                        .cdag_queries
-                        .write_with(Arc::clone(key), |cache| {
-                            for (k, result, complete_from) in steps {
-                                cache.insert(k, complete_from, result);
-                            }
-                        });
-                    SessionCounters::bump(&self.caches.counters.cdag_inferences, inferences);
-                    SessionCounters::bump(
-                        &self.caches.counters.cdag_cache_hits,
-                        served - inferences.min(served),
-                    );
+                Out::Query(i, built) => {
+                    let (key, _, ks) = &qg[i];
+                    caches.store_cdag(&caches.cdag_queries, key, ks.len(), built);
                 }
-                Out::Update(i, steps, inferences) => {
-                    let key = &ug[i].0;
-                    let served = steps.len();
-                    self.caches
-                        .cdag_updates
-                        .write_with(Arc::clone(key), |cache| {
-                            for (k, result, complete_from) in steps {
-                                cache.insert(k, complete_from, result);
-                            }
-                        });
-                    SessionCounters::bump(&self.caches.counters.cdag_inferences, inferences);
-                    SessionCounters::bump(
-                        &self.caches.counters.cdag_cache_hits,
-                        served - inferences.min(served),
-                    );
+                Out::Update(i, built) => {
+                    let (key, _, ks) = &ug[i];
+                    caches.store_cdag(&caches.cdag_updates, key, ks.len(), built);
                 }
             }
         }
@@ -1149,11 +1139,46 @@ fn expr_key<T: std::fmt::Debug>(expr: &T) -> Arc<str> {
     Arc::from(format!("{expr:?}").as_str())
 }
 
-/// One bound produced by a ladder walk, as returned by
-/// `QueryKLadder::walk_bounds_complete` / `UpdateKLadder::walk_bounds_complete`:
-/// the bound, its result, and the build bound the result is complete from
-/// (`None` when that build saturated).
-type LadderStep<T> = (usize, Arc<T>, Option<usize>);
+/// CDAG query inference for one `(expression, k)`, and whether it stayed
+/// under the depth cap (so the result is exact at every larger bound).
+fn cdag_query_at<S: SchemaLike>(
+    schema: &S,
+    q: &Query,
+    k: usize,
+    element_chains: bool,
+) -> (DagQueryChains, bool) {
+    let eng = CdagEngine::new(schema, k).with_element_chains(element_chains);
+    let qc = eng.infer_query(&eng.root_gamma(q.free_vars()), q);
+    (qc, !eng.take_saturated())
+}
+
+/// CDAG update inference for one `(expression, k)`; see [`cdag_query_at`].
+fn cdag_update_at<S: SchemaLike>(
+    schema: &S,
+    u: &Update,
+    k: usize,
+    element_chains: bool,
+) -> (ChainDag, bool) {
+    let eng = CdagEngine::new(schema, k).with_element_chains(element_chains);
+    let uc = eng.infer_update(&eng.root_gamma(u.free_vars()), u);
+    (uc, !eng.take_saturated())
+}
+
+/// One expression's CDAG inferences over its ascending missing bounds `ks`:
+/// infer at the smallest bound, then at the next one, until a result is
+/// complete — that result serves every remaining bound. Returns the
+/// inferences run as `(k, result, complete)`.
+fn infer_ascending<T>(ks: &[usize], infer: impl Fn(usize) -> (T, bool)) -> Vec<(usize, T, bool)> {
+    let mut built: Vec<(usize, T, bool)> = Vec::new();
+    for &k in ks {
+        if matches!(built.last(), Some((_, _, true))) {
+            break;
+        }
+        let (result, complete) = infer(k);
+        built.push((k, result, complete));
+    }
+    built
+}
 
 /// Explicit query inference for one `(expression, k)`; `None` on budget
 /// overflow. Identical to the query side of
@@ -1351,6 +1376,42 @@ mod tests {
             "the warm check must not re-infer"
         );
         assert!(after_second.cdag_cache_hits > after_first.cdag_cache_hits);
+    }
+
+    /// Pins the CDAG cache's reuse on the XMark 36 × 31 matrix: 268
+    /// `(expression, k)` requests cost 130 inferences, because an
+    /// unsaturated result serves every larger bound of its expression.
+    #[test]
+    fn xmark_matrix_cdag_reuse_is_exact() {
+        let d = qui_workloads::xmark_dtd();
+        let views = qui_workloads::all_views();
+        let updates = qui_workloads::all_updates();
+        for jobs in [1, 2] {
+            let mut session = SessionBuilder::new(&d)
+                .engine(EngineKind::Cdag)
+                .jobs(Jobs::Fixed(jobs))
+                .build();
+            session.add_workload(
+                views.iter().map(|v| (v.name.to_string(), v.query.clone())),
+                updates
+                    .iter()
+                    .map(|u| (u.name.to_string(), u.update.clone())),
+            );
+            let stats = session.stats();
+            assert_eq!(stats.cdag_inferences, 130, "jobs = {jobs}");
+            assert_eq!(stats.cdag_cache_hits, 138, "jobs = {jobs}");
+            assert_eq!(session.independent_count(), 918, "jobs = {jobs}");
+            for v in &views {
+                for u in &updates {
+                    session.check(&v.query, &u.update);
+                }
+            }
+            assert_eq!(
+                session.stats().cdag_inferences,
+                130,
+                "warm checks never re-infer (jobs = {jobs})"
+            );
+        }
     }
 
     #[test]

@@ -432,6 +432,15 @@ mod tests {
     }
 
     #[test]
+    fn fixtures_and_generated_schemas_parse_under_the_nesting_limit() {
+        let corpus = Corpus::seeded(1, 60);
+        assert_eq!(corpus.len(), 65);
+        for cs in &corpus {
+            assert!(cs.dtd().size() > 0, "{}", cs.source);
+        }
+    }
+
+    #[test]
     fn corpus_iterates_fixtures_plus_generated() {
         let corpus = Corpus::seeded(42, 3);
         assert_eq!(corpus.len(), 8);

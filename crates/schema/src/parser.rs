@@ -23,6 +23,10 @@ use crate::dtd::Dtd;
 use crate::symbols::{SymbolTable, TEXT_SYM};
 use std::fmt;
 
+/// Maximum parenthesis nesting a content model may have; deeper input is
+/// rejected rather than recursed into (bounding stack use on hostile input).
+const MAX_DEPTH: usize = 64;
+
 /// An error produced while parsing a schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaParseError {
@@ -144,6 +148,7 @@ pub fn parse_content(
     let mut p = ContentParser {
         chars: src.chars().collect(),
         pos: 0,
+        depth: 0,
         symbols,
     };
     p.skip_ws();
@@ -164,6 +169,8 @@ pub fn parse_content(
 struct ContentParser<'a> {
     chars: Vec<char>,
     pos: usize,
+    /// Current parenthesis nesting (see [`MAX_DEPTH`]).
+    depth: usize,
     symbols: &'a mut SymbolTable,
 }
 
@@ -241,8 +248,15 @@ impl<'a> ContentParser<'a> {
         self.skip_ws();
         match self.peek() {
             Some('(') => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(SchemaParseError::new(format!(
+                        "content model nested deeper than {MAX_DEPTH} levels"
+                    )));
+                }
                 self.pos += 1;
+                self.depth += 1;
                 let inner = self.parse_alt()?;
+                self.depth -= 1;
                 self.skip_ws();
                 if self.peek() != Some(')') {
                     return Err(SchemaParseError::new("expected ')'"));
@@ -338,6 +352,16 @@ mod tests {
         assert!(d.is_recursive_sym(d.sym("bold").unwrap()));
         assert!(!d.is_recursive_sym(d.sym("emph").unwrap()));
         assert!(d.is_recursive());
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_an_error() {
+        let deep = |n: usize| format!("a -> {}b{}", "(".repeat(n), ")".repeat(n));
+        assert!(parse_compact(&deep(MAX_DEPTH), "a").is_ok());
+        for n in [MAX_DEPTH + 1, 20_000] {
+            let err = parse_compact(&deep(n), "a").unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!   verdict equals the explicit (reference) engine's wherever the latter
 //!   is feasible, and the explicit witness chains are *denoted* by the CDAG
 //!   sets (checked through `CdagEngine::enumerate`);
-//! * **k-ladder equivalence** — `extend(k → k+1)` produces exactly the DAGs
-//!   a fresh build at `k+1` produces, saturated or not;
+//! * **the CDAG cache rule** — an inference at `k0` that never hit the
+//!   depth cap equals a fresh inference at every larger bound;
 //! * **CDAG-backed projection** — on recursive schemas where the explicit
 //!   projection spec overflows its budget, the compiled `PathAutomaton`
 //!   still preserves query results (and actually prunes);
@@ -21,7 +21,7 @@
 //! count via `QUI_PROPTEST_CASES`.
 
 use proptest::prelude::*;
-use xml_qui::core::engine::cdag::{CdagEngine, QueryKLadder, UpdateKLadder};
+use xml_qui::core::engine::cdag::CdagEngine;
 use xml_qui::core::engine::explicit::ExplicitEngine;
 use xml_qui::core::parallel::assert_matches_sequential;
 use xml_qui::core::{
@@ -310,10 +310,11 @@ proptest! {
         );
     }
 
-    /// The k-ladder is indistinguishable from fresh builds at every bound —
-    /// for queries and updates, saturated (recursive) or not.
+    /// The rule the session's CDAG cache rests on: an inference at `k0`
+    /// that never saturated equals a fresh inference at every larger bound,
+    /// for queries and updates alike.
     #[test]
-    fn ladder_extension_equals_fresh_builds(
+    fn unsaturated_result_serves_every_larger_bound(
         si in 0usize..5,
         q_shape in 0usize..8,
         u_shape in 0usize..6,
@@ -325,16 +326,21 @@ proptest! {
         let schema = &schemas[si];
         let q = build_query(schema, q_shape, l1, l2);
         let u = build_update(schema, u_shape, l2, l1);
-        let mut q_ladder = QueryKLadder::new(schema, &q, k0, true);
-        let mut u_ladder = UpdateKLadder::new(schema, &u, k0, true);
-        for k in k0..=k0 + 3 {
-            let q_stepped = q_ladder.extend_to(&q, k).clone();
-            let u_stepped = u_ladder.extend_to(&u, k).clone();
+        let eng = CdagEngine::new(schema, k0);
+        let q0 = eng.infer_query(&eng.root_gamma(q.free_vars()), &q);
+        let q_complete = !eng.take_saturated();
+        let u0 = eng.infer_update(&eng.root_gamma(u.free_vars()), &u);
+        let u_complete = !eng.take_saturated();
+        for k in k0 + 1..=k0 + 3 {
             let eng = CdagEngine::new(schema, k);
-            let q_fresh = eng.infer_query(&eng.root_gamma(q.free_vars()), &q);
-            let u_fresh = eng.infer_update(&eng.root_gamma(u.free_vars()), &u);
-            prop_assert_eq!(&q_stepped, &q_fresh, "query ladder diverged at k = {} for {}", k, q);
-            prop_assert_eq!(&u_stepped, &u_fresh, "update ladder diverged at k = {} for {}", k, u);
+            if q_complete {
+                let fresh = eng.infer_query(&eng.root_gamma(q.free_vars()), &q);
+                prop_assert_eq!(&q0, &fresh, "query result at k0 = {} diverged at k = {} for {}", k0, k, q);
+            }
+            if u_complete {
+                let fresh = eng.infer_update(&eng.root_gamma(u.free_vars()), &u);
+                prop_assert_eq!(&u0, &fresh, "update result at k0 = {} diverged at k = {} for {}", k0, k, u);
+            }
         }
     }
 

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 use xml_qui::core::matrix_reports;
 use xml_qui::core::parallel::{analyze_matrix, assert_matches_sequential, Jobs};
+use xml_qui::core::session::SessionBuilder;
 use xml_qui::core::{AnalyzerConfig, EngineKind, IndependenceAnalyzer, MatrixVerdicts};
 use xml_qui::schema::Dtd;
 use xml_qui::workloads::{all_updates, all_views};
@@ -104,10 +105,10 @@ proptest! {
         }
     }
 
-    /// `check_views` (the batched path) agrees with per-pair `check` for any
-    /// worker count.
+    /// A session's independence flags for one update (the `check_views`
+    /// path) agree with per-pair `check` for any worker count.
     #[test]
-    fn check_views_jobs_equals_per_pair_check(
+    fn session_flags_equal_per_pair_check(
         schema_idx in 0usize..4,
         view_mask in 1u16..(1 << 11),
         u_idx in 0usize..UPDATE_POOL.len(),
@@ -120,12 +121,14 @@ proptest! {
             .iter()
             .map(|q| analyzer.check(q, &u).is_independent())
             .collect();
+        prop_assert_eq!(&analyzer.check_views(&views, &u), &expected);
         for jobs in [1, 2, 8] {
-            prop_assert_eq!(
-                &analyzer.check_views_jobs(&views, &u, Jobs::Fixed(jobs)),
-                &expected,
-                "jobs = {}", jobs
-            );
+            let mut session = SessionBuilder::new(dtd).jobs(Jobs::Fixed(jobs)).build();
+            for (i, q) in views.iter().enumerate() {
+                session.add_view(format!("v{i}"), q.clone());
+            }
+            session.add_update("u", u.clone());
+            prop_assert_eq!(&session.independent_flags(0), &expected, "jobs = {}", jobs);
         }
     }
 
