@@ -20,9 +20,11 @@
 //! `//title` vs insert-into-`book` example). We reproduce that behaviour so
 //! that the precision experiment (Fig. 3.b) can compare the two techniques.
 
+use qui_core::{AnalysisSession, Jobs, QueryChains, SessionBuilder};
 use qui_schema::{Chain, Dtd, SchemaLike, Sym};
 use qui_xquery::{Query, Update};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The type sets inferred for a query by the baseline analysis.
 #[derive(Clone, Debug, Default)]
@@ -41,12 +43,24 @@ pub struct UpdateTypes {
 /// The baseline analyzer.
 pub struct TypeSetAnalyzer<'a> {
     dtd: &'a Dtd,
+    /// The chain inference the type sets are read from (explicit engine,
+    /// one worker), cached across calls.
+    chains: AnalysisSession<'a, Dtd>,
 }
 
 impl<'a> TypeSetAnalyzer<'a> {
     /// Creates a baseline analyzer over a DTD.
     pub fn new(dtd: &'a Dtd) -> Self {
-        TypeSetAnalyzer { dtd }
+        TypeSetAnalyzer {
+            dtd,
+            chains: SessionBuilder::new(dtd).jobs(Jobs::Fixed(1)).build(),
+        }
+    }
+
+    /// The explicit query chains at `k_q + 1`, or `None` on budget overflow.
+    fn query_chains(&self, q: &Query) -> Option<Arc<QueryChains>> {
+        self.chains
+            .explicit_query_chains(q, qui_core::k_of_query(q) + 1)
     }
 
     /// Infers the traversed-type set of a query.
@@ -57,11 +71,9 @@ impl<'a> TypeSetAnalyzer<'a> {
     /// below a returned node. This gives the baseline the same language
     /// coverage while reproducing its characteristic loss of context.
     pub fn query_types(&self, q: &Query) -> QueryTypes {
-        let analyzer = qui_core::IndependenceAnalyzer::new(self.dtd);
-        let k = qui_core::k_of_query(q) + 1;
         let mut out = QueryTypes::default();
-        match analyzer.infer_explicit(q, &qui_xquery::Update::Empty, k) {
-            Some((qc, _)) => {
+        match self.query_chains(q) {
+            Some(qc) => {
                 for c in &qc.returns {
                     self.add_chain_symbols(&mut out.traversed, c);
                     if let Some(last) = c.last() {
@@ -143,10 +155,8 @@ impl<'a> TypeSetAnalyzer<'a> {
     /// Types of the nodes a target/source query can select (the last symbols
     /// of its return chains).
     fn return_types(&self, q: &Query) -> BTreeSet<Sym> {
-        let analyzer = qui_core::IndependenceAnalyzer::new(self.dtd);
-        let k = qui_core::k_of_query(q) + 1;
-        match analyzer.infer_explicit(q, &qui_xquery::Update::Empty, k) {
-            Some((qc, _)) => qc.returns.iter().filter_map(|c| c.last()).collect(),
+        match self.query_chains(q) {
+            Some(qc) => qc.returns.iter().filter_map(|c| c.last()).collect(),
             None => self.dtd.alphabet().collect(),
         }
     }
@@ -155,10 +165,8 @@ impl<'a> TypeSetAnalyzer<'a> {
     /// constructed element tags and copied node types, with their
     /// descendants.
     fn collect_content(&self, source: &Query, out: &mut BTreeSet<Sym>) {
-        let analyzer = qui_core::IndependenceAnalyzer::new(self.dtd);
-        let k = qui_core::k_of_query(source) + 1;
-        match analyzer.infer_explicit(source, &qui_xquery::Update::Empty, k) {
-            Some((qc, _)) => {
+        match self.query_chains(source) {
+            Some(qc) => {
                 for c in &qc.returns {
                     if let Some(t) = c.last() {
                         out.insert(t);
@@ -229,7 +237,7 @@ mod tests {
         let u1 = parse_update("delete //b//c").unwrap();
         assert!(!b.independent(&q1, &u1));
         // The chain analysis does detect it (sanity cross-check).
-        let chains = qui_core::IndependenceAnalyzer::new(&d);
+        let chains = AnalysisSession::new(&d);
         assert!(chains.check(&q1, &u1).is_independent());
     }
 
@@ -241,7 +249,7 @@ mod tests {
         let u2 = parse_update("for $x in //book return insert <author/> into $x").unwrap();
         // Both sides mention the type book → baseline says dependent.
         assert!(!b.independent(&q2, &u2));
-        let chains = qui_core::IndependenceAnalyzer::new(&d);
+        let chains = AnalysisSession::new(&d);
         assert!(chains.check(&q2, &u2).is_independent());
     }
 

@@ -9,9 +9,12 @@
 //! * **commutativity**: the update-update analysis runs the chain inference
 //!   twice plus a write/write check; the bench situates its cost relative to
 //!   a single query-update check.
+//!
+//! Every timed check runs on a fresh `AnalysisSession`, so the benches
+//! measure cold analysis, not session cache hits.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qui_core::{AnalyzerConfig, CommutativityAnalyzer, IndependenceAnalyzer};
+use qui_core::{AnalysisSession, AnalyzerConfig, CommutativityAnalyzer, SessionBuilder};
 use qui_schema::{with_attributes, AttrDecl};
 use qui_workloads::usecases::{bib_dtd, bib_pairs};
 use qui_workloads::{all_updates, all_views, xmark_dtd};
@@ -31,32 +34,30 @@ fn bench_element_chains(c: &mut Criterion) {
     let dtd = bib_dtd();
     let pairs = bib_pairs();
     for (label, element_chains) in [("with", true), ("without", false)] {
-        let analyzer = IndependenceAnalyzer::with_config(
-            &dtd,
-            AnalyzerConfig {
-                element_chains,
-                ..Default::default()
-            },
-        );
+        let config = AnalyzerConfig {
+            element_chains,
+            ..Default::default()
+        };
+        // A fresh session per pair: every iteration pays the cold inference.
         group.bench_function(format!("bib_suite/{label}"), |b| {
             b.iter(|| {
                 let detected = pairs
                     .iter()
-                    .filter(|p| analyzer.check(&p.query, &p.update).is_independent())
+                    .filter(|p| {
+                        SessionBuilder::new(&dtd)
+                            .config(config.clone())
+                            .build()
+                            .check(&p.query, &p.update)
+                            .is_independent()
+                    })
                     .count();
                 black_box(detected)
             })
         });
     }
     // Report the precision difference once, outside the timed loops.
-    let with = IndependenceAnalyzer::new(&dtd);
-    let without = IndependenceAnalyzer::with_config(
-        &dtd,
-        AnalyzerConfig {
-            element_chains: false,
-            ..Default::default()
-        },
-    );
+    let with = AnalysisSession::new(&dtd);
+    let without = SessionBuilder::new(&dtd).element_chains(false).build();
     let truly = pairs.iter().filter(|p| p.independent).count();
     let det_with = pairs
         .iter()
@@ -90,17 +91,21 @@ fn bench_attribute_encoding(c: &mut Criterion) {
     let q = qui_xquery::parse_query("//book/title").unwrap();
     let u = qui_xquery::parse_update("for $b in //book return insert <author/> into $b").unwrap();
     for (label, dtd) in [("plain", &plain), ("attributed", &attributed)] {
-        let analyzer = IndependenceAnalyzer::new(dtd);
         group.bench_function(format!("check/{label}"), |b| {
-            b.iter(|| black_box(analyzer.check(&q, &u).is_independent()))
+            b.iter(|| black_box(AnalysisSession::new(dtd).check(&q, &u).is_independent()))
         });
     }
     // An attribute-targeted pair only exists on the attributed schema.
     let qa = qui_xquery::parse_query("//book/@isbn").unwrap();
     let ua = qui_xquery::parse_update("delete //book/@year").unwrap();
-    let analyzer = IndependenceAnalyzer::new(&attributed);
     group.bench_function("check/attribute_pair", |b| {
-        b.iter(|| black_box(analyzer.check(&qa, &ua).is_independent()))
+        b.iter(|| {
+            black_box(
+                AnalysisSession::new(&attributed)
+                    .check(&qa, &ua)
+                    .is_independent(),
+            )
+        })
     });
     group.finish();
 }
@@ -112,7 +117,6 @@ fn bench_commutativity(c: &mut Criterion) {
     let dtd = xmark_dtd();
     let updates = all_updates();
     let views = all_views();
-    let qu = IndependenceAnalyzer::new(&dtd);
     let uu = CommutativityAnalyzer::new(&dtd);
     // A cheap pair and an expensive (recursive-region) pair.
     let cheap = (&updates[0], &updates[1]);
@@ -127,7 +131,13 @@ fn bench_commutativity(c: &mut Criterion) {
             .unwrap_or(&updates[3]),
     );
     group.bench_function("query_update/baseline_check", |b| {
-        b.iter(|| black_box(qu.check(&views[0].query, &cheap.0.update).is_independent()))
+        b.iter(|| {
+            black_box(
+                AnalysisSession::new(&dtd)
+                    .check(&views[0].query, &cheap.0.update)
+                    .is_independent(),
+            )
+        })
     });
     group.bench_function("update_update/cheap_pair", |b| {
         b.iter(|| black_box(uu.check(&cheap.0.update, &cheap.1.update).commutes()))

@@ -229,7 +229,7 @@ fn run_scale(
     for _ in 0..reps.max(1) {
         pairwise = pairwise.min(ms_f64(pairwise_matrix_time(vs, us, EngineKind::Auto)));
         let t = matrix_time(vs, us, EngineKind::Auto, Jobs::Fixed(1));
-        independent_cells = t.verdicts.independent_count();
+        independent_cells = t.independent_count();
         seq = seq.min(ms_f64(t.wall));
         par = par.min(ms_f64(
             matrix_time(vs, us, EngineKind::Auto, Jobs::Fixed(workers)).wall,

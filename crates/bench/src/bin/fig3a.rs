@@ -3,9 +3,9 @@
 //! (auto) engine and for the CDAG engine forced — plus the whole-matrix wall
 //! time of the batched engine, sequential vs parallel.
 //!
-//! All measurements go through the shared batch-analysis API
-//! (`qui_bench::{update_row_time, matrix_time}`), the same code path behind
-//! `qui matrix` and the `fig3a_runtime` Criterion bench.
+//! All measurements go through the shared batch-analysis helpers
+//! (`qui_bench::{update_row_time, matrix_time}`), the same session code path
+//! behind `qui matrix`.
 
 use qui_bench::{benchmark_views, matrix_time, ms, update_row_time};
 use qui_core::parallel::machine_parallelism;
@@ -53,11 +53,11 @@ fn main() {
     let par = matrix_time(&views, &updates, EngineKind::Auto, Jobs::Fixed(workers));
     println!(
         "whole matrix ({} cells): jobs=1 {} ms, jobs={} {} ms ({:.2}x), {} independent",
-        seq.verdicts.cell_count(),
+        seq.cell_count(),
         ms(seq.wall),
         workers,
         ms(par.wall),
         seq.wall.as_secs_f64() / par.wall.as_secs_f64().max(f64::EPSILON),
-        par.verdicts.independent_count()
+        par.independent_count()
     );
 }

@@ -22,7 +22,8 @@
 
 use crate::baseline::calibrate;
 use qui_core::parallel::machine_parallelism;
-use qui_core::{analyze_matrix, AnalyzerConfig, ChainProjector, Jobs, MatrixVerdicts};
+use qui_core::{AnalysisSession, ChainProjector, Jobs, SessionBuilder};
+use qui_schema::Dtd;
 use qui_workloads::{all_updates, all_views, xmark_document, xmark_dtd, XmarkScale};
 use qui_xmlstore::{parse_xml_stream, Projection, StreamConfig};
 use qui_xquery::{parse_query, Query, Update};
@@ -145,18 +146,26 @@ fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
 }
 
-/// One whole-matrix `Auto` measurement at `jobs = 1`.
-fn auto_matrix(views: &[Query], updates: &[Update]) -> (f64, MatrixVerdicts) {
-    let dtd = xmark_dtd();
+/// One whole-matrix `Auto` measurement at `jobs = 1`: a fresh session and
+/// one `add_workload`.
+fn auto_matrix<'a>(
+    dtd: &'a Dtd,
+    views: &[Query],
+    updates: &[Update],
+) -> (f64, AnalysisSession<'a, Dtd>) {
     let start = Instant::now();
-    let verdicts = analyze_matrix(
-        &dtd,
-        views,
-        updates,
-        &AnalyzerConfig::default(),
-        Jobs::Fixed(1),
+    let mut session = SessionBuilder::new(dtd).jobs(Jobs::Fixed(1)).build();
+    session.add_workload(
+        views
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (format!("v{}", i + 1), q.clone())),
+        updates
+            .iter()
+            .enumerate()
+            .map(|(i, u)| (format!("u{}", i + 1), u.clone())),
     );
-    (ms(start), verdicts)
+    (ms(start), session)
 }
 
 /// The automaton-projection measurement over a streamed S-scale XMark
@@ -199,12 +208,13 @@ pub fn run_cdag(reps: usize) -> CdagReport {
     let updates: Vec<Update> = all_updates().into_iter().map(|u| u.update).collect();
     let calibration_ms = calibrate();
 
+    let dtd = xmark_dtd();
     let mut auto_ms = f64::MAX;
     let mut independent_cells = 0;
     for _ in 0..reps.max(1) {
-        let (t_auto, verdicts) = auto_matrix(&views, &updates);
+        let (t_auto, session) = auto_matrix(&dtd, &views, &updates);
         auto_ms = auto_ms.min(t_auto);
-        independent_cells = verdicts.independent_count();
+        independent_cells = session.independent_count();
     }
     let auto = measure_automaton_projection();
     let parsed = auto.kept + auto.pruned;
@@ -379,9 +389,10 @@ mod tests {
             .take(3)
             .map(|u| u.update)
             .collect();
-        let (t_auto, verdicts) = auto_matrix(&views, &updates);
+        let dtd = xmark_dtd();
+        let (t_auto, session) = auto_matrix(&dtd, &views, &updates);
         assert!(t_auto > 0.0);
-        assert_eq!(verdicts.cell_count(), 12);
+        assert_eq!(session.n_views() * session.n_updates(), 12);
         let auto = measure_automaton_projection();
         assert!(auto.explicit_overflows, "{AUTOMATON_VIEW} must overflow");
         assert!(auto.states > 0);

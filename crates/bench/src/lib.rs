@@ -1,16 +1,17 @@
 //! # qui-bench — benchmark harness regenerating Figure 3 of the paper
 //!
-//! Every panel of the paper's results figure has a Criterion bench (under
-//! `benches/`) measuring the relevant times and a report binary (under
-//! `src/bin/`) printing the same rows/series the paper plots:
+//! Every panel of the paper's results figure has a report binary (under
+//! `src/bin/`) printing the same rows/series the paper plots; the two
+//! measurements no binary prints have a Criterion bench (under `benches/`):
 //!
 //! | Paper panel | Bench | Binary |
 //! |---|---|---|
-//! | Fig. 3.a — chain-analysis runtime per update vs the 36 views | `fig3a_runtime` | `fig3a` |
-//! | Fig. 3.b — % of independent pairs detected, chains vs types  | `fig3b_precision` | `fig3b` |
-//! | Fig. 3.c — view re-materialization time savings              | `fig3c_maintenance` | `fig3c` |
-//! | Fig. 3.d — chain-inference time on the R-benchmark           | `fig3d_rbench` | `fig3d` |
+//! | Fig. 3.a — chain-analysis runtime per update vs the 36 views | — | `fig3a` |
+//! | Fig. 3.b — % of independent pairs detected, chains vs types  | — | `fig3b` |
+//! | Fig. 3.c — view re-materialization time savings              | — | `fig3c` |
+//! | Fig. 3.d — chain-inference time on the R-benchmark           | — | `fig3d` |
 //! | §6.1 complexity discussion (CDAG vs explicit chain sets)     | `cdag_micro` | — |
+//! | Ablations (element chains, attributes, commutativity)        | `ablation` | — |
 //! | CI perf baseline (matrix wall-time, seq vs parallel)         | — | `baseline` |
 //! | CI fig3c gate (paper-scale ingest + maintenance)             | — | `fig3c` |
 //! | CI cdag gate (CDAG-first auto matrix, path automaton)        | — | `cdag` |
@@ -21,9 +22,10 @@
 //!
 //! Run a binary with `cargo run --release -p qui-bench --bin fig3a`.
 //!
-//! All matrix timings go through the shared batch-analysis API of
-//! [`qui_core::parallel`] — the same engine behind `qui matrix` and
-//! `IndependenceAnalyzer::check_views` — so the benches measure exactly the
+//! All matrix timings build an [`AnalysisSession`](qui_core::AnalysisSession)
+//! and register the workload with
+//! [`add_workload`](qui_core::AnalysisSession::add_workload) — the same
+//! path behind `qui matrix` — so the harnesses measure exactly the
 //! production code path. [`matrix_time`] measures whole-matrix wall time at a
 //! chosen worker count; [`update_row_time`] measures the classic Fig. 3.a row
 //! (one update against the whole view set).
@@ -37,10 +39,8 @@ pub mod serve;
 pub mod session;
 pub mod traffic;
 
-use qui_core::parallel::MatrixVerdicts;
-use qui_core::{analyze_matrix, AnalyzerConfig, EngineKind, Jobs};
-use qui_workloads::{all_updates, all_views, xmark_dtd, NamedUpdate, NamedView};
-use qui_xquery::{Query, Update};
+use qui_core::{AnalyzerConfig, EngineKind, Jobs, SessionBuilder};
+use qui_workloads::{all_views, xmark_dtd, NamedUpdate, NamedView};
 use std::time::{Duration, Instant};
 
 pub use baseline::{run_baseline, BaselineReport, ScaleResult, ScaleSpec};
@@ -56,8 +56,20 @@ pub use traffic::{run_traffic, TrafficBenchReport, TrafficBenchSpec, TrafficGate
 pub struct MatrixTiming {
     /// Wall-clock time of the batch analysis.
     pub wall: Duration,
-    /// The verdict matrix (indexed `[update][view]`).
-    pub verdicts: MatrixVerdicts,
+    /// Per-cell independence, indexed `[update][view]`.
+    pub independent: Vec<Vec<bool>>,
+}
+
+impl MatrixTiming {
+    /// Number of cells in the matrix.
+    pub fn cell_count(&self) -> usize {
+        self.independent.iter().map(Vec::len).sum()
+    }
+
+    /// Number of cells proved independent.
+    pub fn independent_count(&self) -> usize {
+        self.independent.iter().flatten().filter(|&&i| i).count()
+    }
 }
 
 /// An analyzer configuration with the given engine policy and the default
@@ -78,14 +90,21 @@ pub fn matrix_time(
     jobs: Jobs,
 ) -> MatrixTiming {
     let dtd = xmark_dtd();
-    let view_queries: Vec<Query> = views.iter().map(|v| v.query.clone()).collect();
-    let update_exprs: Vec<Update> = updates.iter().map(|u| u.update.clone()).collect();
     let config = engine_config(engine);
     let start = Instant::now();
-    let verdicts = analyze_matrix(&dtd, &view_queries, &update_exprs, &config, jobs);
+    let mut session = SessionBuilder::new(&dtd).config(config).jobs(jobs).build();
+    session.add_workload(
+        views.iter().map(|v| (v.name.to_string(), v.query.clone())),
+        updates
+            .iter()
+            .map(|u| (u.name.to_string(), u.update.clone())),
+    );
+    let wall = start.elapsed();
     MatrixTiming {
-        wall: start.elapsed(),
-        verdicts,
+        wall,
+        independent: (0..session.n_updates())
+            .map(|ui| session.independent_flags(ui))
+            .collect(),
     }
 }
 
@@ -100,20 +119,9 @@ pub fn update_row_time(
     matrix_time(views, std::slice::from_ref(update), engine, jobs).wall
 }
 
-/// The classic sequential Fig. 3.a row with the auto engine (kept for
-/// backwards compatibility; delegates to [`update_row_time`]).
-pub fn chain_analysis_time(views: &[NamedView], update: &NamedUpdate) -> Duration {
-    update_row_time(views, update, EngineKind::Auto, Jobs::Fixed(1))
-}
-
-/// Same measurement with the CDAG engine forced — used to compare the two
-/// engines' cost profiles.
-pub fn chain_analysis_time_cdag(views: &[NamedView], update: &NamedUpdate) -> Duration {
-    update_row_time(views, update, EngineKind::Cdag, Jobs::Fixed(1))
-}
-
-/// The legacy per-pair matrix loop (no inference sharing, no parallelism):
-/// what `check` in a double loop costs. The baseline harness measures this to
+/// The per-pair matrix loop (no inference sharing, no parallelism): one
+/// fresh session per cell, which is what `check` in a double loop costs
+/// without a long-lived session. The baseline harness measures this to
 /// quantify the batching speedup, which holds even on a single core.
 pub fn pairwise_matrix_time(
     views: &[NamedView],
@@ -121,27 +129,18 @@ pub fn pairwise_matrix_time(
     engine: EngineKind,
 ) -> Duration {
     let dtd = xmark_dtd();
-    let analyzer = qui_core::IndependenceAnalyzer::with_config(&dtd, engine_config(engine));
+    let config = engine_config(engine);
     let start = Instant::now();
     for u in updates {
         for v in views {
-            let _ = analyzer.check(&v.query, &u.update);
+            let session = SessionBuilder::new(&dtd).config(config.clone()).build();
+            let _ = session.check(&v.query, &u.update);
         }
     }
     start.elapsed()
 }
 
-/// A small representative subset of updates used by the Criterion benches to
-/// keep wall-clock time reasonable (the report binaries cover all 31).
-pub fn representative_updates() -> Vec<NamedUpdate> {
-    let wanted = ["UA1", "UA5", "UB2", "UB6", "UI3", "UN2", "UP4"];
-    all_updates()
-        .into_iter()
-        .filter(|u| wanted.contains(&u.name))
-        .collect()
-}
-
-/// All views, re-exported for the benches.
+/// All views, re-exported for the report binaries.
 pub fn benchmark_views() -> Vec<NamedView> {
     all_views()
 }
@@ -165,36 +164,27 @@ pub fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn representative_updates_exist() {
-        assert_eq!(representative_updates().len(), 7);
-        assert_eq!(benchmark_views().len(), 36);
-    }
-
-    #[test]
-    fn chain_analysis_time_is_measurable() {
-        let views = benchmark_views();
-        let upd = representative_updates().remove(0);
-        let t = chain_analysis_time(&views[..4], &upd);
-        assert!(t > Duration::ZERO);
-    }
+    use qui_workloads::all_updates;
 
     #[test]
     fn matrix_time_produces_full_verdicts() {
         let views: Vec<NamedView> = benchmark_views().into_iter().take(5).collect();
-        let updates: Vec<NamedUpdate> = representative_updates().into_iter().take(3).collect();
+        let updates: Vec<NamedUpdate> = all_updates()
+            .into_iter()
+            .filter(|u| ["UA1", "UA5", "UB2"].contains(&u.name))
+            .collect();
         let timing = matrix_time(&views, &updates, EngineKind::Auto, Jobs::Fixed(2));
-        assert_eq!(timing.verdicts.cell_count(), 15);
+        assert_eq!(timing.cell_count(), 15);
         assert!(timing.wall > Duration::ZERO);
         // Parallel verdicts agree with the sequential per-pair loop.
         let dtd = xmark_dtd();
-        let analyzer = qui_core::IndependenceAnalyzer::new(&dtd);
+        let defaults = AnalyzerConfig::default();
         for (ui, u) in updates.iter().enumerate() {
             for (vi, v) in views.iter().enumerate() {
+                let fresh = SessionBuilder::new(&dtd).config(defaults.clone()).build();
                 assert_eq!(
-                    timing.verdicts.verdict(ui, vi).is_independent(),
-                    analyzer.check(&v.query, &u.update).is_independent(),
+                    timing.independent[ui][vi],
+                    fresh.check(&v.query, &u.update).is_independent(),
                     "cell ({}, {})",
                     u.name,
                     v.name

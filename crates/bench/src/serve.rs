@@ -201,18 +201,6 @@ impl ServeReport {
     }
 }
 
-/// Bit-level equality of two verdicts (every observable field).
-fn verdicts_eq(a: &Verdict, b: &Verdict) -> bool {
-    a.is_independent() == b.is_independent()
-        && a.k == b.k
-        && a.k_query == b.k_query
-        && a.k_update == b.k_update
-        && a.engine_used == b.engine_used
-        && a.witness == b.witness
-        && a.query_chain_count == b.query_chain_count
-        && a.update_chain_count == b.update_chain_count
-}
-
 /// The p-th percentile (0..=1) of the latency samples, in microseconds.
 fn percentile(samples: &mut [f64], p: f64) -> f64 {
     if samples.is_empty() {
@@ -249,7 +237,7 @@ pub fn run_checks(
                             let begin = Instant::now();
                             let v = session.check(q, u);
                             latencies.push(begin.elapsed().as_secs_f64() * 1e6);
-                            if !verdicts_eq(&v, &expected[i]) {
+                            if v != expected[i] {
                                 mismatches += 1;
                             }
                         }

@@ -1,5 +1,5 @@
-//! The session perf harness: CI-gated evidence that the stateful
-//! `AnalysisSession` carries its weight over the stateless free functions.
+//! The session perf harness: CI-gated evidence that keeping an
+//! `AnalysisSession` warm carries its weight over rebuilding one.
 //!
 //! `cargo run -p qui-bench --bin session --release` measures, on the full
 //! 36 × 31 XMark views × updates matrix at `jobs = 1`:

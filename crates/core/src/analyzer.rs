@@ -1,8 +1,11 @@
-//! The public entry point: the independence analyzer.
+//! The analyzer's vocabulary: engine selection ([`EngineKind`]), its
+//! configuration ([`AnalyzerConfig`]) and the result of one check
+//! ([`Verdict`]).
 //!
-//! [`IndependenceAnalyzer::check`] runs the full pipeline of the paper for a
-//! query-update pair: compute `k = k_q + k_u` (Table 3), infer chains over
-//! `C_d^k` (Tables 1 and 2), and test C-independence (Definition 4.1).
+//! [`AnalysisSession::check`](crate::session::AnalysisSession::check) runs
+//! the full pipeline of the paper for a query-update pair: compute
+//! `k = k_q + k_u` (Table 3), infer chains over `C_d^k` (Tables 1 and 2), and
+//! test C-independence (Definition 4.1).
 //!
 //! The default [`EngineKind::Auto`] policy is **CDAG-first**: the polynomial
 //! CDAG engine runs every pair, and because its chain sets over-approximate
@@ -16,14 +19,6 @@
 //! an update may skip.
 
 use crate::conflict::ConflictWitness;
-use crate::engine::explicit::ExplicitEngine;
-use crate::kbound::k_for_pair;
-use crate::parallel::{analyze_matrix, Jobs};
-use crate::session::SessionBuilder;
-use crate::types::{QueryChains, UpdateChains};
-use crate::universe::Universe;
-use qui_schema::SchemaLike;
-use qui_xquery::{Query, Update};
 
 /// Which inference engine produced a verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,11 +78,12 @@ impl Default for AnalyzerConfig {
     }
 }
 
-/// The result of one independence check.
-#[derive(Clone, Debug)]
+/// The result of one independence check. Two verdicts are equal when every
+/// field is, witness included.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Verdict {
     /// `true` when the static analysis proves independence (crate-visible so
-    /// the batch analyzer can assemble verdicts without re-running checks).
+    /// only the session assembles verdicts).
     pub(crate) independent: bool,
     /// The multiplicity bound `k` used by the finite analysis.
     pub k: usize,
@@ -114,112 +110,10 @@ impl Verdict {
     }
 }
 
-/// The chain-based independence analyzer over a schema.
-pub struct IndependenceAnalyzer<'a, S: SchemaLike> {
-    schema: &'a S,
-    config: AnalyzerConfig,
-}
-
-impl<'a, S: SchemaLike> IndependenceAnalyzer<'a, S> {
-    /// Creates an analyzer with the default configuration.
-    pub fn new(schema: &'a S) -> Self {
-        IndependenceAnalyzer {
-            schema,
-            config: AnalyzerConfig::default(),
-        }
-    }
-
-    /// Creates an analyzer with an explicit configuration.
-    pub fn with_config(schema: &'a S, config: AnalyzerConfig) -> Self {
-        IndependenceAnalyzer { schema, config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
-    }
-
-    /// The multiplicity bound used for a pair (`k_q + k_u`, or the override).
-    pub fn k_for(&self, q: &Query, u: &Update) -> usize {
-        self.config.k_override.unwrap_or_else(|| k_for_pair(q, u))
-    }
-
-    /// Checks independence of a query-update pair.
-    ///
-    /// This is a stateless wrapper over
-    /// [`AnalysisSession::check`](crate::session::AnalysisSession::check) —
-    /// a fresh one-shot session per call, so nothing is cached between
-    /// calls. Callers checking many pairs against the same schema should
-    /// hold a session (via [`crate::session::SessionBuilder`]) and keep its
-    /// inference caches warm.
-    pub fn check(&self, q: &Query, u: &Update) -> Verdict {
-        SessionBuilder::new(self.schema)
-            .config(self.config.clone())
-            .build()
-            .check(q, u)
-    }
-
-    /// Infers chains for the pair with the explicit engine, or `None` on
-    /// budget overflow.
-    pub fn infer_explicit(
-        &self,
-        q: &Query,
-        u: &Update,
-        k: usize,
-    ) -> Option<(QueryChains, UpdateChains)> {
-        let universe = Universe::with_k(self.schema, k);
-        let eng = ExplicitEngine::new(&universe, self.config.explicit_budget)
-            .with_element_chains(self.config.element_chains);
-        let qc = eng.infer_query(&eng.root_gamma(q.free_vars()), q).ok()?;
-        let uc = eng.infer_update(&eng.root_gamma(u.free_vars()), u).ok()?;
-        Some((qc, uc))
-    }
-
-    /// Convenience: checks a whole set of views against one update and
-    /// returns, for each view, whether it is independent of the update.
-    ///
-    /// This runs on the batched matrix engine
-    /// ([`crate::parallel::analyze_matrix`]): each chain inference is
-    /// computed once per distinct `k` and shared across views, and the cells
-    /// are sharded over [`Jobs::Auto`] workers (`QUI_JOBS` or the machine's
-    /// parallelism). Verdicts are identical to a sequential loop of
-    /// [`check`](Self::check) for any worker count.
-    pub fn check_views(&self, views: &[Query], u: &Update) -> Vec<bool>
-    where
-        S: Sync,
-    {
-        analyze_matrix(
-            self.schema,
-            views,
-            std::slice::from_ref(u),
-            &self.config,
-            Jobs::Auto,
-        )
-        .independent_flags(0)
-    }
-}
-
-/// The conservative (dependent) verdict reported when the caller forced the
-/// explicit engine and its materialization budget overflowed. Crate-visible
-/// so the batch analyzer mirrors it cell for cell.
-pub(crate) fn conservative_explicit_verdict(
-    (k, k_query, k_update): (usize, usize, usize),
-) -> Verdict {
-    Verdict {
-        independent: false,
-        k,
-        k_query,
-        k_update,
-        engine_used: EngineKind::Explicit,
-        witness: None,
-        query_chain_count: 0,
-        update_chain_count: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{fresh_check, SessionBuilder};
     use qui_schema::Dtd;
     use qui_xquery::{parse_query, parse_update};
 
@@ -236,13 +130,19 @@ mod tests {
         .unwrap()
     }
 
+    fn check(d: &Dtd, q: &str, u: &str) -> Verdict {
+        let defaults = AnalyzerConfig::default();
+        fresh_check(
+            d,
+            &defaults,
+            &parse_query(q).unwrap(),
+            &parse_update(u).unwrap(),
+        )
+    }
+
     #[test]
     fn paper_example_q1_u1_independent() {
-        let d = figure1();
-        let a = IndependenceAnalyzer::new(&d);
-        let q1 = parse_query("//a//c").unwrap();
-        let u1 = parse_update("delete //b//c").unwrap();
-        let v = a.check(&q1, &u1);
+        let v = check(&figure1(), "//a//c", "delete //b//c");
         assert!(v.is_independent());
         // The CDAG-first auto policy proves independent pairs without ever
         // materializing explicit chain sets.
@@ -253,22 +153,15 @@ mod tests {
     #[test]
     fn paper_example_q2_u2_independent() {
         let d = bib();
-        let a = IndependenceAnalyzer::new(&d);
-        let q2 = parse_query("//title").unwrap();
-        let u2 = parse_update("for $x in //book return insert <author/> into $x").unwrap();
-        assert!(a.check(&q2, &u2).is_independent());
+        let u2 = "for $x in //book return insert <author/> into $x";
+        assert!(check(&d, "//title", u2).is_independent());
         // …but a query over authors is affected.
-        let q3 = parse_query("//author//last").unwrap();
-        assert!(!a.check(&q3, &u2).is_independent());
+        assert!(!check(&d, "//author//last", u2).is_independent());
     }
 
     #[test]
     fn dependent_pairs_are_reported_with_witness() {
-        let d = figure1();
-        let a = IndependenceAnalyzer::new(&d);
-        let q = parse_query("//c").unwrap();
-        let u = parse_update("delete //b//c").unwrap();
-        let v = a.check(&q, &u);
+        let v = check(&figure1(), "//c", "delete //b//c");
         assert!(!v.is_independent());
         assert!(v.witness.is_some());
     }
@@ -279,30 +172,27 @@ mod tests {
         let q = parse_query("//a//c").unwrap();
         let u = parse_update("delete //b//c").unwrap();
         for engine in [EngineKind::Explicit, EngineKind::Cdag, EngineKind::Auto] {
-            let a = IndependenceAnalyzer::with_config(
-                &d,
-                AnalyzerConfig {
-                    engine,
-                    ..Default::default()
-                },
+            let config = AnalyzerConfig {
+                engine,
+                ..Default::default()
+            };
+            assert!(
+                fresh_check(&d, &config, &q, &u).is_independent(),
+                "engine {engine:?}"
             );
-            assert!(a.check(&q, &u).is_independent(), "engine {engine:?}");
         }
     }
 
     #[test]
     fn auto_falls_back_to_cdag_on_blowup() {
         let d = Dtd::parse_compact("a -> (b|c)* ; b -> (b|c)* ; c -> (b|c)*", "a").unwrap();
-        let a = IndependenceAnalyzer::with_config(
-            &d,
-            AnalyzerConfig {
-                explicit_budget: 100,
-                ..Default::default()
-            },
-        );
+        let config = AnalyzerConfig {
+            explicit_budget: 100,
+            ..Default::default()
+        };
         let q = parse_query("//b//c//b").unwrap();
         let u = parse_update("delete //c//b//c").unwrap();
-        let v = a.check(&q, &u);
+        let v = fresh_check(&d, &config, &q, &u);
         assert_eq!(v.engine_used, EngineKind::Cdag);
         // Everything overlaps in this schema, so independence cannot hold.
         assert!(!v.is_independent());
@@ -313,32 +203,26 @@ mod tests {
         let d = bib();
         let q2 = parse_query("//title").unwrap();
         let u2 = parse_update("for $x in //book return insert <author/> into $x").unwrap();
-        let precise = IndependenceAnalyzer::new(&d);
-        assert!(precise.check(&q2, &u2).is_independent());
-        let ablated = IndependenceAnalyzer::with_config(
-            &d,
-            AnalyzerConfig {
-                element_chains: false,
-                ..Default::default()
-            },
-        );
-        assert!(!ablated.check(&q2, &u2).is_independent());
+        assert!(fresh_check(&d, &AnalyzerConfig::default(), &q2, &u2).is_independent());
+        let ablated = AnalyzerConfig {
+            element_chains: false,
+            ..Default::default()
+        };
+        assert!(!fresh_check(&d, &ablated, &q2, &u2).is_independent());
     }
 
     #[test]
     fn k_override_is_used() {
         let d = figure1();
-        let a = IndependenceAnalyzer::with_config(
-            &d,
-            AnalyzerConfig {
-                k_override: Some(7),
-                ..Default::default()
-            },
-        );
+        let config = AnalyzerConfig {
+            k_override: Some(7),
+            ..Default::default()
+        };
         let q = parse_query("//a//c").unwrap();
         let u = parse_update("delete //b//c").unwrap();
-        assert_eq!(a.k_for(&q, &u), 7);
-        assert!(a.check(&q, &u).is_independent());
+        let v = fresh_check(&d, &config, &q, &u);
+        assert_eq!(v.k, 7);
+        assert!(v.is_independent());
     }
 
     #[test]
@@ -355,35 +239,31 @@ mod tests {
             .rule("g", "EMPTY")
             .build("r")
             .unwrap();
-        let a = IndependenceAnalyzer::new(&d1);
-        let q = parse_query("$root/descendant::b").unwrap();
-        let u = parse_update("delete $root/descendant::c").unwrap();
-        let v = a.check(&q, &u);
+        let v = check(&d1, "$root/descendant::b", "delete $root/descendant::c");
         assert!(!v.is_independent());
         assert_eq!(v.k, 2);
         // With k forced to max(kq, ku) = 1 the dependence would be missed —
         // exactly the pitfall §5 warns about.
-        let bad = IndependenceAnalyzer::with_config(
-            &d1,
-            AnalyzerConfig {
-                k_override: Some(1),
-                engine: EngineKind::Explicit,
-                ..Default::default()
-            },
-        );
-        assert!(bad.check(&q, &u).is_independent());
+        let bad = AnalyzerConfig {
+            k_override: Some(1),
+            engine: EngineKind::Explicit,
+            ..Default::default()
+        };
+        let q = parse_query("$root/descendant::b").unwrap();
+        let u = parse_update("delete $root/descendant::c").unwrap();
+        assert!(fresh_check(&d1, &bad, &q, &u).is_independent());
     }
 
     #[test]
-    fn check_views_batches_queries() {
+    fn workload_row_flags_every_view() {
         let d = figure1();
-        let a = IndependenceAnalyzer::new(&d);
-        let views = vec![
-            parse_query("//a//c").unwrap(),
-            parse_query("//c").unwrap(),
-            parse_query("//b").unwrap(),
-        ];
-        let u = parse_update("delete //b//c").unwrap();
-        assert_eq!(a.check_views(&views, &u), vec![true, false, false]);
+        let mut session = SessionBuilder::new(&d).build();
+        session.add_workload(
+            ["//a//c", "//c", "//b"]
+                .iter()
+                .map(|s| (s.to_string(), parse_query(s).unwrap())),
+            [("u".to_string(), parse_update("delete //b//c").unwrap())],
+        );
+        assert_eq!(session.independent_flags(0), vec![true, false, false]);
     }
 }

@@ -28,10 +28,11 @@
 //! the finite analysis of §5 carries over unchanged with `k = k_{u1} +
 //! k_{u2}`.
 
-use crate::analyzer::{AnalyzerConfig, EngineKind, IndependenceAnalyzer};
+use crate::analyzer::{AnalyzerConfig, EngineKind};
 use crate::conflict::item_conflicts;
 use crate::engine::cdag::CdagEngine;
 use crate::kbound::{k_of_query, k_of_update};
+use crate::session::{AnalysisSession, SessionBuilder};
 use crate::types::UpdateChains;
 use qui_schema::SchemaLike;
 use qui_xquery::{Query, Update};
@@ -134,13 +135,14 @@ impl<'a, S: SchemaLike> CommutativityAnalyzer<'a, S> {
     pub fn check(&self, u1: &Update, u2: &Update) -> CommutVerdict {
         let k = self.k_for(u1, u2);
         // Write/read interference, both directions, via the query-update
-        // analyzer run on the read projections with the pair's k bound.
-        let mut config = self.config.clone();
-        config.k_override = Some(k.max(self.read_k(u1, u2)));
-        let qu = IndependenceAnalyzer::with_config(self.schema, config);
+        // analysis of the read projections, at a bound covering them too.
+        let session = SessionBuilder::new(self.schema)
+            .config(self.config.clone())
+            .k_override(Some(k.max(self.read_k(u1, u2))))
+            .build();
 
         let r2 = read_projection(u2);
-        if !qu.check(&r2, u1).is_independent() {
+        if !session.check(&r2, u1).is_independent() {
             return CommutVerdict {
                 commutes: false,
                 k,
@@ -148,7 +150,7 @@ impl<'a, S: SchemaLike> CommutativityAnalyzer<'a, S> {
             };
         }
         let r1 = read_projection(u1);
-        if !qu.check(&r1, u2).is_independent() {
+        if !session.check(&r1, u2).is_independent() {
             return CommutVerdict {
                 commutes: false,
                 k,
@@ -156,7 +158,7 @@ impl<'a, S: SchemaLike> CommutativityAnalyzer<'a, S> {
             };
         }
         // Write/write interference.
-        if self.writes_conflict(u1, u2, k) {
+        if self.writes_conflict(&session, u1, u2, k) {
             return CommutVerdict {
                 commutes: false,
                 k,
@@ -179,11 +181,16 @@ impl<'a, S: SchemaLike> CommutativityAnalyzer<'a, S> {
 
     /// Checks whether the write sets (update chains) of the two updates may
     /// touch the same ancestor-descendant line.
-    fn writes_conflict(&self, u1: &Update, u2: &Update, k: usize) -> bool {
+    fn writes_conflict(
+        &self,
+        session: &AnalysisSession<'_, S>,
+        u1: &Update,
+        u2: &Update,
+        k: usize,
+    ) -> bool {
         if self.config.engine != EngineKind::Cdag {
-            let qu = IndependenceAnalyzer::with_config(self.schema, self.config.clone());
-            let w1 = qu.infer_explicit(&Query::Empty, u1, k).map(|(_, u)| u);
-            let w2 = qu.infer_explicit(&Query::Empty, u2, k).map(|(_, u)| u);
+            let w1 = session.explicit_update_chains(u1, k);
+            let w2 = session.explicit_update_chains(u2, k);
             if let (Some(w1), Some(w2)) = (w1, w2) {
                 return update_chains_conflict(&w1, &w2);
             }

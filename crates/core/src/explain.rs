@@ -11,10 +11,9 @@
 //! same inference the analyzer runs, and producing a report never changes a
 //! verdict.
 
-use crate::analyzer::{AnalyzerConfig, IndependenceAnalyzer, Verdict};
+use crate::analyzer::Verdict;
 use crate::conflict::ConflictKind;
-use crate::parallel::Jobs;
-use crate::session::SessionBuilder;
+use crate::session::AnalysisSession;
 use crate::types::{ChainItem, QueryChains, UpdateChains};
 use qui_schema::{Chain, SchemaLike};
 use qui_xquery::{Query, Update};
@@ -49,9 +48,9 @@ pub struct ExplainOptions {
     /// Maximum number of chains listed per class (the rest is elided with a
     /// count). `usize::MAX` lists everything.
     pub max_chains: usize,
-    /// Whether to re-run the explicit inference to list chain sets (the
-    /// verdict itself may have come from the CDAG engine, which does not
-    /// materialize individual chains).
+    /// Whether to list the explicit chain sets (the verdict itself may have
+    /// come from the CDAG engine, which does not materialize individual
+    /// chains).
     pub list_chains: bool,
 }
 
@@ -68,14 +67,16 @@ impl Default for ExplainOptions {
 ///
 /// The report is built from the given verdict plus (when
 /// [`ExplainOptions::list_chains`] is set and the explicit engine can
-/// materialize them within budget) the inferred chain sets.
+/// materialize them within the session's budget) the chain sets, read
+/// through the session's explicit cache under its configuration.
 pub fn explain_verdict<S: SchemaLike>(
-    schema: &S,
+    session: &AnalysisSession<'_, S>,
     q: &Query,
     u: &Update,
     verdict: &Verdict,
     options: &ExplainOptions,
 ) -> String {
+    let schema = session.schema();
     let mut out = String::new();
     let _ = writeln!(out, "query : {q}");
     let _ = writeln!(out, "update: {u}");
@@ -108,8 +109,11 @@ pub fn explain_verdict<S: SchemaLike>(
         );
     }
     if options.list_chains {
-        let analyzer = IndependenceAnalyzer::new(schema);
-        if let Some((qc, uc)) = analyzer.infer_explicit(q, u, verdict.k) {
+        let chains = session.explicit_query_chains(q, verdict.k).and_then(|qc| {
+            let uc = session.explicit_update_chains(u, verdict.k)?;
+            Some((qc, uc))
+        });
+        if let Some((qc, uc)) = chains {
             out.push_str(&render_query_chains(schema, &qc, options.max_chains));
             out.push_str(&render_update_chains(schema, &uc, options.max_chains));
         } else {
@@ -261,88 +265,34 @@ impl MatrixReport {
     }
 }
 
-/// Checks one update against a set of named views and builds a
-/// [`MatrixReport`].
-///
-/// Runs on a one-shot [`crate::session::AnalysisSession`] with the default
-/// worker policy (`QUI_JOBS` or the machine's parallelism); verdicts are
-/// identical to per-pair [`IndependenceAnalyzer::check`] calls. Callers
-/// reporting on more than one workload should hold a session and read
-/// [`reports`](crate::session::AnalysisSession::reports) from it instead.
-pub fn matrix_report<S: SchemaLike + Sync>(
-    schema: &S,
-    views: &[(String, Query)],
-    update_name: &str,
-    update: &Update,
-) -> MatrixReport {
-    matrix_report_impl(
-        schema,
-        views,
-        update_name,
-        update,
-        &AnalyzerConfig::default(),
-        Jobs::Auto,
-    )
-}
-
-/// Shared implementation of the one-update report wrappers: a one-shot
-/// session over the single-row workload.
-fn matrix_report_impl<S: SchemaLike + Sync>(
-    schema: &S,
-    views: &[(String, Query)],
-    update_name: &str,
-    update: &Update,
-    config: &AnalyzerConfig,
-    jobs: Jobs,
-) -> MatrixReport {
-    let mut reports = matrix_reports_impl(
-        schema,
-        views,
-        std::slice::from_ref(&(update_name.to_string(), update.clone())),
-        config,
-        jobs,
-    );
-    reports.pop().expect("one update produces one report")
-}
-
-/// The full views × updates matrix as one report per update, computed in a
-/// single batch so chain inference is shared across every cell (the shape of
-/// the paper's Fig. 3.a: all 31 updates against all 36 views).
-pub fn matrix_reports<S: SchemaLike + Sync>(
-    schema: &S,
-    views: &[(String, Query)],
-    updates: &[(String, Update)],
-    jobs: Jobs,
-) -> Vec<MatrixReport> {
-    matrix_reports_impl(schema, views, updates, &AnalyzerConfig::default(), jobs)
-}
-
-/// Shared implementation of the stateless matrix wrappers: a one-shot
-/// [`crate::session::AnalysisSession`] that registers the workload in one
-/// batch and reads [`reports`](crate::session::AnalysisSession::reports).
-fn matrix_reports_impl<S: SchemaLike + Sync>(
-    schema: &S,
-    views: &[(String, Query)],
-    updates: &[(String, Update)],
-    config: &AnalyzerConfig,
-    jobs: Jobs,
-) -> Vec<MatrixReport> {
-    let mut session = SessionBuilder::new(schema)
-        .config(config.clone())
-        .jobs(jobs)
-        .build();
-    session.add_workload(views.iter().cloned(), updates.iter().cloned());
-    session.reports()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::Jobs;
+    use crate::session::SessionBuilder;
     use qui_schema::Dtd;
     use qui_xquery::{parse_query, parse_update};
 
     fn fig1() -> Dtd {
         Dtd::parse_compact("doc -> (a|b)* ; a -> c ; b -> c", "doc").unwrap()
+    }
+
+    /// The reports of a fresh session holding the whole workload.
+    fn reports(
+        dtd: &Dtd,
+        views: &[(String, Query)],
+        updates: &[(String, Update)],
+        jobs: Jobs,
+    ) -> Vec<MatrixReport> {
+        let mut session = SessionBuilder::new(dtd).jobs(jobs).build();
+        session.add_workload(views.iter().cloned(), updates.iter().cloned());
+        session.reports()
+    }
+
+    /// The report of one update against the views.
+    fn update_report(dtd: &Dtd, views: &[(String, Query)], name: &str, u: &Update) -> MatrixReport {
+        let updates = [(name.to_string(), u.clone())];
+        reports(dtd, views, &updates, Jobs::Auto).remove(0)
     }
 
     #[test]
@@ -358,9 +308,9 @@ mod tests {
         let dtd = fig1();
         let q = parse_query("//a//c").unwrap();
         let u = parse_update("delete //b//c").unwrap();
-        let analyzer = IndependenceAnalyzer::new(&dtd);
-        let verdict = analyzer.check(&q, &u);
-        let report = explain_verdict(&dtd, &q, &u, &verdict, &ExplainOptions::default());
+        let session = AnalysisSession::new(&dtd);
+        let verdict = session.check(&q, &u);
+        let report = explain_verdict(&session, &q, &u, &verdict, &ExplainOptions::default());
         assert!(report.contains("INDEPENDENT"), "{report}");
         assert!(report.contains("doc.a.c"), "{report}");
         assert!(report.contains("doc.b:c"), "{report}");
@@ -371,10 +321,10 @@ mod tests {
         let dtd = fig1();
         let q = parse_query("//c").unwrap();
         let u = parse_update("delete //b//c").unwrap();
-        let analyzer = IndependenceAnalyzer::new(&dtd);
-        let verdict = analyzer.check(&q, &u);
+        let session = AnalysisSession::new(&dtd);
+        let verdict = session.check(&q, &u);
         assert!(!verdict.is_independent());
-        let report = explain_verdict(&dtd, &q, &u, &verdict, &ExplainOptions::default());
+        let report = explain_verdict(&session, &q, &u, &verdict, &ExplainOptions::default());
         assert!(report.contains("not proved independent"), "{report}");
         assert!(report.contains("witness"), "{report}");
     }
@@ -384,13 +334,13 @@ mod tests {
         let dtd = fig1();
         let q = parse_query("//node()").unwrap();
         let u = parse_update("delete //c").unwrap();
-        let analyzer = IndependenceAnalyzer::new(&dtd);
-        let verdict = analyzer.check(&q, &u);
+        let session = AnalysisSession::new(&dtd);
+        let verdict = session.check(&q, &u);
         let options = ExplainOptions {
             max_chains: 1,
             list_chains: true,
         };
-        let report = explain_verdict(&dtd, &q, &u, &verdict, &options);
+        let report = explain_verdict(&session, &q, &u, &verdict, &options);
         assert!(report.contains("more"), "{report}");
     }
 
@@ -399,8 +349,7 @@ mod tests {
         let dtd = fig1();
         let q = parse_query("//a//c").unwrap();
         let u = parse_update("delete //b//c").unwrap();
-        let analyzer = IndependenceAnalyzer::new(&dtd);
-        let verdict = analyzer.check(&q, &u);
+        let verdict = AnalysisSession::new(&dtd).check(&q, &u);
         let s = summarize_verdict(&verdict);
         assert!(s.starts_with("independent"), "{s}");
         assert!(!s.contains('\n'));
@@ -415,7 +364,7 @@ mod tests {
             ("v3".to_string(), parse_query("//b").unwrap()),
         ];
         let u = parse_update("delete //b//c").unwrap();
-        let report = matrix_report(&dtd, &views, "u1", &u);
+        let report = update_report(&dtd, &views, "u1", &u);
         assert_eq!(report.rows.len(), 3);
         assert_eq!(report.independent_count(), 1);
         let text = report.render();
@@ -433,9 +382,9 @@ mod tests {
         ];
         let u = parse_update("delete //b//c").unwrap();
         let updates = vec![("u1".to_string(), u)];
-        let sequential = matrix_reports(&dtd, &views, &updates, Jobs::Fixed(1));
+        let sequential = reports(&dtd, &views, &updates, Jobs::Fixed(1));
         for jobs in [2, 8] {
-            let parallel = matrix_reports(&dtd, &views, &updates, Jobs::Fixed(jobs));
+            let parallel = reports(&dtd, &views, &updates, Jobs::Fixed(jobs));
             for (s, p) in sequential.iter().zip(&parallel) {
                 assert_eq!(s.rows, p.rows, "jobs = {jobs}");
                 assert_eq!(s.k_range, p.k_range, "jobs = {jobs}");
@@ -445,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn matrix_reports_cover_every_update() {
+    fn workload_reports_cover_every_update() {
         let dtd = fig1();
         let views = vec![
             ("v1".to_string(), parse_query("//a//c").unwrap()),
@@ -455,20 +404,20 @@ mod tests {
             ("u1".to_string(), parse_update("delete //b//c").unwrap()),
             ("u2".to_string(), parse_update("delete //c").unwrap()),
         ];
-        let reports = matrix_reports(&dtd, &views, &updates, Jobs::Fixed(2));
-        assert_eq!(reports.len(), 2);
-        for (report, (name, u)) in reports.iter().zip(&updates) {
-            assert_eq!(&report.update_name, name);
-            let solo = matrix_report(&dtd, &views, name, u);
-            assert_eq!(report.rows, solo.rows);
+        let all = reports(&dtd, &views, &updates, Jobs::Fixed(2));
+        assert_eq!(all.len(), 2);
+        for (r, (name, u)) in all.iter().zip(&updates) {
+            assert_eq!(&r.update_name, name);
+            let solo = update_report(&dtd, &views, name, u);
+            assert_eq!(r.rows, solo.rows);
         }
     }
 
     #[test]
-    fn empty_matrix_report() {
+    fn empty_workload_report() {
         let dtd = fig1();
         let u = parse_update("delete //c").unwrap();
-        let report = matrix_report(&dtd, &[], "u", &u);
+        let report = update_report(&dtd, &[], "u", &u);
         assert_eq!(report.independent_count(), 0);
         assert_eq!(report.k_range.0, 0);
     }

@@ -20,17 +20,16 @@
 //!   rules prescribe (the reference implementation, used whenever the chain
 //!   space is small enough), and [`engine::cdag`] represents chain sets as
 //!   chain-DAGs whose width is bounded by the schema size, giving the
-//!   polynomial-space/time behaviour the paper reports. The
-//!   [`IndependenceAnalyzer`]'s default `Auto` policy runs the CDAG engine
-//!   first (it proves most independent pairs outright in polynomial time)
-//!   and confirms the remaining pairs with the explicit engine under a
-//!   configurable budget — which also recovers the conflict witness — so the
+//!   polynomial-space/time behaviour the paper reports. The default
+//!   [`EngineKind::Auto`] policy runs the CDAG engine first (it proves most
+//!   independent pairs outright in polynomial time) and confirms the
+//!   remaining pairs with the explicit engine under a configurable budget — which also recovers the conflict witness — so the
 //!   explicit engine stays the reference oracle while the CDAG carries the
 //!   bulk of the matrix.
 //!
 //! ## Entry point
 //!
-//! The canonical entry point is the stateful [`session`] API — an
+//! The one entry point is the stateful [`session`] API — an
 //! [`AnalysisSession`] is built once per schema and owns every piece of
 //! reusable inference state, so repeated checks and incrementally edited
 //! view/update workloads stay warm:
@@ -68,24 +67,6 @@
 //! requests to the `&self` path and serializes edits. The [`protocol`]
 //! types ([`Request`]/[`Response`]) plus [`Server`] turn the same
 //! dispatcher into the `qui serve` HTTP daemon.
-//!
-//! The historical stateless API ([`IndependenceAnalyzer::check`],
-//! [`analyze_matrix`], `matrix_report*`) is kept as thin wrappers over
-//! one-shot sessions:
-//!
-//! ```
-//! use qui_schema::Dtd;
-//! use qui_xquery::{parse_query, parse_update};
-//! use qui_core::IndependenceAnalyzer;
-//!
-//! let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c ; b -> c", "doc").unwrap();
-//! let q1 = parse_query("//a//c").unwrap();
-//! let u1 = parse_update("delete //b//c").unwrap();
-//!
-//! let analyzer = IndependenceAnalyzer::new(&dtd);
-//! let verdict = analyzer.check(&q1, &u1);
-//! assert!(verdict.is_independent());
-//! ```
 
 pub mod analyzer;
 pub mod bitset;
@@ -106,13 +87,13 @@ pub mod tiered;
 pub mod types;
 pub mod universe;
 
-pub use analyzer::{AnalyzerConfig, EngineKind, IndependenceAnalyzer, Verdict};
+pub use analyzer::{AnalyzerConfig, EngineKind, Verdict};
 pub use commutativity::{read_projection, CommutVerdict, CommutativityAnalyzer};
 pub use conflict::{chains_conflict, item_conflicts};
-pub use explain::{explain_verdict, matrix_report, matrix_reports, ExplainOptions, MatrixReport};
+pub use explain::{explain_verdict, ExplainOptions, MatrixReport};
 pub use json::Json;
 pub use kbound::{k_for_pair, k_of_query, k_of_update};
-pub use parallel::{analyze_matrix, Jobs, MatrixVerdicts};
+pub use parallel::Jobs;
 pub use projector::{ChainProjector, ProjectionSpec};
 pub use protocol::{Request, Response};
 pub use service::{ServeConfig, Server, SessionHandler, SessionRegistry, SharedSession};

@@ -1010,6 +1010,37 @@ mod tests {
         assert!(registry.load_schema("bad", "", None).is_err());
     }
 
+    /// A long flat query (a 3 000-step path, not nested at all) costs one
+    /// error response on a thread with the 2 MB stack of a `qui serve`
+    /// worker, and the session keeps answering.
+    #[test]
+    fn long_flat_query_is_an_error_response() {
+        let dtd = Dtd::parse_compact(FIG1, "doc").unwrap();
+        let shared = SharedSession::new(AnalysisSession::new(&dtd));
+        let long = Request::Check {
+            query: format!("/doc{}", "/a".repeat(3_000)),
+            update: "delete //b//c".to_string(),
+        };
+        std::thread::scope(|s| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn_scoped(s, || match shared.handle(&long) {
+                    Response::Error { message } => {
+                        assert!(message.contains("nesting"), "{message}")
+                    }
+                    other => panic!("expected an error response, got {other:?}"),
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+        });
+        let check = Request::Check {
+            query: "//a//c".to_string(),
+            update: "delete //b//c".to_string(),
+        };
+        assert!(!matches!(shared.handle(&check), Response::Error { .. }));
+    }
+
     /// A DTD nested far beyond the content-model parser's depth limit costs
     /// one `POST /schemas` error response, routed on a thread with the 2 MB
     /// stack of a `qui serve` worker; the registry keeps serving.

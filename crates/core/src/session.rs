@@ -4,10 +4,8 @@
 //! Everything expensive in the paper's static analysis depends only on the
 //! *schema* and the *expressions* — chain universes, CDAG closures,
 //! compiled path automata — never on which pair a check happens
-//! to be part of. The historical API was stateless (`check`, `check_views`,
-//! `matrix_report`, …), so every call rebuilt that state from scratch. A
-//! session is constructed **once per schema** and owns all reusable
-//! inference state, so repeated checks and matrix queries are warm:
+//! to be part of. A session is constructed **once per schema** and owns all
+//! reusable inference state, so repeated checks and matrix queries are warm:
 //!
 //! * CDAG chain sets per `(expression, k)`, inferred straight from
 //!   [`CdagEngine`]; a result whose inference never hit the `k·|d|` depth
@@ -56,17 +54,17 @@
 //! pool); [`remove_view`](AnalysisSession::remove_view) /
 //! [`remove_update`](AnalysisSession::remove_update) only drop the
 //! column/row. Any edit sequence yields verdicts bit-identical to a
-//! from-scratch [`crate::parallel::analyze_matrix`] over the same workload
-//! (property-tested in `tests/session_incremental.rs`).
+//! from-scratch [`add_workload`](AnalysisSession::add_workload) of the same
+//! workload on a fresh session (property-tested in
+//! `tests/session_incremental.rs`).
 //!
-//! The session is the **single implementation** of the analysis pipeline:
-//! [`IndependenceAnalyzer::check`](crate::IndependenceAnalyzer::check),
-//! `check_views*`, `matrix_report*` and `analyze_matrix` are all thin
-//! wrappers over it, the [`crate::service`] layer (`qui serve`, the
-//! `qui session` REPL) dispatches onto it through the shared
-//! [`crate::protocol`] request types, and the view-maintenance engine of
-//! `qui-workloads` reads its skip decisions from a CDAG-engine session's
-//! materialized matrix.
+//! The session is the **single implementation** of the analysis pipeline
+//! and its only entry point: pair checks, matrices, reports and the
+//! explicit chain sets behind `explain` all come from it. The
+//! [`crate::service`] layer (`qui serve`, the `qui session` REPL) dispatches
+//! onto it through the shared [`crate::protocol`] request types, and the
+//! view-maintenance engine of `qui-workloads` reads its skip decisions from
+//! a CDAG-engine session's materialized matrix.
 //!
 //! Engine order: [`EngineKind::Explicit`] runs only the explicit engine,
 //! [`EngineKind::Cdag`] only the CDAG engine, and [`EngineKind::Auto`] runs
@@ -98,14 +96,14 @@
 //! assert_eq!(session.n_updates(), 1);
 //! ```
 
-use crate::analyzer::{conservative_explicit_verdict, AnalyzerConfig, EngineKind, Verdict};
+use crate::analyzer::{AnalyzerConfig, EngineKind, Verdict};
 use crate::concurrent::{EnginePool, ShardedMap};
 use crate::conflict::find_conflict;
 use crate::engine::cdag::{CdagEngine, ChainDag, DagQueryChains};
 use crate::engine::explicit::ExplicitEngine;
 use crate::explain::{explain_verdict, ExplainOptions, MatrixReport};
 use crate::kbound::{k_for_pair, k_of_query, k_of_update};
-use crate::parallel::{run_indexed, Jobs, MatrixVerdicts};
+use crate::parallel::{run_indexed, Jobs};
 use crate::projector::ChainProjector;
 use crate::types::{QueryChains, UpdateChains};
 use crate::universe::Universe;
@@ -497,8 +495,7 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
         &self.rows[update][view]
     }
 
-    /// Per-view independence flags for one update (the historical
-    /// `check_views` result shape).
+    /// Per-view independence flags for one update, in view order.
     pub fn independent_flags(&self, update: usize) -> Vec<bool> {
         self.rows[update]
             .iter()
@@ -515,23 +512,8 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
             .count()
     }
 
-    /// The materialized matrix as a [`MatrixVerdicts`] (the historical
-    /// `analyze_matrix` result shape). Clones the matrix; a one-shot caller
-    /// that is done with the session should use
-    /// [`into_verdicts`](Self::into_verdicts) instead.
-    pub fn verdicts(&self) -> MatrixVerdicts {
-        MatrixVerdicts::from_rows(self.views.len(), self.rows.clone())
-    }
-
-    /// Consumes the session and returns the materialized matrix without
-    /// copying it — the path the stateless `analyze_matrix` wrapper takes.
-    pub fn into_verdicts(self) -> MatrixVerdicts {
-        MatrixVerdicts::from_rows(self.views.len(), self.rows)
-    }
-
     /// One [`MatrixReport`] per registered update, over the registered
-    /// views — the historical `matrix_reports` result shape, read from the
-    /// materialized matrix.
+    /// views, read from the materialized matrix.
     pub fn reports(&self) -> Vec<MatrixReport> {
         self.updates
             .iter()
@@ -573,9 +555,8 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     /// Checks independence of one query-update pair, warm: chain sets
     /// inferred by earlier checks or workload edits are reused, and fresh
     /// inference results enter the session caches. The verdict is
-    /// bit-identical to a fresh
-    /// [`IndependenceAnalyzer::check`](crate::IndependenceAnalyzer::check)
-    /// under the same configuration.
+    /// bit-identical to the first check of a fresh session under the same
+    /// configuration.
     ///
     /// This is `&self` and thread-safe: any number of threads may check
     /// against one session concurrently (see the [module docs](self)).
@@ -652,7 +633,25 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     /// session's [`ExplainOptions`].
     pub fn explain(&self, q: &Query, u: &Update) -> String {
         let verdict = self.check(q, u);
-        explain_verdict(self.schema, q, u, &verdict, &self.explain)
+        explain_verdict(self, q, u, &verdict, &self.explain)
+    }
+
+    /// The explicit engine's chain set of a query at bound `k`, under the
+    /// session's budget and element-chain setting, or `None` when the
+    /// materialization overflowed the budget. Served from (and filling) the
+    /// session's explicit cache.
+    pub fn explicit_query_chains(&self, q: &Query, k: usize) -> Option<Arc<QueryChains>> {
+        let key = expr_key(q);
+        self.ensure_explicit_query(&key, q, k);
+        self.caches.explicit_query(&key, k).flatten()
+    }
+
+    /// The explicit engine's chain set of an update at bound `k`; see
+    /// [`explicit_query_chains`](Self::explicit_query_chains).
+    pub fn explicit_update_chains(&self, u: &Update, k: usize) -> Option<Arc<UpdateChains>> {
+        let key = expr_key(u);
+        self.ensure_explicit_update(&key, u, k);
+        self.caches.explicit_update(&key, k).flatten()
     }
 
     /// The streamed projection for a query (an enumerated path spec when
@@ -820,9 +819,8 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
     }
 
     /// Bulk registration: adds all given views and updates, then computes
-    /// every new cell in **one** batched pass (the whole-matrix prepass of
-    /// the historical `analyze_matrix`). Much faster than one-at-a-time
-    /// `add_*` calls for a cold workload.
+    /// every new cell in **one** batched pass over the whole matrix. Much
+    /// faster than one-at-a-time `add_*` calls for a cold workload.
     pub fn add_workload(
         &mut self,
         views: impl IntoIterator<Item = (String, Query)>,
@@ -1181,8 +1179,7 @@ fn infer_ascending<T>(ks: &[usize], infer: impl Fn(usize) -> (T, bool)) -> Vec<(
 }
 
 /// Explicit query inference for one `(expression, k)`; `None` on budget
-/// overflow. Identical to the query side of
-/// [`IndependenceAnalyzer::infer_explicit`](crate::IndependenceAnalyzer::infer_explicit).
+/// overflow. The only place the explicit engine is set up for a session.
 fn infer_query_explicit<S: SchemaLike>(
     schema: &S,
     config: &AnalyzerConfig,
@@ -1265,9 +1262,18 @@ fn cell_verdict<S: SchemaLike>(
         }
     };
     match (config.engine, cdag_independent) {
-        (EngineKind::Explicit, _) => {
-            explicit().unwrap_or_else(|| conservative_explicit_verdict((k, k_query, k_update)))
-        }
+        // A forced explicit engine whose budget overflowed answers with the
+        // conservative (dependent) verdict.
+        (EngineKind::Explicit, _) => explicit().unwrap_or(Verdict {
+            independent: false,
+            k,
+            k_query,
+            k_update,
+            engine_used: EngineKind::Explicit,
+            witness: None,
+            query_chain_count: 0,
+            update_chain_count: 0,
+        }),
         (EngineKind::Cdag, Some(independent)) | (EngineKind::Auto, Some(independent @ true)) => {
             cdag(independent)
         }
@@ -1276,11 +1282,24 @@ fn cell_verdict<S: SchemaLike>(
     }
 }
 
+/// The verdict of a fresh one-shot session: the from-scratch reference that
+/// warm checks and materialized matrices are tested against.
+#[cfg(test)]
+pub(crate) fn fresh_check<S: SchemaLike>(
+    schema: &S,
+    config: &AnalyzerConfig,
+    q: &Query,
+    u: &Update,
+) -> Verdict {
+    SessionBuilder::new(schema)
+        .config(config.clone())
+        .build()
+        .check(q, u)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::IndependenceAnalyzer;
-    use crate::parallel::analyze_matrix;
     use qui_schema::Dtd;
     use qui_xquery::{parse_query, parse_update};
 
@@ -1288,15 +1307,139 @@ mod tests {
         Dtd::parse_compact("doc -> (a|b)* ; a -> c ; b -> c", "doc").unwrap()
     }
 
-    fn verdicts_eq(a: &Verdict, b: &Verdict) -> bool {
-        a.is_independent() == b.is_independent()
-            && a.k == b.k
-            && a.k_query == b.k_query
-            && a.k_update == b.k_update
-            && a.engine_used == b.engine_used
-            && a.witness == b.witness
-            && a.query_chain_count == b.query_chain_count
-            && a.update_chain_count == b.update_chain_count
+    /// A fresh session holding the whole workload, registered in one batch.
+    fn fresh_matrix<'a>(
+        schema: &'a Dtd,
+        views: &[Query],
+        updates: &[Update],
+        config: &AnalyzerConfig,
+        jobs: Jobs,
+    ) -> AnalysisSession<'a, Dtd> {
+        let mut session = SessionBuilder::new(schema)
+            .config(config.clone())
+            .jobs(jobs)
+            .build();
+        session.add_workload(
+            views
+                .iter()
+                .enumerate()
+                .map(|(i, q)| (format!("v{}", i + 1), q.clone())),
+            updates
+                .iter()
+                .enumerate()
+                .map(|(i, u)| (format!("u{}", i + 1), u.clone())),
+        );
+        session
+    }
+
+    /// Asserts that every materialized cell equals a per-pair
+    /// [`fresh_check`].
+    fn assert_cells_match_fresh_checks(session: &AnalysisSession<'_, Dtd>) {
+        for (ui, (_, u)) in session.updates().enumerate() {
+            for (vi, (_, v)) in session.views().enumerate() {
+                let fresh = fresh_check(session.schema(), session.config(), v, u);
+                assert_eq!(
+                    session.verdict(ui, vi),
+                    &fresh,
+                    "cell (view {vi}, update {ui}) diverged"
+                );
+            }
+        }
+    }
+
+    fn small_matrix() -> (Vec<Query>, Vec<Update>) {
+        let views = ["//a//c", "//c", "//b", "//a", "//node()"]
+            .iter()
+            .map(|s| parse_query(s).unwrap())
+            .collect();
+        let updates = [
+            "delete //b//c",
+            "delete //c",
+            "for $x in /a return insert <c/> into $x",
+            "for $x in /a return rename $x as b",
+        ]
+        .iter()
+        .map(|s| parse_update(s).unwrap())
+        .collect();
+        (views, updates)
+    }
+
+    #[test]
+    fn batch_matches_sequential_for_every_engine_and_job_count() {
+        let d = figure1();
+        let (views, updates) = small_matrix();
+        for engine in [EngineKind::Auto, EngineKind::Explicit, EngineKind::Cdag] {
+            let config = AnalyzerConfig {
+                engine,
+                ..Default::default()
+            };
+            for jobs in [1, 2, 8] {
+                let m = fresh_matrix(&d, &views, &updates, &config, Jobs::Fixed(jobs));
+                assert_cells_match_fresh_checks(&m);
+            }
+        }
+    }
+
+    #[test]
+    fn budget_overflow_falls_back_to_cdag_like_the_analyzer() {
+        let d = Dtd::parse_compact("a -> (b|c)* ; b -> (b|c)* ; c -> (b|c)*", "a").unwrap();
+        let views = vec![
+            parse_query("//b//c//b").unwrap(),
+            parse_query("//b").unwrap(),
+        ];
+        let updates = vec![parse_update("delete //c//b//c").unwrap()];
+        let config = AnalyzerConfig {
+            explicit_budget: 100,
+            ..Default::default()
+        };
+        let m = fresh_matrix(&d, &views, &updates, &config, Jobs::Fixed(2));
+        assert_eq!(m.verdict(0, 0).engine_used, EngineKind::Cdag);
+        assert_cells_match_fresh_checks(&m);
+    }
+
+    #[test]
+    fn matrix_shape_and_counts() {
+        let d = figure1();
+        let (views, updates) = small_matrix();
+        let defaults = AnalyzerConfig::default();
+        let m = fresh_matrix(&d, &views, &updates, &defaults, Jobs::Fixed(1));
+        assert_eq!(m.n_views(), 5);
+        assert_eq!(m.n_updates(), 4);
+        assert_eq!(m.n_views() * m.n_updates(), 20);
+        assert_eq!(m.independent_flags(0).len(), 5);
+        assert_eq!(
+            m.independent_flags(0),
+            views
+                .iter()
+                .map(|v| fresh_check(&d, &defaults, v, &updates[0]).is_independent())
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn empty_inputs_yield_empty_matrices() {
+        let d = figure1();
+        let (views, updates) = small_matrix();
+        let defaults = AnalyzerConfig::default();
+        let m = fresh_matrix(&d, &[], &updates, &defaults, Jobs::Auto);
+        assert_eq!(m.n_views() * m.n_updates(), 0);
+        assert_eq!(m.n_updates(), 4);
+        let m = fresh_matrix(&d, &views, &[], &defaults, Jobs::Auto);
+        assert_eq!(m.n_views() * m.n_updates(), 0);
+        assert_eq!(m.n_updates(), 0);
+    }
+
+    #[test]
+    fn k_override_is_respected() {
+        let d = figure1();
+        let (views, updates) = small_matrix();
+        let config = AnalyzerConfig {
+            k_override: Some(7),
+            ..Default::default()
+        };
+        let m = fresh_matrix(&d, &views, &updates, &config, Jobs::Fixed(2));
+        assert!(m.rows.iter().flatten().all(|v| v.k == 7));
+        assert_cells_match_fresh_checks(&m);
     }
 
     #[test]
@@ -1319,14 +1462,13 @@ mod tests {
                 ..Default::default()
             };
             let session = SessionBuilder::new(&d).config(config.clone()).build();
-            let analyzer = IndependenceAnalyzer::with_config(&d, config);
             for (qs, us) in pairs {
                 let q = parse_query(qs).unwrap();
                 let u = parse_update(us).unwrap();
-                let fresh = analyzer.check(&q, &u);
+                let fresh = fresh_check(&d, &config, &q, &u);
                 // First (cold) and second (warm) session check both match.
-                assert!(verdicts_eq(&session.check(&q, &u), &fresh), "({qs}, {us})");
-                assert!(verdicts_eq(&session.check(&q, &u), &fresh), "({qs}, {us})");
+                assert_eq!(session.check(&q, &u), fresh, "({qs}, {us})");
+                assert_eq!(session.check(&q, &u), fresh, "({qs}, {us})");
             }
         }
     }
@@ -1353,7 +1495,7 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..10 {
                         for ((q, u), expected) in pairs.iter().zip(sequential) {
-                            assert!(verdicts_eq(&session.check(q, u), expected));
+                            assert_eq!(&session.check(q, u), expected);
                         }
                     }
                 });
@@ -1433,14 +1575,13 @@ mod tests {
             stats.explicit_inferences, 1,
             "only the query side runs; the update inference is short-circuited"
         );
-        // The verdict still matches a fresh analyzer bit for bit.
+        // The verdict still matches a fresh session bit for bit.
         let config = AnalyzerConfig {
             engine: EngineKind::Explicit,
             explicit_budget: 0,
             ..Default::default()
         };
-        let fresh = IndependenceAnalyzer::with_config(&d, config).check(&q, &u);
-        assert!(verdicts_eq(&verdict, &fresh));
+        assert_eq!(verdict, fresh_check(&d, &config, &q, &u));
     }
 
     #[test]
@@ -1461,24 +1602,16 @@ mod tests {
         session.add_view("v3", parse_query("//node()").unwrap());
         let remaining_views: Vec<Query> = session.views().map(|(_, q)| q.clone()).collect();
         let remaining_updates: Vec<Update> = session.updates().map(|(_, u)| u.clone()).collect();
-        let fresh = analyze_matrix(
+        let fresh = fresh_matrix(
             &d,
             &remaining_views,
             &remaining_updates,
             &AnalyzerConfig::default(),
             Jobs::Fixed(1),
         );
-        let materialized = session.verdicts();
-        assert_eq!(materialized.n_views(), fresh.n_views());
-        assert_eq!(materialized.n_updates(), fresh.n_updates());
-        for ui in 0..fresh.n_updates() {
-            for vi in 0..fresh.n_views() {
-                assert!(
-                    verdicts_eq(materialized.verdict(ui, vi), fresh.verdict(ui, vi)),
-                    "cell ({ui}, {vi})"
-                );
-            }
-        }
+        assert_eq!(session.n_views(), fresh.n_views());
+        assert_eq!(session.n_updates(), fresh.n_updates());
+        assert_eq!(session.rows, fresh.rows);
     }
 
     #[test]
@@ -1569,14 +1702,75 @@ mod tests {
         assert_eq!(q1.to_string(), q2.to_string());
         assert_ne!(q1, q2, "the parses must differ structurally");
         let u = parse_update("delete //b//c").unwrap();
-        let analyzer = IndependenceAnalyzer::new(&d);
+        let defaults = AnalyzerConfig::default();
         let session = AnalysisSession::new(&d);
         for q in [&q1, &q2, &q1, &q2] {
-            assert!(
-                verdicts_eq(&session.check(q, &u), &analyzer.check(q, &u)),
+            assert_eq!(
+                session.check(q, &u),
+                fresh_check(&d, &defaults, q, &u),
                 "cached check diverged for {q}"
             );
         }
+    }
+
+    #[test]
+    fn explain_lists_chains_under_the_session_configuration() {
+        // A budget of 0 overflows every explicit inference, so `explain`
+        // must not list chain sets materialized under any other budget.
+        let d = Dtd::parse_compact(
+            "bib -> book* ; book -> (title, author*) ; title -> #PCDATA ; \
+             author -> #PCDATA",
+            "bib",
+        )
+        .unwrap();
+        let session = SessionBuilder::new(&d)
+            .engine(EngineKind::Explicit)
+            .explicit_budget(0)
+            .explain_options(ExplainOptions {
+                max_chains: 12,
+                list_chains: true,
+            })
+            .build();
+        let q = parse_query("//title").unwrap();
+        let u = parse_update("for $x in //book return insert <author/> into $x").unwrap();
+        let report = session.explain(&q, &u);
+        assert!(
+            report.contains("0 query chains, 0 update chains"),
+            "{report}"
+        );
+        assert!(
+            report
+                .contains("(chain sets not listed: explicit materialization exceeded its budget)"),
+            "{report}"
+        );
+        assert!(!report.contains("bib.book.title"), "{report}");
+    }
+
+    #[test]
+    fn explicit_chain_accessors_share_the_session_cache() {
+        let d = figure1();
+        let session = AnalysisSession::new(&d);
+        let q = parse_query("//a//c").unwrap();
+        let u = parse_update("delete //b//c").unwrap();
+        let k = session.k_for(&q, &u);
+        let qc = session
+            .explicit_query_chains(&q, k)
+            .expect("fits the budget");
+        let uc = session
+            .explicit_update_chains(&u, k)
+            .expect("fits the budget");
+        assert!(!qc.returns.is_empty() && !uc.is_empty());
+        assert_eq!(session.stats().explicit_inferences, 2);
+        // A second request is served from the cache, as the same `Arc`.
+        let again = session.explicit_query_chains(&q, k).unwrap();
+        assert!(Arc::ptr_eq(&qc, &again));
+        assert_eq!(session.stats().explicit_inferences, 2);
+        assert!(session.stats().explicit_cache_hits >= 1);
+        // Overflow is reported as `None` and remembered.
+        let tight = SessionBuilder::new(&d).explicit_budget(0).build();
+        assert!(tight.explicit_query_chains(&q, k).is_none());
+        assert!(tight.explicit_query_chains(&q, k).is_none());
+        assert_eq!(tight.stats().explicit_inferences, 1);
     }
 
     #[test]

@@ -6,8 +6,8 @@ use crate::views::NamedView;
 use crate::xmark::{xmark_document, xmark_dtd};
 use qui_baseline::TypeSetAnalyzer;
 use qui_core::parallel::run_indexed;
-use qui_core::{analyze_matrix, IndependenceAnalyzer, Jobs, SessionBuilder};
-use qui_xquery::{dynamic_independent, evaluate_query, DynamicOutcome, Query};
+use qui_core::{Jobs, SessionBuilder};
+use qui_xquery::{dynamic_independent, evaluate_query, DynamicOutcome};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -110,17 +110,10 @@ fn percentage(num: usize, den: usize) -> f64 {
 }
 
 /// Runs both static analyses on every (update, view) pair and compares them
-/// against the ground truth (Figs. 3.a and 3.b in one pass).
-pub fn precision_report(
-    views: &[NamedView],
-    updates: &[NamedUpdate],
-    truth: &HashMap<(String, String), bool>,
-) -> Vec<PrecisionRow> {
-    precision_report_jobs(views, updates, truth, Jobs::Auto)
-}
-
-/// [`precision_report`] with an explicit worker-count policy. The chain
-/// verdicts run on one long-lived
+/// against the ground truth (Figs. 3.a and 3.b in one pass), on the
+/// [`Jobs::Auto`] worker policy.
+///
+/// The chain verdicts run on one long-lived
 /// [`AnalysisSession`](qui_core::AnalysisSession): the views are registered
 /// once, then each update's row is an incremental
 /// [`add_update`](qui_core::AnalysisSession::add_update) — view chain
@@ -130,13 +123,13 @@ pub fn precision_report(
 /// cost (comparable row to row, as the Fig. 3.a series requires) rather
 /// than the first row absorbing all cold view-side inference. The type-set
 /// baseline row is sharded over the same pool. Verdicts are bit-identical
-/// to per-pair [`IndependenceAnalyzer::check`].
-pub fn precision_report_jobs(
+/// to per-pair checks on fresh sessions.
+pub fn precision_report(
     views: &[NamedView],
     updates: &[NamedUpdate],
     truth: &HashMap<(String, String), bool>,
-    jobs: Jobs,
 ) -> Vec<PrecisionRow> {
+    let jobs = Jobs::Auto;
     let dtd = xmark_dtd();
     let baseline = TypeSetAnalyzer::new(&dtd);
     let mut session = SessionBuilder::new(&dtd).jobs(jobs).build();
@@ -297,7 +290,6 @@ pub fn maintenance_simulation_jobs(
     jobs: Jobs,
 ) -> MaintenanceReport {
     let dtd = xmark_dtd();
-    let chains = IndependenceAnalyzer::new(&dtd);
     let baseline = TypeSetAnalyzer::new(&dtd);
     let mut doc = xmark_document(doc_nodes, seed);
     // Freeze once so every worker below shares the base arena through O(1)
@@ -307,12 +299,16 @@ pub fn maintenance_simulation_jobs(
 
     // Static verdicts per (update, view), batched so chain inference is
     // shared across the whole matrix (and itself sharded over the pool).
-    let view_queries: Vec<Query> = views.iter().map(|v| v.query.clone()).collect();
-    let update_exprs: Vec<_> = updates.iter().map(|u| u.update.clone()).collect();
-    let matrix = analyze_matrix(&dtd, &view_queries, &update_exprs, chains.config(), jobs);
+    let mut chains = SessionBuilder::new(&dtd).jobs(jobs).build();
+    chains.add_workload(
+        views.iter().map(|v| (v.name.to_string(), v.query.clone())),
+        updates
+            .iter()
+            .map(|u| (u.name.to_string(), u.update.clone())),
+    );
     let needs_chain: Vec<Vec<bool>> = (0..updates.len())
         .map(|ui| {
-            matrix
+            chains
                 .independent_flags(ui)
                 .into_iter()
                 .map(|independent| !independent)
@@ -435,7 +431,7 @@ mod tests {
         let (views, updates) = small_workload();
         let truth = ground_truth_matrix(&views, &updates, 2_000, &[3]);
         let dtd = xmark_dtd();
-        let analyzer = IndependenceAnalyzer::new(&dtd);
+        let analyzer = SessionBuilder::new(&dtd).build();
         for u in &updates {
             for v in &views {
                 let statically_independent = analyzer.check(&v.query, &u.update).is_independent();

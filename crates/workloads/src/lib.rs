@@ -31,8 +31,7 @@ pub mod xmark;
 
 pub use harness::{
     ground_truth_matrix, ground_truth_matrix_jobs, maintenance_simulation,
-    maintenance_simulation_jobs, precision_report, precision_report_jobs, MaintenanceReport,
-    PrecisionRow,
+    maintenance_simulation_jobs, precision_report, MaintenanceReport, PrecisionRow,
 };
 pub use maintain::{BatchStats, MaintainStrategy, MaintainedView, MaintenanceEngine};
 pub use rbench::{rbench_expression, rbench_schema};

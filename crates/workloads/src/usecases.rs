@@ -172,7 +172,7 @@ pub fn bib_pair(name: &str) -> Option<UseCasePair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qui_core::IndependenceAnalyzer;
+    use qui_core::AnalysisSession;
     use qui_xquery::{dynamic_independent, DynamicOutcome};
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
     fn paper_q2_u2_detected_only_by_chains() {
         let dtd = bib_dtd();
         let pair = bib_pair("uc1").unwrap();
-        let chains = IndependenceAnalyzer::new(&dtd);
+        let chains = AnalysisSession::new(&dtd);
         assert!(chains.check(&pair.query, &pair.update).is_independent());
         let types = qui_baseline::TypeSetAnalyzer::new(&dtd);
         assert!(
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn chain_verdicts_match_labels() {
         let dtd = bib_dtd();
-        let analyzer = IndependenceAnalyzer::new(&dtd);
+        let analyzer = AnalysisSession::new(&dtd);
         for pair in bib_pairs() {
             let verdict = analyzer.check(&pair.query, &pair.update);
             if pair.independent {

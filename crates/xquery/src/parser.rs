@@ -15,16 +15,21 @@
 //! This mirrors the rewriting the paper applies to the XMark / XPathMark
 //! expressions before analysis (§6.2).
 //!
-//! Nesting (parentheses, FLWR bodies, conditionals, predicates, element
-//! constructors) is bounded by a fixed depth limit, so a hostile input is
-//! rejected with a [`QueryParseError`] instead of overflowing the stack.
+//! One fixed depth limit bounds both the parser's recursion (parentheses,
+//! FLWR bodies, conditionals, predicates, element constructors) and the
+//! depth of the AST it returns. Every node the parser builds is counted,
+//! including the ones its loops chain up (path steps, predicates, sequence
+//! items, `and`/`or` operands, constructor content), so a hostile input —
+//! deeply nested or merely long — is rejected with a [`QueryParseError`]
+//! instead of overflowing the stack of whatever walks the AST.
 
 use crate::ast::{Axis, NodeTest, Query, Update, UpdatePos};
 use crate::ROOT_VAR;
 use std::fmt;
 
-/// Maximum nesting depth the parser accepts; beyond this the input is
-/// rejected rather than recursed into (bounding stack use on hostile input).
+/// Maximum nesting depth the parser accepts, both for its own recursion and
+/// for the levels of the AST it builds; beyond this the input is rejected
+/// (bounding stack use on hostile input).
 const MAX_DEPTH: usize = 64;
 
 /// An error produced while parsing a query or update.
@@ -73,7 +78,7 @@ struct P {
     context_var: String,
     /// Fresh-variable counter for desugaring.
     fresh: usize,
-    /// Current nesting depth (see [`MAX_DEPTH`]).
+    /// Current recursion depth (see [`MAX_DEPTH`]).
     depth: usize,
 }
 
@@ -96,12 +101,35 @@ impl P {
         production: impl FnOnce(&mut P) -> Result<T, QueryParseError>,
     ) -> Result<T, QueryParseError> {
         if self.depth >= MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
         let out = production(self);
         self.depth -= 1;
         out
+    }
+
+    fn too_deep(&self) -> QueryParseError {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Admits a query node the parser just built, failing when the AST it
+    /// roots is more than [`MAX_DEPTH`] levels deep. Every inner node the
+    /// parser builds passes through here (updates through
+    /// [`admit_update`](Self::admit_update)); its children were admitted
+    /// before it, so measuring it never recurses deeper than the limit.
+    fn admit(&self, q: Query) -> Result<Query, QueryParseError> {
+        if query_depth(&q) > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(q)
+    }
+
+    fn admit_update(&self, u: Update) -> Result<Update, QueryParseError> {
+        if update_depth(&u) > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(u)
     }
 
     fn err(&self, msg: impl Into<String>) -> QueryParseError {
@@ -220,7 +248,7 @@ impl P {
             if self.peek() == Some(',') {
                 self.pos += 1;
                 let rhs = self.parse_query_or()?;
-                q = Query::Concat(Box::new(q), Box::new(rhs));
+                q = self.admit(Query::Concat(Box::new(q), Box::new(rhs)))?;
             } else {
                 break;
             }
@@ -234,7 +262,7 @@ impl P {
         let mut q = self.parse_query_and()?;
         while self.eat_keyword("or") {
             let rhs = self.parse_query_and()?;
-            q = Query::Concat(Box::new(q), Box::new(rhs));
+            q = self.admit(Query::Concat(Box::new(q), Box::new(rhs)))?;
         }
         Ok(q)
     }
@@ -244,11 +272,11 @@ impl P {
         let mut q = self.parse_query_single()?;
         while self.eat_keyword("and") {
             let rhs = self.parse_query_single()?;
-            q = Query::If {
+            q = self.admit(Query::If {
                 cond: Box::new(q),
                 then: Box::new(rhs),
                 els: Box::new(Query::Empty),
-            };
+            })?;
         }
         Ok(q)
     }
@@ -265,7 +293,7 @@ impl P {
             let source = self.parse_query_or()?;
             self.expect_keyword("return")?;
             let ret = self.parse_query_single()?;
-            return Ok(Query::For {
+            return self.admit(Query::For {
                 var,
                 source: Box::new(source),
                 ret: Box::new(ret),
@@ -280,7 +308,7 @@ impl P {
             let source = self.parse_query_or()?;
             self.expect_keyword("return")?;
             let ret = self.parse_query_single()?;
-            return Ok(Query::Let {
+            return self.admit(Query::Let {
                 var,
                 source: Box::new(source),
                 ret: Box::new(ret),
@@ -295,7 +323,7 @@ impl P {
             } else {
                 Query::Empty
             };
-            return Ok(Query::If {
+            return self.admit(Query::If {
                 cond: Box::new(cond),
                 then: Box::new(then),
                 els: Box::new(els),
@@ -379,7 +407,7 @@ impl P {
         }
         if self.eat('/') {
             self.expect('>')?;
-            return Ok(Query::Element {
+            return self.admit(Query::Element {
                 tag,
                 content: Box::new(Query::Empty),
             });
@@ -402,13 +430,13 @@ impl P {
                 }
                 Some('<') => {
                     let inner = self.parse_element_constructor()?;
-                    content = Query::concat(content, inner);
+                    content = self.admit(Query::concat(content, inner))?;
                 }
                 Some('{') => {
                     self.pos += 1;
                     let inner = self.parse_query_seq()?;
                     self.expect('}')?;
-                    content = Query::concat(content, inner);
+                    content = self.admit(Query::concat(content, inner))?;
                 }
                 Some(_) => {
                     // literal text content up to '<' or '{'
@@ -422,13 +450,13 @@ impl P {
                     let text: String = self.chars[start..self.pos].iter().collect();
                     let text = text.trim().to_string();
                     if !text.is_empty() {
-                        content = Query::concat(content, Query::StringLit(text));
+                        content = self.admit(Query::concat(content, Query::StringLit(text)))?;
                     }
                 }
                 None => return Err(self.err("unterminated element constructor")),
             }
         }
-        Ok(Query::Element {
+        self.admit(Query::Element {
             tag,
             content: Box::new(content),
         })
@@ -473,7 +501,7 @@ impl P {
             && !RESERVED.iter().any(|kw| self.peek_keyword(kw));
         if relative_first {
             let steps = self.parse_step()?;
-            ctx = self.apply_steps(ctx, steps);
+            ctx = self.apply_steps(ctx, steps)?;
         }
         loop {
             self.skip_ws();
@@ -481,14 +509,14 @@ impl P {
                 Some('/') if self.peek_at(1) == Some('/') => {
                     self.pos += 2;
                     // `//φ` abbreviates `/descendant-or-self::node()/child::φ`
-                    ctx = self.apply_step(ctx, Axis::DescendantOrSelf, NodeTest::AnyNode);
+                    ctx = self.apply_step(ctx, Axis::DescendantOrSelf, NodeTest::AnyNode)?;
                     let steps = self.parse_step()?;
-                    ctx = self.apply_steps(ctx, steps);
+                    ctx = self.apply_steps(ctx, steps)?;
                 }
                 Some('/') => {
                     self.pos += 1;
                     let steps = self.parse_step()?;
-                    ctx = self.apply_steps(ctx, steps);
+                    ctx = self.apply_steps(ctx, steps)?;
                 }
                 Some('[') => {
                     self.pos += 1;
@@ -592,11 +620,15 @@ impl P {
     }
 
     /// Applies a sequence of desugared steps to a context expression.
-    fn apply_steps(&mut self, mut ctx: Query, steps: Vec<(Axis, NodeTest)>) -> Query {
+    fn apply_steps(
+        &mut self,
+        mut ctx: Query,
+        steps: Vec<(Axis, NodeTest)>,
+    ) -> Result<Query, QueryParseError> {
         for (axis, test) in steps {
-            ctx = self.apply_step(ctx, axis, test);
+            ctx = self.apply_step(ctx, axis, test)?;
         }
-        ctx
+        Ok(ctx)
     }
 
     fn parse_node_test(&mut self) -> Result<NodeTest, QueryParseError> {
@@ -621,20 +653,25 @@ impl P {
 
     /// Applies a step to a context expression, introducing a fresh iteration
     /// variable when the context is not already a plain variable.
-    fn apply_step(&mut self, ctx: Query, axis: Axis, test: NodeTest) -> Query {
+    fn apply_step(
+        &mut self,
+        ctx: Query,
+        axis: Axis,
+        test: NodeTest,
+    ) -> Result<Query, QueryParseError> {
         match &ctx {
             Query::Step {
                 var,
                 axis: Axis::SelfAxis,
                 test: NodeTest::AnyNode,
-            } => Query::step(var.clone(), axis, test),
+            } => Ok(Query::step(var.clone(), axis, test)),
             _ => {
                 let fresh = self.fresh_var();
-                Query::For {
+                self.admit(Query::For {
                     var: fresh.clone(),
                     source: Box::new(ctx),
                     ret: Box::new(Query::step(fresh, axis, test)),
-                }
+                })
             }
         }
     }
@@ -645,7 +682,7 @@ impl P {
         let saved = std::mem::replace(&mut self.context_var, fresh.clone());
         let pred = self.parse_query_seq()?;
         self.context_var = saved;
-        Ok(Query::For {
+        self.admit(Query::For {
             var: fresh.clone(),
             source: Box::new(ctx),
             ret: Box::new(Query::If {
@@ -665,7 +702,7 @@ impl P {
             if self.peek() == Some(',') {
                 self.pos += 1;
                 let rhs = self.parse_update_single()?;
-                u = Update::Concat(Box::new(u), Box::new(rhs));
+                u = self.admit_update(Update::Concat(Box::new(u), Box::new(rhs)))?;
             } else {
                 break;
             }
@@ -674,7 +711,8 @@ impl P {
     }
 
     fn parse_update_single(&mut self) -> Result<Update, QueryParseError> {
-        self.nested(P::update_single)
+        let u = self.nested(P::update_single)?;
+        self.admit_update(u)
     }
 
     fn update_single(&mut self) -> Result<Update, QueryParseError> {
@@ -801,6 +839,42 @@ impl P {
             return Ok(Update::Empty);
         }
         Err(self.err("expected an update expression"))
+    }
+}
+
+/// Levels of a query AST (a leaf is one level).
+fn query_depth(q: &Query) -> usize {
+    1 + match q {
+        Query::Empty | Query::StringLit(_) | Query::Step { .. } => 0,
+        Query::Element { content, .. } => query_depth(content),
+        Query::Concat(a, b)
+        | Query::For {
+            source: a, ret: b, ..
+        }
+        | Query::Let {
+            source: a, ret: b, ..
+        } => query_depth(a).max(query_depth(b)),
+        Query::If { cond, then, els } => query_depth(cond)
+            .max(query_depth(then))
+            .max(query_depth(els)),
+    }
+}
+
+/// Levels of an update AST, its target and source queries included.
+fn update_depth(u: &Update) -> usize {
+    1 + match u {
+        Update::Empty => 0,
+        Update::Concat(a, b) => update_depth(a).max(update_depth(b)),
+        Update::For { source, body, .. } | Update::Let { source, body, .. } => {
+            query_depth(source).max(update_depth(body))
+        }
+        Update::If { cond, then, els } => query_depth(cond)
+            .max(update_depth(then))
+            .max(update_depth(els)),
+        Update::Delete { target } | Update::Rename { target, .. } => query_depth(target),
+        Update::Insert { source, target, .. } | Update::Replace { target, source } => {
+            query_depth(source).max(query_depth(target))
+        }
     }
 }
 
@@ -964,6 +1038,44 @@ mod tests {
             parse_query(&deep(MAX_DEPTH - 1, "//a")).unwrap(),
             parse_query("//a").unwrap()
         );
+    }
+
+    #[test]
+    fn long_flat_inputs_beyond_the_depth_limit_are_errors() {
+        // Loops build one AST level per iteration; every shape is rejected
+        // once it chains more levels than the limit, however flat its text.
+        for n in [3_000, 20_000] {
+            let queries = [
+                format!("/bib{}", "/book".repeat(n)),
+                format!("/bib{}", "/book[title]".repeat(n)),
+                vec!["//title"; n].join(", "),
+            ];
+            for q in &queries {
+                let err = parse_query(q).unwrap_err();
+                assert!(err.message.contains("nesting"), "{err}");
+            }
+            let updates = [
+                vec!["delete //title"; n].join(", "),
+                format!("delete /bib{}", "/book".repeat(n)),
+            ];
+            for u in &updates {
+                let err = parse_update(u).unwrap_err();
+                assert!(err.message.contains("nesting"), "{err}");
+            }
+        }
+        // The same shapes at a modest length still parse, up to exactly the
+        // limit.
+        assert!(parse_query(&format!("/bib{}", "/book[title]".repeat(20))).is_ok());
+        assert!(parse_query(&vec!["//title"; 20].join(", ")).is_ok());
+        let path = format!("/bib{}", "/book".repeat(MAX_DEPTH - 1));
+        assert_eq!(query_depth(&parse_query(&path).unwrap()), MAX_DEPTH);
+        let path = format!("/bib{}", "/book".repeat(MAX_DEPTH));
+        assert!(parse_query(&path).is_err());
+        // `delete //a` is three levels deep; each further item adds one.
+        let seq = vec!["delete //a"; MAX_DEPTH - 2].join(", ");
+        assert_eq!(update_depth(&parse_update(&seq).unwrap()), MAX_DEPTH);
+        let seq = vec!["delete //a"; MAX_DEPTH - 1].join(", ");
+        assert!(parse_update(&seq).is_err());
     }
 
     #[test]

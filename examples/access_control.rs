@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example access_control`.
 
-use xml_qui::core::IndependenceAnalyzer;
+use xml_qui::core::SessionBuilder;
 use xml_qui::schema::Dtd;
 use xml_qui::xquery::{parse_query, parse_update};
 
@@ -21,7 +21,7 @@ fn main() {
         "hospital",
     )
     .unwrap();
-    let analyzer = IndependenceAnalyzer::new(&dtd);
+    let session = SessionBuilder::new(&dtd).build();
 
     // The protected region: everything reachable through diagnoses.
     let policy = parse_query("//record/diagnosis").unwrap();
@@ -44,7 +44,7 @@ fn main() {
     println!("policy: updates must be independent of {policy}");
     for (label, src) in requests {
         let update = parse_update(src).unwrap();
-        let verdict = analyzer.check(&policy, &update);
+        let verdict = session.check(&policy, &update);
         println!(
             "  [{}] {label}",
             if verdict.is_independent() {

@@ -5,13 +5,13 @@
 //! Run with `cargo run --example bibliography`.
 
 use xml_qui::baseline::TypeSetAnalyzer;
-use xml_qui::core::IndependenceAnalyzer;
+use xml_qui::core::SessionBuilder;
 use xml_qui::workloads::usecases::{bib_document, bib_dtd, bib_pairs};
 use xml_qui::xquery::{dynamic_independent, DynamicOutcome};
 
 fn main() {
     let dtd = bib_dtd();
-    let chains = IndependenceAnalyzer::new(&dtd);
+    let chains = SessionBuilder::new(&dtd).build();
     let types = TypeSetAnalyzer::new(&dtd);
     let doc = bib_document(400, 7);
 

@@ -7,7 +7,7 @@
 //!
 //! Run with `cargo run --example dtd_inference`.
 
-use xml_qui::core::IndependenceAnalyzer;
+use xml_qui::core::SessionBuilder;
 use xml_qui::schema::infer::infer_dtd;
 use xml_qui::xmlstore::parse_xml;
 use xml_qui::xquery::{parse_query, parse_update};
@@ -53,10 +53,10 @@ fn main() {
 
     // Use the inferred schema for independence analysis: refreshing a view of
     // customer names is not needed when an update only touches order lines.
-    let analyzer = IndependenceAnalyzer::new(&inferred.dtd);
+    let session = SessionBuilder::new(&inferred.dtd).build();
     let view = parse_query("//order/customer").unwrap();
     let update = parse_update("for $l in //line return delete $l/note").unwrap();
-    let verdict = analyzer.check(&view, &update);
+    let verdict = session.check(&view, &update);
     println!(
         "\nview //order/customer vs update 'delete //line/note': {}",
         if verdict.is_independent() {
@@ -67,7 +67,7 @@ fn main() {
     );
 
     let update2 = parse_update("for $o in //order return rename $o/customer as client").unwrap();
-    let verdict2 = analyzer.check(&view, &update2);
+    let verdict2 = session.check(&view, &update2);
     println!(
         "view //order/customer vs update 'rename customer as client': {}",
         if verdict2.is_independent() {

@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use xml_qui::core::IndependenceAnalyzer;
+use xml_qui::core::SessionBuilder;
 use xml_qui::schema::Dtd;
 use xml_qui::xquery::{parse_query, parse_update};
 
@@ -11,8 +11,8 @@ fn main() {
     let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c ; b -> c", "doc").unwrap();
     let q1 = parse_query("//a//c").unwrap();
     let u1 = parse_update("delete //b//c").unwrap();
-    let analyzer = IndependenceAnalyzer::new(&dtd);
-    let verdict = analyzer.check(&q1, &u1);
+    let session = SessionBuilder::new(&dtd).build();
+    let verdict = session.check(&q1, &u1);
     println!("q1 = //a//c   u1 = delete //b//c");
     println!(
         "  chain analysis: {} (k = {}, engine = {:?})",
@@ -35,11 +35,11 @@ fn main() {
     .unwrap();
     let q2 = parse_query("//title").unwrap();
     let u2 = parse_update("for $x in //book return insert <author/> into $x").unwrap();
-    let analyzer = IndependenceAnalyzer::new(&bib);
+    let session = SessionBuilder::new(&bib).build();
     println!("q2 = //title   u2 = insert <author/> into //book");
     println!(
         "  chain analysis: {}",
-        if analyzer.check(&q2, &u2).is_independent() {
+        if session.check(&q2, &u2).is_independent() {
             "INDEPENDENT"
         } else {
             "dependent"
@@ -57,7 +57,7 @@ fn main() {
 
     // A pair that really is dependent — the analysis reports a witness.
     let q3 = parse_query("//author//last").unwrap();
-    let v = analyzer.check(&q3, &u2);
+    let v = session.check(&q3, &u2);
     println!("q3 = //author//last   u2 as above");
     println!(
         "  chain analysis: {}",

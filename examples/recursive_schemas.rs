@@ -6,7 +6,7 @@
 
 use std::time::Instant;
 use xml_qui::core::engine::cdag::CdagEngine;
-use xml_qui::core::{k_for_pair, k_of_query, k_of_update, IndependenceAnalyzer};
+use xml_qui::core::{k_for_pair, k_of_query, k_of_update, SessionBuilder};
 use xml_qui::schema::Dtd;
 use xml_qui::workloads::{rbench_expression, rbench_schema};
 use xml_qui::xquery::{parse_query, parse_update};
@@ -31,10 +31,10 @@ fn main() {
         k_of_update(&u),
         k_for_pair(&q, &u)
     );
-    let analyzer = IndependenceAnalyzer::new(&d1);
+    let session = SessionBuilder::new(&d1).build();
     println!(
         "verdict: {} (they are dependent — deleting c can remove descendants of returned b nodes)",
-        if analyzer.check(&q, &u).is_independent() {
+        if session.check(&q, &u).is_independent() {
             "independent"
         } else {
             "dependent"

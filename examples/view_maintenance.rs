@@ -5,13 +5,13 @@
 //! Run with `cargo run --release --example view_maintenance`.
 
 use std::time::Instant;
-use xml_qui::core::IndependenceAnalyzer;
+use xml_qui::core::SessionBuilder;
 use xml_qui::workloads::{all_updates, all_views, xmark_document, xmark_dtd};
 use xml_qui::xquery::{apply_pending_list, evaluate_query, evaluate_update};
 
 fn main() {
     let dtd = xmark_dtd();
-    let analyzer = IndependenceAnalyzer::new(&dtd);
+    let session = SessionBuilder::new(&dtd).build();
     let views: Vec<_> = all_views().into_iter().take(12).collect();
     let updates: Vec<_> = all_updates().into_iter().take(8).collect();
     let mut doc = xmark_document(8_000, 42);
@@ -37,7 +37,7 @@ fn main() {
         // Decide statically which views need a refresh.
         let decisions: Vec<bool> = views
             .iter()
-            .map(|v| !analyzer.check(&v.query, &u.update).is_independent())
+            .map(|v| !session.check(&v.query, &u.update).is_independent())
             .collect();
         // Apply the update.
         let upl = evaluate_update(&mut doc.store, root, &u.update).unwrap();

@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 use xml_qui::baseline::TypeSetAnalyzer;
 use xml_qui::core::{
-    AnalyzerConfig, CommutativityAnalyzer, EngineKind, IndependenceAnalyzer, Jobs, Request,
-    ServeConfig, Server, SessionBuilder, SessionHandler, SessionRegistry,
+    AnalysisSession, AnalyzerConfig, CommutativityAnalyzer, EngineKind, Jobs, Request, ServeConfig,
+    Server, SessionBuilder, SessionHandler, SessionRegistry,
 };
 use xml_qui::schema::infer::infer_dtd;
 use xml_qui::schema::{generate_valid, Dtd, GenValidConfig};
@@ -391,9 +391,12 @@ fn cmd_chains(args: &CliArgs) -> Result<String, String> {
         (None, Some(_)) => (Query::Empty, load_update(args, "--update")?),
         _ => return Err("chains expects exactly one of --query or --update".to_string()),
     };
-    let analyzer = IndependenceAnalyzer::new(&dtd);
-    let k = args.get_usize("--k", analyzer.k_for(&q, &u).max(1))?;
-    let Some((qc, uc)) = analyzer.infer_explicit(&q, &u, k) else {
+    let session = AnalysisSession::new(&dtd);
+    let k = args.get_usize("--k", session.k_for(&q, &u).max(1))?;
+    let chains = session
+        .explicit_query_chains(&q, k)
+        .zip(session.explicit_update_chains(&u, k));
+    let Some((qc, uc)) = chains else {
         return Err("chain materialization exceeded the explicit engine budget".to_string());
     };
     let mut out = String::new();

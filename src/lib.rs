@@ -15,10 +15,8 @@
 //!   independence checker used as ground truth in tests (paper §2).
 //! * [`core`] — the paper's contribution: chain inference (paper §3), the
 //!   infinite analysis (§4), the finite `k`-chain analysis (§5) and the
-//!   CDAG-based implementation (§6.1). The main entry point is the stateful
-//!   [`core::AnalysisSession`] (built with [`core::SessionBuilder`]);
-//!   the stateless [`core::IndependenceAnalyzer`] is kept as a thin
-//!   wrapper.
+//!   CDAG-based implementation (§6.1). Its one entry point is the stateful
+//!   [`core::AnalysisSession`] (built with [`core::SessionBuilder`]).
 //! * [`baseline`] — a re-implementation of the schema-based *type set*
 //!   analysis of Benedikt & Cheney used as the comparison baseline.
 //! * [`workloads`] — XMark / XPathMark workloads, the update sets of §6.2,
@@ -31,15 +29,15 @@
 //! ```
 //! use xml_qui::schema::Dtd;
 //! use xml_qui::xquery::{parse_query, parse_update};
-//! use xml_qui::core::IndependenceAnalyzer;
+//! use xml_qui::core::SessionBuilder;
 //!
 //! // The DTD from Figure 1 of the paper.
 //! let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c ; b -> c", "doc").unwrap();
 //! let q = parse_query("//a//c").unwrap();
 //! let u = parse_update("delete //b//c").unwrap();
 //!
-//! let analyzer = IndependenceAnalyzer::new(&dtd);
-//! assert!(analyzer.check(&q, &u).is_independent());
+//! let session = SessionBuilder::new(&dtd).build();
+//! assert!(session.check(&q, &u).is_independent());
 //! ```
 
 pub use qui_baseline as baseline;

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use xml_qui::baseline::TypeSetAnalyzer;
-use xml_qui::core::IndependenceAnalyzer;
+use xml_qui::core::AnalysisSession;
 use xml_qui::schema::infer::infer_dtd;
 use xml_qui::schema::{generate_valid, with_attributes, AttrDecl, Dtd, GenValidConfig};
 use xml_qui::xmlstore::{parse_xml_keep_attributes, serialize_tree_with_attributes, Tree};
@@ -56,7 +56,7 @@ fn attribute_queries_evaluate_against_the_encoding() {
 #[test]
 fn attribute_independence_is_detected_by_chains() {
     let dtd = catalog_dtd();
-    let analyzer = IndependenceAnalyzer::new(&dtd);
+    let analyzer = AnalysisSession::new(&dtd);
     let q = parse_query("//item/@id").unwrap();
 
     // Touching a *different* attribute of the same element is independent —
@@ -90,9 +90,7 @@ fn chains_beat_types_on_attributes_of_sibling_elements() {
     let dtd = catalog_dtd();
     let q = parse_query("//name/@style").unwrap();
     let u = parse_update("delete //item/@lang").unwrap();
-    assert!(IndependenceAnalyzer::new(&dtd)
-        .check(&q, &u)
-        .is_independent());
+    assert!(AnalysisSession::new(&dtd).check(&q, &u).is_independent());
     // (The type-set baseline may or may not: @lang and @style are distinct
     // types, but the traversed set of //name/@style includes item. We only
     // assert the chain analysis, plus baseline soundness.)
@@ -208,7 +206,7 @@ fn inference_feeds_the_independence_analysis() {
         .map(|seed| generate_valid(source, &GenValidConfig::with_target(150), seed))
         .collect();
     let inferred = infer_dtd(&corpus).unwrap();
-    let analyzer = IndependenceAnalyzer::new(&inferred.dtd);
+    let analyzer = AnalysisSession::new(&inferred.dtd);
     let q = parse_query("//title").unwrap();
     let u = parse_update("for $x in //book return insert <author/> into $x").unwrap();
     assert!(analyzer.check(&q, &u).is_independent());

@@ -3,11 +3,11 @@
 //!
 //! * **N-thread bit-identity** — many threads hammering `check()` on one
 //!   shared session produce verdicts bit-identical (every `Verdict` field,
-//!   witnesses included) to a fresh single-threaded analyzer, across engine
+//!   witnesses included) to a fresh single-threaded session, across engine
 //!   policies and explicit budgets (including the overflow → CDAG fallback);
 //! * **interleaved edits** — readers running ad-hoc checks while another
 //!   thread edits the workload never observe a torn matrix, and the final
-//!   session state matches a from-scratch `analyze_matrix`;
+//!   session state matches a from-scratch `add_workload` on a fresh session;
 //! * an HTTP smoke test through the public facade: the wire verdict equals
 //!   the in-process one.
 
@@ -16,10 +16,10 @@ use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use xml_qui::core::parallel::{analyze_matrix, Jobs};
+use xml_qui::core::parallel::Jobs;
 use xml_qui::core::{
-    AnalyzerConfig, EngineKind, IndependenceAnalyzer, Json, Request, Response, ServeConfig, Server,
-    SessionBuilder, SessionRegistry, SharedSession, Verdict,
+    AnalyzerConfig, EngineKind, Json, Request, Response, ServeConfig, Server, SessionBuilder,
+    SessionRegistry, SharedSession, Verdict,
 };
 use xml_qui::schema::Dtd;
 use xml_qui::xquery::{parse_query, parse_update, Query, Update};
@@ -37,17 +37,12 @@ const UPDATES: &[&str] = &[
     "for $x in //b return insert <d/> into $x",
 ];
 
-/// Bit-level equality of two verdicts (every observable field; `Verdict`
-/// deliberately does not implement `PartialEq`).
-fn verdicts_eq(a: &Verdict, b: &Verdict) -> bool {
-    a.is_independent() == b.is_independent()
-        && a.k == b.k
-        && a.k_query == b.k_query
-        && a.k_update == b.k_update
-        && a.engine_used == b.engine_used
-        && a.witness == b.witness
-        && a.query_chain_count == b.query_chain_count
-        && a.update_chain_count == b.update_chain_count
+/// The verdict of a fresh one-shot session: the from-scratch reference.
+fn fresh_check(dtd: &Dtd, config: &AnalyzerConfig, q: &Query, u: &Update) -> Verdict {
+    SessionBuilder::new(dtd)
+        .config(config.clone())
+        .build()
+        .check(q, u)
 }
 
 fn pairs() -> Vec<(Query, Update)> {
@@ -59,7 +54,7 @@ fn pairs() -> Vec<(Query, Update)> {
 }
 
 /// The tentpole acceptance test: 8 threads × repeated `check()` calls on one
-/// shared session agree bit-for-bit with a fresh single-threaded analyzer,
+/// shared session agree bit-for-bit with a fresh single-threaded session,
 /// for every engine policy and for budgets on both sides of the explicit
 /// overflow threshold.
 #[test]
@@ -75,10 +70,11 @@ fn concurrent_checks_are_bit_identical_across_engines_and_budgets() {
                     explicit_budget: budget,
                     ..Default::default()
                 };
-                let analyzer = IndependenceAnalyzer::with_config(&dtd, config.clone());
                 let pairs = pairs();
-                let expected: Vec<Verdict> =
-                    pairs.iter().map(|(q, u)| analyzer.check(q, u)).collect();
+                let expected: Vec<Verdict> = pairs
+                    .iter()
+                    .map(|(q, u)| fresh_check(&dtd, &config, q, u))
+                    .collect();
                 let session = SessionBuilder::new(&dtd).config(config).build();
                 std::thread::scope(|s| {
                     for t in 0..threads {
@@ -92,7 +88,7 @@ fn concurrent_checks_are_bit_identical_across_engines_and_budgets() {
                                     let (q, u) = &pairs[i];
                                     let v = session.check(q, u);
                                     assert!(
-                                        verdicts_eq(&v, &expected[i]),
+                                        v == expected[i],
                                         "thread {t} round {round} pair {i} diverged \
                                          ({engine:?}, budget {budget}):\n  \
                                          concurrent: {v:?}\n  fresh:      {:?}",
@@ -185,14 +181,20 @@ fn interleaved_edits_and_readers_match_from_scratch_matrix() {
         let updates: Vec<Update> = session.updates().map(|(_, u)| u.clone()).collect();
         assert_eq!(views.len(), QUERIES.len() - 1);
         assert_eq!(updates.len(), UPDATES.len() - 1);
-        let fresh = analyze_matrix(&dtd, &views, &updates, &config, Jobs::Fixed(1));
-        let materialized = session.verdicts();
+        let mut fresh = SessionBuilder::new(&dtd)
+            .config(config.clone())
+            .jobs(Jobs::Fixed(1))
+            .build();
+        fresh.add_workload(
+            session.views().map(|(n, q)| (n.to_string(), q.clone())),
+            session.updates().map(|(n, u)| (n.to_string(), u.clone())),
+        );
         for ui in 0..fresh.n_updates() {
             for vi in 0..fresh.n_views() {
                 assert!(
-                    verdicts_eq(materialized.verdict(ui, vi), fresh.verdict(ui, vi)),
+                    session.verdict(ui, vi) == fresh.verdict(ui, vi),
                     "cell (view {vi}, update {ui}) diverged:\n  session: {:?}\n  fresh:   {:?}",
-                    materialized.verdict(ui, vi),
+                    session.verdict(ui, vi),
                     fresh.verdict(ui, vi)
                 );
             }
@@ -270,7 +272,9 @@ fn http_json(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -
 #[test]
 fn http_serve_smoke_matches_in_process_verdict() {
     let dtd = Dtd::parse_compact(FIG1, "doc").unwrap();
-    let expected = IndependenceAnalyzer::new(&dtd).check(
+    let expected = fresh_check(
+        &dtd,
+        &AnalyzerConfig::default(),
         &parse_query("//a//c").unwrap(),
         &parse_update("delete //b//c").unwrap(),
     );

@@ -23,16 +23,53 @@
 use proptest::prelude::*;
 use xml_qui::core::engine::cdag::CdagEngine;
 use xml_qui::core::engine::explicit::ExplicitEngine;
-use xml_qui::core::parallel::assert_matches_sequential;
 use xml_qui::core::{
-    analyze_matrix, AnalyzerConfig, ChainProjector, EngineKind, IndependenceAnalyzer, Jobs,
-    Universe,
+    AnalysisSession, AnalyzerConfig, ChainProjector, EngineKind, Jobs, SessionBuilder, Universe,
+    Verdict,
 };
 use xml_qui::schema::Corpus;
 use xml_qui::schema::{Chain, Dtd, SchemaLike};
 use xml_qui::xmlstore::parse_xml;
 use xml_qui::xquery::dynamic::snapshot_query;
 use xml_qui::xquery::{parse_query, parse_update, Axis, NodeTest, Query, Update};
+
+/// The verdict of a fresh one-shot session: the per-pair reference.
+fn fresh_check<S: SchemaLike>(
+    schema: &S,
+    config: &AnalyzerConfig,
+    q: &Query,
+    u: &Update,
+) -> Verdict {
+    SessionBuilder::new(schema)
+        .config(config.clone())
+        .build()
+        .check(q, u)
+}
+
+/// A fresh session holding the whole workload, registered in one batch.
+fn fresh_matrix<'a, S: SchemaLike + Sync>(
+    schema: &'a S,
+    views: &[Query],
+    updates: &[Update],
+    config: &AnalyzerConfig,
+    jobs: Jobs,
+) -> AnalysisSession<'a, S> {
+    let mut session = SessionBuilder::new(schema)
+        .config(config.clone())
+        .jobs(jobs)
+        .build();
+    session.add_workload(
+        views
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (format!("v{}", i + 1), q.clone())),
+        updates
+            .iter()
+            .enumerate()
+            .map(|(i, u)| (format!("u{}", i + 1), u.clone())),
+    );
+    session
+}
 
 /// Deterministic case count, raised by the nightly run via
 /// `QUI_PROPTEST_CASES`.
@@ -212,15 +249,16 @@ proptest! {
         }
         // (3) Production equality: the CDAG-first auto pipeline answers
         // with full explicit precision.
-        let auto = IndependenceAnalyzer::with_config(
+        let auto = fresh_check(
             schema,
-            AnalyzerConfig {
+            &AnalyzerConfig {
                 k_override: Some(k),
                 explicit_budget: 100_000,
                 ..Default::default()
             },
-        )
-        .check(&q, &u);
+            &q,
+            &u,
+        );
         prop_assert_eq!(
             auto.is_independent(), explicit,
             "the CDAG-first auto verdict mismatches the explicit engine on ({}, {}) at k = {}",
@@ -294,15 +332,16 @@ proptest! {
             "UNSOUND: CDAG claims ({}, {}) independent at k = {} on corpus schema #{}, explicit refutes",
             q, u, k, si % pool.len()
         );
-        let auto = IndependenceAnalyzer::with_config(
+        let auto = fresh_check(
             schema,
-            AnalyzerConfig {
+            &AnalyzerConfig {
                 k_override: Some(k),
                 explicit_budget: 100_000,
                 ..Default::default()
             },
-        )
-        .check(&q, &u);
+            &q,
+            &u,
+        );
         prop_assert_eq!(
             auto.is_independent(), explicit,
             "the CDAG-first auto verdict mismatches the explicit engine on ({}, {}) at k = {} on corpus schema #{}",
@@ -473,7 +512,7 @@ fn budget_straddling_matrix_mixes_engines_and_stays_bit_identical() {
         explicit_budget: 60,
         ..Default::default()
     };
-    let reference = analyze_matrix(&schema, &views, &updates, &config, Jobs::Fixed(1));
+    let reference = fresh_matrix(&schema, &views, &updates, &config, Jobs::Fixed(1));
     // The workload genuinely straddles the budget: both engines appear.
     let engines: Vec<EngineKind> = (0..updates.len())
         .flat_map(|ui| (0..views.len()).map(move |vi| (ui, vi)))
@@ -487,21 +526,21 @@ fn budget_straddling_matrix_mixes_engines_and_stays_bit_identical() {
         engines.contains(&EngineKind::Cdag),
         "no cell used the CDAG engine — the budget no longer straddles: {engines:?}"
     );
-    // Cell-for-cell mirroring of the sequential analyzer, for every worker
+    // Cell-for-cell mirroring of per-pair fresh checks, for every worker
     // count, including witnesses.
     for jobs in [1usize, 2, 8] {
-        let m = analyze_matrix(&schema, &views, &updates, &config, Jobs::Fixed(jobs));
-        assert_matches_sequential(&schema, &views, &updates, &config, &m);
-        for ui in 0..updates.len() {
-            for vi in 0..views.len() {
-                let a = reference.verdict(ui, vi);
-                let b = m.verdict(ui, vi);
-                assert!(
-                    a.is_independent() == b.is_independent()
-                        && a.engine_used == b.engine_used
-                        && a.witness == b.witness
-                        && a.query_chain_count == b.query_chain_count
-                        && a.update_chain_count == b.update_chain_count,
+        let m = fresh_matrix(&schema, &views, &updates, &config, Jobs::Fixed(jobs));
+        for (ui, u) in updates.iter().enumerate() {
+            for (vi, v) in views.iter().enumerate() {
+                let seq = fresh_check(&schema, &config, v, u);
+                assert_eq!(
+                    &seq,
+                    m.verdict(ui, vi),
+                    "cell (view {vi}, update {ui}) diverged from the per-pair check"
+                );
+                assert_eq!(
+                    reference.verdict(ui, vi),
+                    m.verdict(ui, vi),
                     "jobs = {jobs} diverged at cell ({ui}, {vi})"
                 );
             }
@@ -523,7 +562,7 @@ fn dependent_verdicts_carry_valid_witnesses_whichever_engine_answers() {
         explicit_budget: 60,
         ..Default::default()
     };
-    let reference = analyze_matrix(&schema, &views, &updates, &config, Jobs::Fixed(1));
+    let reference = fresh_matrix(&schema, &views, &updates, &config, Jobs::Fixed(1));
     let mut cdag_dependent = 0usize;
     for ui in 0..updates.len() {
         for vi in 0..views.len() {
@@ -567,22 +606,18 @@ fn dependent_verdicts_carry_valid_witnesses_whichever_engine_answers() {
     // Forced-CDAG dependent verdicts carry one too, and deterministically so
     // (checked across worker counts by the bit-identity test above via the
     // overflowed cells; here for the forced engine).
-    let forced = IndependenceAnalyzer::with_config(
-        &schema,
-        AnalyzerConfig {
-            engine: EngineKind::Cdag,
-            ..Default::default()
-        },
-    );
+    let forced = AnalyzerConfig {
+        engine: EngineKind::Cdag,
+        ..Default::default()
+    };
     let q = parse_query("//b").unwrap();
     let u = parse_update("delete //b//c").unwrap();
-    let v = forced.check(&q, &u);
+    let v = fresh_check(&schema, &forced, &q, &u);
     assert!(!v.is_independent());
     let w1 = v
         .witness
         .expect("forced-CDAG dependent verdict carries a witness");
-    let w2 = forced
-        .check(&q, &u)
+    let w2 = fresh_check(&schema, &forced, &q, &u)
         .witness
         .expect("witness on the second check too");
     assert_eq!(w1, w2, "CDAG witness synthesis must be deterministic");
@@ -602,13 +637,13 @@ fn forced_engines_agree_with_auto_on_the_straddling_flat_half() {
                 engine,
                 ..Default::default()
             };
-            let analyzer = IndependenceAnalyzer::with_config(&schema, config);
+            let session = SessionBuilder::new(&schema).config(config).build();
             flat_updates
                 .iter()
                 .flat_map(|u| {
                     flat_views
                         .iter()
-                        .map(|v| analyzer.check(v, u).is_independent())
+                        .map(|v| session.check(v, u).is_independent())
                 })
                 .collect()
         })

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use xml_qui::core::{
-    k_for_pair, k_of_query, k_of_update, AnalyzerConfig, EngineKind, IndependenceAnalyzer,
+    k_for_pair, k_of_query, k_of_update, AnalysisSession, EngineKind, SessionBuilder,
 };
 use xml_qui::schema::Dtd;
 use xml_qui::xquery::{parse_query, parse_update, Query, Update};
@@ -28,15 +28,11 @@ fn fig1() -> Dtd {
 }
 
 fn check_with_k(dtd: &Dtd, q: &Query, u: &Update, k: usize, engine: EngineKind) -> bool {
-    let analyzer = IndependenceAnalyzer::with_config(
-        dtd,
-        AnalyzerConfig {
-            engine,
-            k_override: Some(k),
-            ..Default::default()
-        },
-    );
-    analyzer.check(q, u).is_independent()
+    let session = SessionBuilder::new(dtd)
+        .engine(engine)
+        .k_override(Some(k))
+        .build();
+    session.check(q, u).is_independent()
 }
 
 const RECURSIVE_QUERIES: &[&str] = &[
@@ -131,7 +127,7 @@ proptest! {
         let q = parse_query(queries[qi]).unwrap();
         let u = parse_update(updates[ui]).unwrap();
         let fixed = check_with_k(&dtd, &q, &u, k, EngineKind::Explicit);
-        let natural = IndependenceAnalyzer::new(&dtd).check(&q, &u).is_independent();
+        let natural = AnalysisSession::new(&dtd).check(&q, &u).is_independent();
         prop_assert_eq!(fixed, natural);
     }
 

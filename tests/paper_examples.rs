@@ -2,7 +2,7 @@
 //! crates: parsing, validation, chain inference and the independence verdict.
 
 use xml_qui::baseline::TypeSetAnalyzer;
-use xml_qui::core::{EngineKind, IndependenceAnalyzer};
+use xml_qui::core::{AnalysisSession, EngineKind, SessionBuilder};
 use xml_qui::schema::Dtd;
 use xml_qui::xmlstore::parse_xml;
 use xml_qui::xquery::{dynamic_independent, parse_query, parse_update, DynamicOutcome};
@@ -34,9 +34,7 @@ fn introduction_example_q1_u1() {
     let d = figure1();
     let q1 = parse_query("//a//c").unwrap();
     let u1 = parse_update("delete //b//c").unwrap();
-    assert!(IndependenceAnalyzer::new(&d)
-        .check(&q1, &u1)
-        .is_independent());
+    assert!(AnalysisSession::new(&d).check(&q1, &u1).is_independent());
     // The schema-less / type-set views of the world miss it.
     assert!(!TypeSetAnalyzer::new(&d).independent(&q1, &u1));
     // And dynamically the query result indeed never changes.
@@ -52,9 +50,7 @@ fn introduction_example_q2_u2() {
     let d = bib();
     let q2 = parse_query("//title").unwrap();
     let u2 = parse_update("for $x in //book return insert <author/> into $x").unwrap();
-    assert!(IndependenceAnalyzer::new(&d)
-        .check(&q2, &u2)
-        .is_independent());
+    assert!(AnalysisSession::new(&d).check(&q2, &u2).is_independent());
     assert!(!TypeSetAnalyzer::new(&d).independent(&q2, &u2));
 }
 
@@ -67,7 +63,7 @@ fn section3_nested_constructor_example() {
         "for $x in //book return insert <author><first>Umberto</first><last>Eco</last></author> into $x",
     )
     .unwrap();
-    let a = IndependenceAnalyzer::new(&d);
+    let a = AnalysisSession::new(&d);
     assert!(a
         .check(&parse_query("//title").unwrap(), &u)
         .is_independent());
@@ -95,7 +91,7 @@ fn section5_finite_analysis_example() {
         .unwrap();
     let q = parse_query("$root/descendant::b").unwrap();
     let u = parse_update("delete $root/descendant::c").unwrap();
-    let v = IndependenceAnalyzer::new(&d1).check(&q, &u);
+    let v = AnalysisSession::new(&d1).check(&q, &u);
     assert_eq!(v.k, 2);
     assert!(!v.is_independent());
 }
@@ -113,15 +109,9 @@ fn both_engines_agree_on_paper_examples() {
         let q = parse_query(qs).unwrap();
         let u = parse_update(us).unwrap();
         for engine in [EngineKind::Explicit, EngineKind::Cdag] {
-            let analyzer = IndependenceAnalyzer::with_config(
-                &d,
-                xml_qui::core::AnalyzerConfig {
-                    engine,
-                    ..Default::default()
-                },
-            );
+            let session = SessionBuilder::new(&d).engine(engine).build();
             assert_eq!(
-                analyzer.check(&q, &u).is_independent(),
+                session.check(&q, &u).is_independent(),
                 expected,
                 "pair ({qs}, {us}) with engine {engine:?}"
             );
@@ -140,7 +130,7 @@ fn extended_dtd_analysis_distinguishes_types_with_same_label() {
     )
     .unwrap();
     let edtd = xml_qui::schema::Edtd::with_indexed_types(types);
-    let analyzer = IndependenceAnalyzer::new(&edtd);
+    let analyzer = AnalysisSession::new(&edtd);
     let q = parse_query("/old/item").unwrap();
     let u = parse_update("delete /new/item/price").unwrap();
     assert!(analyzer.check(&q, &u).is_independent());

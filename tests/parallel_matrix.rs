@@ -1,14 +1,13 @@
-//! Property tests for the parallel batch-analysis subsystem
-//! (`qui_core::parallel`): for any schema, view set, update set and engine
-//! policy, the batched matrix must produce verdicts — including witnesses and
-//! chain counts — identical to the sequential per-pair analyzer, for any
-//! worker count, and repeated parallel runs must be deterministic.
+//! Property tests for the parallel batch analysis (`qui_core::parallel` under
+//! `AnalysisSession::add_workload`): for any schema, view set, update set
+//! and engine policy, the batched matrix must produce verdicts — including
+//! witnesses and chain counts — identical to per-pair checks on fresh
+//! sessions, for any worker count, and repeated parallel runs must be
+//! deterministic.
 
 use proptest::prelude::*;
-use xml_qui::core::matrix_reports;
-use xml_qui::core::parallel::{analyze_matrix, assert_matches_sequential, Jobs};
-use xml_qui::core::session::SessionBuilder;
-use xml_qui::core::{AnalyzerConfig, EngineKind, IndependenceAnalyzer, MatrixVerdicts};
+use xml_qui::core::parallel::Jobs;
+use xml_qui::core::{AnalysisSession, AnalyzerConfig, EngineKind, SessionBuilder, Verdict};
 use xml_qui::schema::Dtd;
 use xml_qui::workloads::{all_updates, all_views};
 use xml_qui::xquery::{parse_query, parse_update, Query, Update};
@@ -74,7 +73,40 @@ fn pick_updates(mask: u16) -> Vec<Update> {
         .collect()
 }
 
-fn flags(m: &MatrixVerdicts) -> Vec<Vec<bool>> {
+/// A fresh session holding the whole workload, registered in one batch.
+fn fresh_matrix<'a>(
+    dtd: &'a Dtd,
+    views: &[Query],
+    updates: &[Update],
+    config: &AnalyzerConfig,
+    jobs: Jobs,
+) -> AnalysisSession<'a, Dtd> {
+    let mut session = SessionBuilder::new(dtd)
+        .config(config.clone())
+        .jobs(jobs)
+        .build();
+    session.add_workload(
+        views
+            .iter()
+            .enumerate()
+            .map(|(i, q)| (format!("v{}", i + 1), q.clone())),
+        updates
+            .iter()
+            .enumerate()
+            .map(|(i, u)| (format!("u{}", i + 1), u.clone())),
+    );
+    session
+}
+
+/// The verdict of a fresh one-shot session: the per-pair reference.
+fn fresh_check(dtd: &Dtd, config: &AnalyzerConfig, q: &Query, u: &Update) -> Verdict {
+    SessionBuilder::new(dtd)
+        .config(config.clone())
+        .build()
+        .check(q, u)
+}
+
+fn flags(m: &AnalysisSession<'_, Dtd>) -> Vec<Vec<bool>> {
     (0..m.n_updates())
         .map(|ui| m.independent_flags(ui))
         .collect()
@@ -100,13 +132,23 @@ proptest! {
         let engine = [EngineKind::Auto, EngineKind::Explicit, EngineKind::Cdag][engine_idx];
         let config = AnalyzerConfig { engine, explicit_budget: budget, ..Default::default() };
         for jobs in [1, 2, 8] {
-            let matrix = analyze_matrix(dtd, &views, &updates, &config, Jobs::Fixed(jobs));
-            assert_matches_sequential(dtd, &views, &updates, &config, &matrix);
+            let matrix = fresh_matrix(dtd, &views, &updates, &config, Jobs::Fixed(jobs));
+            for (ui, u) in updates.iter().enumerate() {
+                for (vi, v) in views.iter().enumerate() {
+                    let seq = fresh_check(dtd, &config, v, u);
+                    let par = matrix.verdict(ui, vi);
+                    prop_assert!(
+                        &seq == par,
+                        "cell (view {}, update {}) diverged: sequential {:?} vs batch {:?}",
+                        vi, ui, seq, par
+                    );
+                }
+            }
         }
     }
 
-    /// A session's independence flags for one update (the `check_views`
-    /// path) agree with per-pair `check` for any worker count.
+    /// A session's independence flags for one update agree with per-pair
+    /// `check` for any worker count, built in bulk or one view at a time.
     #[test]
     fn session_flags_equal_per_pair_check(
         schema_idx in 0usize..4,
@@ -116,12 +158,13 @@ proptest! {
         let dtd = &schemas()[schema_idx];
         let views = pick_queries(view_mask);
         let u = parse_update(UPDATE_POOL[u_idx]).unwrap();
-        let analyzer = IndependenceAnalyzer::new(dtd);
+        let defaults = AnalyzerConfig::default();
         let expected: Vec<bool> = views
             .iter()
-            .map(|q| analyzer.check(q, &u).is_independent())
+            .map(|q| fresh_check(dtd, &defaults, q, &u).is_independent())
             .collect();
-        prop_assert_eq!(&analyzer.check_views(&views, &u), &expected);
+        let bulk = fresh_matrix(dtd, &views, std::slice::from_ref(&u), &defaults, Jobs::Auto);
+        prop_assert_eq!(&bulk.independent_flags(0), &expected);
         for jobs in [1, 2, 8] {
             let mut session = SessionBuilder::new(dtd).jobs(Jobs::Fixed(jobs)).build();
             for (i, q) in views.iter().enumerate() {
@@ -144,19 +187,19 @@ proptest! {
         let views = pick_queries(view_mask);
         let updates = pick_updates(update_mask);
         let config = AnalyzerConfig::default();
-        let reference = flags(&analyze_matrix(dtd, &views, &updates, &config, Jobs::Fixed(1)));
+        let reference = flags(&fresh_matrix(dtd, &views, &updates, &config, Jobs::Fixed(1)));
         for run in 0..3 {
-            let again = flags(&analyze_matrix(dtd, &views, &updates, &config, Jobs::Fixed(8)));
+            let again = flags(&fresh_matrix(dtd, &views, &updates, &config, Jobs::Fixed(8)));
             prop_assert_eq!(&again, &reference, "run {}", run);
         }
     }
 }
 
-/// The full benchmark workload (36 views × 31 updates) through
-/// `matrix_reports` with different worker counts renders identically — the
-/// acceptance check of `qui matrix --jobs N ≡ --jobs 1` at workload scale.
+/// The benchmark workload's session reports with different worker counts
+/// render identically — the acceptance check of
+/// `qui matrix --jobs N ≡ --jobs 1` at workload scale.
 #[test]
-fn workload_matrix_reports_identical_across_jobs() {
+fn workload_reports_identical_across_jobs() {
     let dtd = xml_qui::workloads::xmark_dtd();
     let views: Vec<(String, Query)> = all_views()
         .into_iter()
@@ -168,8 +211,13 @@ fn workload_matrix_reports_identical_across_jobs() {
         .take(6)
         .map(|u| (u.name.to_string(), u.update))
         .collect();
-    let sequential = matrix_reports(&dtd, &views, &updates, Jobs::Fixed(1));
-    let parallel = matrix_reports(&dtd, &views, &updates, Jobs::Fixed(8));
+    let reports = |jobs| {
+        let mut session = SessionBuilder::new(&dtd).jobs(jobs).build();
+        session.add_workload(views.iter().cloned(), updates.iter().cloned());
+        session.reports()
+    };
+    let sequential = reports(Jobs::Fixed(1));
+    let parallel = reports(Jobs::Fixed(8));
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(s.render(), p.render(), "update {}", s.update_name);
     }
@@ -183,8 +231,8 @@ fn auto_jobs_policy_matches_fixed() {
     let views = pick_queries(0b111);
     let updates = pick_updates(0b11);
     let config = AnalyzerConfig::default();
-    let auto = flags(&analyze_matrix(&dtd, &views, &updates, &config, Jobs::Auto));
-    let fixed = flags(&analyze_matrix(
+    let auto = flags(&fresh_matrix(&dtd, &views, &updates, &config, Jobs::Auto));
+    let fixed = flags(&fresh_matrix(
         &dtd,
         &views,
         &updates,

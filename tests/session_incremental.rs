@@ -4,9 +4,10 @@
 //!   `add_view` / `remove_view` / `add_update` / `remove_update` edits, at
 //!   any worker count, leaves the session's materialized verdict matrix
 //!   bit-identical (every `Verdict` field, witnesses included) to a
-//!   from-scratch `analyze_matrix` over the surviving workload;
-//! * **warm-check bit-identity** — a session's `check` equals a fresh
-//!   `IndependenceAnalyzer::check` across all engine policies, on the first
+//!   from-scratch `add_workload` of the surviving workload on a fresh
+//!   session;
+//! * **warm-check bit-identity** — a session's `check` equals the check of
+//!   a fresh one-shot session across all engine policies, on the first
 //!   (cold) and every repeated (warm) call;
 //! * the bulk `add_workload` path equals the one-at-a-time incremental
 //!   path, and cache warmth is observable through `SessionStats`.
@@ -15,13 +16,11 @@
 //! `QUI_PROPTEST_CASES`.
 
 use proptest::prelude::*;
-use xml_qui::core::parallel::{analyze_matrix, Jobs};
-use xml_qui::core::{
-    AnalysisSession, AnalyzerConfig, EngineKind, IndependenceAnalyzer, SessionBuilder, Verdict,
-};
+use xml_qui::core::parallel::Jobs;
+use xml_qui::core::{AnalysisSession, AnalyzerConfig, EngineKind, SessionBuilder};
 use xml_qui::schema::Dtd;
 use xml_qui::workloads::{all_updates, all_views};
-use xml_qui::xquery::{parse_query, parse_update, Query, Update};
+use xml_qui::xquery::{parse_query, parse_update};
 
 /// Schemas exercising recursion, optional content, siblings and mixed
 /// content — the shapes that drive the analysis down different engine paths.
@@ -71,38 +70,29 @@ fn cases(default: u32) -> u32 {
         .unwrap_or(default)
 }
 
-/// Bit-level equality of two verdicts (every observable field; `Verdict`
-/// deliberately does not implement `PartialEq`).
-fn verdicts_eq(a: &Verdict, b: &Verdict) -> bool {
-    a.is_independent() == b.is_independent()
-        && a.k == b.k
-        && a.k_query == b.k_query
-        && a.k_update == b.k_update
-        && a.engine_used == b.engine_used
-        && a.witness == b.witness
-        && a.query_chain_count == b.query_chain_count
-        && a.update_chain_count == b.update_chain_count
-}
-
 /// Asserts the session's materialized matrix is bit-identical to a fresh
-/// `analyze_matrix` over the session's surviving workload.
+/// session's `add_workload` of the surviving workload.
 fn assert_session_matches_fresh(
     dtd: &Dtd,
     session: &AnalysisSession<'_, Dtd>,
     config: &AnalyzerConfig,
 ) {
-    let views: Vec<Query> = session.views().map(|(_, q)| q.clone()).collect();
-    let updates: Vec<Update> = session.updates().map(|(_, u)| u.clone()).collect();
-    let fresh = analyze_matrix(dtd, &views, &updates, config, Jobs::Fixed(1));
-    let materialized = session.verdicts();
-    assert_eq!(materialized.n_views(), fresh.n_views());
-    assert_eq!(materialized.n_updates(), fresh.n_updates());
+    let mut fresh = SessionBuilder::new(dtd)
+        .config(config.clone())
+        .jobs(Jobs::Fixed(1))
+        .build();
+    fresh.add_workload(
+        session.views().map(|(n, q)| (n.to_string(), q.clone())),
+        session.updates().map(|(n, u)| (n.to_string(), u.clone())),
+    );
+    assert_eq!(session.n_views(), fresh.n_views());
+    assert_eq!(session.n_updates(), fresh.n_updates());
     for ui in 0..fresh.n_updates() {
         for vi in 0..fresh.n_views() {
             assert!(
-                verdicts_eq(materialized.verdict(ui, vi), fresh.verdict(ui, vi)),
+                session.verdict(ui, vi) == fresh.verdict(ui, vi),
                 "cell (view {vi}, update {ui}) diverged after edits:\n  session: {:?}\n  fresh:   {:?}",
-                materialized.verdict(ui, vi),
+                session.verdict(ui, vi),
                 fresh.verdict(ui, vi)
             );
         }
@@ -159,7 +149,7 @@ proptest! {
         assert_session_matches_fresh(dtd, &session, &config);
     }
 
-    /// A session's `check` is bit-identical to a fresh analyzer's verdict
+    /// A session's `check` is bit-identical to a fresh session's verdict
     /// across engines — cold on the first call, warm on the repeat, and
     /// still warm after unrelated checks have filled the caches.
     #[test]
@@ -172,8 +162,7 @@ proptest! {
         let dtd = &schemas()[schema_idx];
         let engine = [EngineKind::Auto, EngineKind::Explicit, EngineKind::Cdag][engine_idx];
         let config = AnalyzerConfig { engine, ..Default::default() };
-        let analyzer = IndependenceAnalyzer::with_config(dtd, config.clone());
-        let session = SessionBuilder::new(dtd).config(config).build();
+        let session = SessionBuilder::new(dtd).config(config.clone()).build();
         // Unrelated checks first, so the target pair hits a part-warm cache.
         for warmup in QUERY_POOL.iter().take(3) {
             let q = parse_query(warmup).unwrap();
@@ -182,15 +171,15 @@ proptest! {
         }
         let q = parse_query(QUERY_POOL[q_idx]).unwrap();
         let u = parse_update(UPDATE_POOL[u_idx]).unwrap();
-        let fresh = analyzer.check(&q, &u);
-        prop_assert!(verdicts_eq(&session.check(&q, &u), &fresh), "cold session check diverged");
-        prop_assert!(verdicts_eq(&session.check(&q, &u), &fresh), "warm session check diverged");
+        let fresh = SessionBuilder::new(dtd).config(config).build().check(&q, &u);
+        prop_assert!(session.check(&q, &u) == fresh, "cold session check diverged");
+        prop_assert!(session.check(&q, &u) == fresh, "warm session check diverged");
     }
 }
 
 /// The bulk `add_workload` registration and the one-at-a-time incremental
 /// path materialize identical matrices on the real XMark workload, and the
-/// session matches a fresh `analyze_matrix` after a remove + re-add cycle.
+/// session matches a fresh one after a remove + re-add cycle.
 #[test]
 fn xmark_workload_session_is_consistent() {
     let dtd = xml_qui::workloads::xmark_dtd();

@@ -4,7 +4,7 @@
 //! engines must never disagree in the unsound direction.
 
 use proptest::prelude::*;
-use xml_qui::core::{AnalyzerConfig, EngineKind, IndependenceAnalyzer};
+use xml_qui::core::{AnalysisSession, EngineKind, SessionBuilder};
 use xml_qui::schema::{generate_valid, Dtd, GenValidConfig};
 use xml_qui::xquery::{dynamic_independent, parse_query, parse_update, DynamicOutcome};
 
@@ -69,7 +69,7 @@ proptest! {
         let dtd = &schemas()[schema_idx];
         let q = parse_query(QUERY_POOL[q_idx]).unwrap();
         let u = parse_update(UPDATE_POOL[u_idx]).unwrap();
-        let analyzer = IndependenceAnalyzer::new(dtd);
+        let analyzer = AnalysisSession::new(dtd);
         let verdict = analyzer.check(&q, &u);
         if verdict.is_independent() {
             let doc = generate_valid(dtd, &GenValidConfig::with_target(300), seed);
@@ -101,14 +101,8 @@ proptest! {
         let dtd = &schemas()[schema_idx];
         let q = parse_query(QUERY_POOL[q_idx]).unwrap();
         let u = parse_update(UPDATE_POOL[u_idx]).unwrap();
-        let explicit = IndependenceAnalyzer::with_config(dtd, AnalyzerConfig {
-            engine: EngineKind::Explicit,
-            ..Default::default()
-        });
-        let cdag = IndependenceAnalyzer::with_config(dtd, AnalyzerConfig {
-            engine: EngineKind::Cdag,
-            ..Default::default()
-        });
+        let explicit = SessionBuilder::new(dtd).engine(EngineKind::Explicit).build();
+        let cdag = SessionBuilder::new(dtd).engine(EngineKind::Cdag).build();
         let e = explicit.check(&q, &u).is_independent();
         let c = cdag.check(&q, &u).is_independent();
         prop_assert_eq!(e, c, "engines disagree on q = {}, u = {}", QUERY_POOL[q_idx], UPDATE_POOL[u_idx]);

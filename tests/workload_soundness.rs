@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xml_qui::baseline::TypeSetAnalyzer;
-use xml_qui::core::IndependenceAnalyzer;
+use xml_qui::core::AnalysisSession;
 use xml_qui::schema::{generate_valid, random_query, random_update, Corpus, GenValidConfig};
 use xml_qui::workloads::{all_updates, all_views, ground_truth_matrix, xmark_dtd};
 use xml_qui::xquery::dynamic::dynamic_independent;
@@ -31,7 +31,7 @@ fn xmark_chain_analysis_is_sound_and_dominates_the_baseline() {
     let truth = ground_truth_matrix(&views, &updates, 3_000, &[1, 2]);
 
     let dtd = xmark_dtd();
-    let chains = IndependenceAnalyzer::new(&dtd);
+    let chains = AnalysisSession::new(&dtd);
     let baseline = TypeSetAnalyzer::new(&dtd);
 
     let mut chains_detected = 0usize;
@@ -88,7 +88,7 @@ fn corpus_chain_analysis_is_sound_on_generated_instances() {
     for (si, schema) in Corpus::seeded(0xBEEF, 2).iter().enumerate() {
         let dtd = schema.dtd();
         let labels = schema.labels();
-        let analyzer = IndependenceAnalyzer::new(&dtd);
+        let analyzer = AnalysisSession::new(&dtd);
         // Instance pool: three seeded valid documents of ~400 nodes each.
         let docs: Vec<_> = (0..3)
             .map(|d| generate_valid(&dtd, &GenValidConfig::with_target(400), 0x0D0C + d))
@@ -138,7 +138,7 @@ fn inserted_constructor_roots_are_visible_to_predicates() {
     // inserted `bidder` node invisible to the predicate's used chain and the
     // pair was wrongly declared independent.
     let dtd = xmark_dtd();
-    let chains = IndependenceAnalyzer::new(&dtd);
+    let chains = AnalysisSession::new(&dtd);
     let ui1 = all_updates().into_iter().find(|u| u.name == "UI1").unwrap();
     let b8 = all_views().into_iter().find(|v| v.name == "B8").unwrap();
     assert!(

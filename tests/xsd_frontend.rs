@@ -2,7 +2,7 @@
 //! translated to an Extended DTD and drives the same chain-based analyses as
 //! a DTD would.
 
-use xml_qui::core::{CommutativityAnalyzer, IndependenceAnalyzer};
+use xml_qui::core::{AnalysisSession, CommutativityAnalyzer};
 use xml_qui::schema::{parse_xsd, parse_xsd_with_root};
 use xml_qui::xmlstore::parse_xml_keep_attributes;
 use xml_qui::xquery::{dynamic_independent, parse_query, parse_update, DynamicOutcome};
@@ -38,7 +38,7 @@ const BOOKSTORE_XSD: &str = r#"
 #[test]
 fn independence_analysis_runs_over_an_xsd_schema() {
     let edtd = parse_xsd(BOOKSTORE_XSD).unwrap();
-    let analyzer = IndependenceAnalyzer::new(&edtd);
+    let analyzer = AnalysisSession::new(&edtd);
     let q = parse_query("//title").unwrap();
     let u = parse_update("for $b in //book return insert <author><last>L</last></author> into $b")
         .unwrap();
@@ -50,7 +50,7 @@ fn independence_analysis_runs_over_an_xsd_schema() {
 #[test]
 fn attribute_queries_work_over_the_xsd_translation() {
     let edtd = parse_xsd(BOOKSTORE_XSD).unwrap();
-    let analyzer = IndependenceAnalyzer::new(&edtd);
+    let analyzer = AnalysisSession::new(&edtd);
     let q = parse_query("//book/@isbn").unwrap();
     let u = parse_update("delete //book/price").unwrap();
     assert!(analyzer.check(&q, &u).is_independent());
@@ -69,7 +69,7 @@ fn verdicts_are_dynamically_consistent_on_an_instance() {
     )
     .unwrap();
     assert!(edtd.validate(&doc));
-    let analyzer = IndependenceAnalyzer::new(&edtd);
+    let analyzer = AnalysisSession::new(&edtd);
     let pairs = [
         ("//title", "delete //book/price"),
         ("//author/last", "delete //book/price"),
@@ -105,7 +105,7 @@ fn alternative_roots_can_be_selected() {
     let edtd = parse_xsd_with_root(BOOKSTORE_XSD, "book").unwrap();
     // With `book` as the root, a book-relative query and a price deletion
     // are analysed against the book subtree schema.
-    let analyzer = IndependenceAnalyzer::new(&edtd);
+    let analyzer = AnalysisSession::new(&edtd);
     let q = parse_query("/title").unwrap();
     let u = parse_update("delete /price").unwrap();
     assert!(analyzer.check(&q, &u).is_independent());
