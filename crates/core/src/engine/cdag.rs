@@ -428,7 +428,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
 
     // ------------------------------------------------------ step inference
 
-    fn test_matches(&self, s: Sym, test: &NodeTest) -> bool {
+    fn sym_passes(&self, s: Sym, test: &NodeTest) -> bool {
         match test {
             NodeTest::AnyNode => true,
             NodeTest::Text => s == TEXT_SYM,
@@ -563,7 +563,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
             let mut produced = false;
             match axis {
                 Axis::SelfAxis => {
-                    if self.test_matches(end_sym, test) {
+                    if self.sym_passes(end_sym, test) {
                         result.ends.insert(end, false);
                         produced = true;
                     }
@@ -572,7 +572,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                     if depth + 1 < self.max_depth {
                         for &c in self.schema.child_types(end_sym) {
                             let cn = self.node(c, depth + 1);
-                            if self.test_matches(c, test) {
+                            if self.sym_passes(c, test) {
                                 new_edges.insert((end, cn));
                                 result.ends.insert(cn, false);
                                 produced = true;
@@ -588,7 +588,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                 Axis::Parent => {
                     for &p in preds.get(&end).map(|v| v.as_slice()).unwrap_or(&[]) {
                         if let Some(ps) = self.sym_of(p) {
-                            if self.test_matches(ps, test) {
+                            if self.sym_passes(ps, test) {
                                 result.ends.insert(p, false);
                                 produced = true;
                             }
@@ -596,7 +596,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                     }
                 }
                 Axis::Ancestor | Axis::AncestorOrSelf => {
-                    if axis == Axis::AncestorOrSelf && self.test_matches(end_sym, test) {
+                    if axis == Axis::AncestorOrSelf && self.sym_passes(end_sym, test) {
                         result.ends.insert(end, false);
                         produced = true;
                     }
@@ -605,7 +605,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                     while let Some(n) = frontier.pop() {
                         for &p in preds.get(&n).map(|v| v.as_slice()).unwrap_or(&[]) {
                             if let Some(ps) = self.sym_of(p) {
-                                if self.test_matches(ps, test) {
+                                if self.sym_passes(ps, test) {
                                     result.ends.insert(p, false);
                                     produced = true;
                                 }
@@ -628,7 +628,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                                 (y == end_sym).then_some(x)
                             };
                             if let Some(s) = sibling {
-                                if self.test_matches(s, test) {
+                                if self.sym_passes(s, test) {
                                     let sn = self.node(s, depth);
                                     new_edges.insert((p, sn));
                                     result.ends.insert(sn, false);
@@ -726,7 +726,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
         s.match_mask.clear();
         s.match_mask.resize(stride, 0);
         for i in 0..width - 1 {
-            if self.test_matches(Sym(i as u16), test) {
+            if self.sym_passes(Sym(i as u16), test) {
                 s.match_mask[i / bitset::WORD_BITS] |= 1u64 << (i % bitset::WORD_BITS);
             }
         }
@@ -777,7 +777,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
             let d = self.depth_of(end) as usize;
             let mut produced = d + 1 < rows
                 && bitset::intersects(self.child_mask(end % self.width), s.reach.row(d + 1));
-            if or_self && self.test_matches(end_sym, test) {
+            if or_self && self.sym_passes(end_sym, test) {
                 result.ends.insert(end, false);
                 produced = true;
             }
@@ -882,7 +882,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                 if new_edges.insert((n, cn)) {
                     back.entry(cn).or_default().push(n);
                 }
-                if self.test_matches(c, test) && result.ends.insert(cn, false).is_none() {
+                if self.sym_passes(c, test) && result.ends.insert(cn, false).is_none() {
                     desc_matched.push(cn);
                 }
                 if visited.insert(cn) {
@@ -909,7 +909,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                 continue;
             };
             let mut produced = produces.contains(&end);
-            if or_self && self.test_matches(end_sym, test) {
+            if or_self && self.sym_passes(end_sym, test) {
                 result.ends.insert(end, false);
                 produced = true;
             }

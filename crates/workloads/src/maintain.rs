@@ -135,6 +135,9 @@ pub struct MaintenanceEngine<'s, S: SchemaLike> {
     strategy: MaintainStrategy,
     jobs: Jobs,
     doc: Tree,
+    /// `doc.store.len()` when the document was last rebuilt (or handed to
+    /// [`new`](Self::new)); see [`apply_batch`](Self::apply_batch).
+    rebuilt_len: usize,
     views: Vec<MaintainedView>,
     totals: BatchStats,
 }
@@ -152,6 +155,7 @@ impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
             update_rows: HashMap::new(),
             strategy,
             jobs,
+            rebuilt_len: doc.store.len(),
             doc,
             views: Vec::new(),
             totals: BatchStats::default(),
@@ -219,7 +223,10 @@ impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
     ///
     /// The batch semantics is sequential composition: each update is
     /// evaluated against the document state its predecessors produced.
-    /// Maintenance runs once, after the whole batch.
+    /// Maintenance runs once, after the whole batch. When the batch leaves
+    /// the store at twice its length at the last rebuild, the document is
+    /// rebuilt into a fresh store holding only its reachable nodes, so node
+    /// locations of [`doc`](Self::doc) are not stable across batches.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchStats, EvalError> {
         let mut stats = BatchStats {
             updates: updates.len(),
@@ -249,6 +256,16 @@ impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
             let root = self.doc.root;
             let cmds = evaluate_update(&mut self.doc.store, root, u)?;
             apply_pending_list(&mut self.doc.store, &cmds);
+        }
+        // Deleted, replaced and constructed subtrees stay in the store as
+        // unreachable locations. Once they could make up half of it, copy
+        // the reachable tree into a fresh store, which keeps the store
+        // within twice the live document.
+        if self.doc.store.len() >= 2 * self.rebuilt_len {
+            let mut store = Store::new();
+            let root = store.deep_copy_from(&self.doc.store, self.doc.root);
+            self.doc = Tree::new(store, root);
+            self.rebuilt_len = self.doc.store.len();
         }
         self.doc.freeze();
         stats.apply = apply_start.elapsed();
@@ -457,6 +474,58 @@ mod tests {
             // Naive refreshes everything; pruning never refreshes more.
             assert_eq!(stats[0].reevaluated, views.len());
             assert!(stats[1].reevaluated <= stats[0].reevaluated);
+        }
+    }
+
+    #[test]
+    fn rebuilds_keep_the_store_within_twice_the_live_document() {
+        let dtd = xmark_dtd();
+        let views: Vec<_> = all_views()
+            .into_iter()
+            .filter(|v| ["q1", "q6", "q13", "q19", "A2", "B2", "B5"].contains(&v.name))
+            .collect();
+        let updates: Vec<Update> = all_updates().into_iter().map(|u| u.update).collect();
+        let mut eng = MaintenanceEngine::new(
+            &dtd,
+            xmark_document(1_500, 5),
+            MaintainStrategy::Pruned,
+            Jobs::Fixed(2),
+        );
+        for v in &views {
+            eng.register_view(v.name, &v.query).unwrap();
+        }
+        let mut rebuilds = 0;
+        let mut largest_doc = eng.doc.size();
+        for _ in 0..40 {
+            let before = eng.rebuilt_len;
+            eng.apply_batch(&updates).unwrap();
+            if eng.rebuilt_len != before {
+                rebuilds += 1;
+                assert_eq!(
+                    eng.rebuilt_len,
+                    eng.doc.size(),
+                    "a rebuild keeps only the tree"
+                );
+            }
+            largest_doc = largest_doc.max(eng.doc.size());
+            assert!(eng.doc.store.len() < 2 * eng.rebuilt_len);
+            assert!(eng.rebuilt_len <= largest_doc);
+        }
+        assert!(rebuilds > 0, "the stream leaves garbage to collect");
+        for v in eng.views() {
+            let mut work = eng.doc().snapshot();
+            let root = work.root;
+            let results = evaluate_query(&mut work.store, root, &v.query).unwrap();
+            let content: String = results
+                .iter()
+                .map(|&n| serialize_node(&work.store, n))
+                .collect();
+            let expected = if content.is_empty() {
+                "<view/>".to_string()
+            } else {
+                format!("<view>{content}</view>")
+            };
+            assert_eq!(v.serialized(), expected, "view {}", v.name);
         }
     }
 }

@@ -703,42 +703,28 @@ impl Store {
 
     /// All descendants of `id` in document (pre) order, excluding `id`.
     pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = self.descendants_or_self(id);
-        out.remove(0);
-        out
+        self.subtree_iter(id).skip(1).collect()
     }
 
     /// `id` followed by all its descendants in document (pre) order.
-    ///
-    /// A sibling-chain walk: O(subtree) time, O(1) scratch space.
     pub fn descendants_or_self(&self, root: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = root;
-        loop {
-            out.push(cur);
-            if let Some(c) = self.first_child(cur) {
-                cur = c;
-                continue;
-            }
-            // Climb until a next sibling exists, stopping at the subtree
-            // root (whose own siblings are outside the subtree).
-            let mut n = cur;
-            loop {
-                if n == root {
-                    return out;
-                }
-                if let Some(s) = self.next_sibling(n) {
-                    cur = s;
-                    break;
-                }
-                n = self.parent(n).expect("chain stays inside the subtree");
-            }
+        self.subtree_iter(root).collect()
+    }
+
+    /// Iterates `root` followed by all its descendants in document (pre)
+    /// order without allocating: a sibling-chain walk, O(subtree) time.
+    #[inline]
+    pub fn subtree_iter(&self, root: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        Subtree {
+            store: self,
+            root,
+            next: Some(root),
         }
     }
 
     /// Number of nodes in the subtree rooted at `id` (including `id`).
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        self.descendants_or_self(id).len()
+        self.subtree_iter(id).count()
     }
 
     /// The following siblings of `id`, in document order.
@@ -1021,22 +1007,65 @@ impl Store {
 
     // ----- document order -----
 
-    /// Computes a map from location to document-order rank for the tree
-    /// rooted at `root`. Locations not reachable from `root` are absent.
-    pub fn doc_order(&self, root: NodeId) -> std::collections::HashMap<NodeId, usize> {
-        let mut map = std::collections::HashMap::new();
-        for (i, n) in self.descendants_or_self(root).into_iter().enumerate() {
-            map.insert(n, i);
+    /// Sorts `nodes` into document order and removes duplicates, as XPath
+    /// step semantics requires. Nodes are ordered by the location of their
+    /// tree's root, then by preorder rank inside that tree, so nodes of
+    /// different trees (freshly constructed elements, detached subtrees)
+    /// come out grouped by tree in allocation order of the roots.
+    ///
+    /// Ranks every tree that holds one of `nodes`: O(size of those trees).
+    pub fn doc_order_dedup(&self, nodes: &mut Vec<NodeId>) {
+        if nodes.len() <= 1 {
+            return;
         }
-        map
-    }
-
-    /// Sorts `nodes` into document order (relative to `root`) and removes
-    /// duplicates, as required by XPath step semantics.
-    pub fn sort_doc_order_dedup(&self, root: NodeId, nodes: &mut Vec<NodeId>) {
-        let order = self.doc_order(root);
-        nodes.sort_by_key(|n| order.get(n).copied().unwrap_or(usize::MAX));
+        let mut rank: HashMap<NodeId, (NodeId, usize)> = HashMap::new();
+        for &n in nodes.iter() {
+            // An unranked node's whole tree is unranked: rank it.
+            if rank.contains_key(&n) {
+                continue;
+            }
+            let mut r = n;
+            while let Some(p) = self.parent(r) {
+                r = p;
+            }
+            rank.extend(self.subtree_iter(r).enumerate().map(|(i, d)| (d, (r, i))));
+        }
+        nodes.sort_by_key(|n| rank[n]);
         nodes.dedup();
+    }
+}
+
+/// A non-allocating preorder iterator over a subtree (see
+/// [`Store::subtree_iter`]).
+struct Subtree<'s> {
+    store: &'s Store,
+    root: NodeId,
+    next: Option<NodeId>,
+}
+
+impl Iterator for Subtree<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let cur = self.next?;
+        self.next = self.store.first_child(cur).or_else(|| {
+            // Climb until a next sibling exists, stopping at the subtree
+            // root (whose own siblings are outside the subtree).
+            let mut n = cur;
+            loop {
+                if n == self.root {
+                    return None;
+                }
+                if let Some(s) = self.store.next_sibling(n) {
+                    return Some(s);
+                }
+                n = self
+                    .store
+                    .parent(n)
+                    .expect("chain stays inside the subtree");
+            }
+        });
+        Some(cur)
     }
 }
 
@@ -1391,10 +1420,18 @@ mod tests {
 
     #[test]
     fn doc_order_sorting() {
-        let (s, doc, a, b, c) = sample();
+        let (mut s, doc, a, b, c) = sample();
         let mut v = vec![b, c, a, b];
-        s.sort_doc_order_dedup(doc, &mut v);
+        s.doc_order_dedup(&mut v);
         assert_eq!(v, vec![a, c, b]);
+        // Nodes of other trees follow by root location, each tree in
+        // preorder; a root selected itself precedes its descendants.
+        let x = s.new_element("x", vec![]);
+        let copy = s.deep_copy(doc);
+        let copy_a = s.children(copy)[0];
+        let mut v = vec![copy_a, x, c, copy, doc, x];
+        s.doc_order_dedup(&mut v);
+        assert_eq!(v, vec![doc, c, x, copy, copy_a]);
     }
 
     #[test]

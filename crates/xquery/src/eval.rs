@@ -7,9 +7,21 @@
 //!   update pending list `w` of primitive commands, (ii) sanity checks (a
 //!   target expression must return a single node), (iii) apply `w` to the
 //!   store, `σ_w ⊢ w ⇝ σ_u`.
+//!
+//! ## Document order
+//!
+//! Every step `$x/axis::test` returns distinct nodes in document order:
+//! ordered by the location of their tree's root, then by preorder rank
+//! inside the tree. From a single context node each axis is enumerated in
+//! that order directly (`ancestor` and `ancestor-or-self` climb
+//! nearest-first and are reversed), so no sort runs and no step walks the
+//! whole document. Desugared paths bind one node per `for` iteration, so
+//! this is the common case. Only a context of several nodes (a `let`-bound
+//! sequence) goes through [`Store::doc_order_dedup`], which ranks every
+//! tree the results lie in.
 
 use crate::ast::{Axis, NodeTest, Query, Update, UpdatePos};
-use qui_xmlstore::{NodeId, Store, Tree};
+use qui_xmlstore::{NodeId, Store, Sym, Tree};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -107,7 +119,7 @@ pub fn evaluate_query(store: &mut Store, root: NodeId, q: &Query) -> Result<Eval
         env.insert(v, vec![root]);
     }
     let mut ev = Evaluator { store };
-    ev.eval(q, &env)
+    ev.eval(q, &mut env)
 }
 
 /// Evaluates `q` with an explicit environment.
@@ -117,7 +129,7 @@ pub fn evaluate_query_with_env(
     q: &Query,
 ) -> Result<Evaluation, EvalError> {
     let mut ev = Evaluator { store };
-    ev.eval(q, env)
+    ev.eval(q, &mut env.clone())
 }
 
 /// Evaluates `q` like [`evaluate_query`] but streams the result locations
@@ -153,7 +165,7 @@ pub fn evaluate_update(
     }
     let mut ev = Evaluator { store };
     let mut upl = Vec::new();
-    ev.eval_update(u, &env, &mut upl)?;
+    ev.eval_update(u, &mut env, &mut upl)?;
     Ok(upl)
 }
 
@@ -216,143 +228,148 @@ struct Evaluator<'a> {
     store: &'a mut Store,
 }
 
+/// A node test resolved against the store's symbol table once per step.
+#[derive(Clone, Copy)]
+enum ResolvedTest {
+    AnyNode,
+    Text,
+    AnyElement,
+    /// A tag test; `None` when the name was never interned, so nothing
+    /// matches.
+    Tag(Option<Sym>),
+}
+
+impl ResolvedTest {
+    fn resolve(store: &Store, test: &NodeTest) -> Self {
+        match test {
+            NodeTest::AnyNode => ResolvedTest::AnyNode,
+            NodeTest::Text => ResolvedTest::Text,
+            NodeTest::AnyElement => ResolvedTest::AnyElement,
+            NodeTest::Tag(t) => ResolvedTest::Tag(store.symbols().lookup(t)),
+        }
+    }
+
+    #[inline]
+    fn matches(self, store: &Store, n: NodeId) -> bool {
+        match self {
+            ResolvedTest::AnyNode => true,
+            ResolvedTest::Text => store.is_text(n),
+            ResolvedTest::AnyElement => store.is_element(n),
+            // `sym` is `None` for text nodes, so an element named `#text`
+            // matches `Tag("#text")` and text nodes never do.
+            ResolvedTest::Tag(sym) => sym.is_some() && store.sym(n) == sym,
+        }
+    }
+}
+
+/// Binds `var` to `value`, returning the binding it shadows.
+fn bind(env: &mut Env, var: &str, value: Vec<NodeId>) -> Option<Vec<NodeId>> {
+    match env.get_mut(var) {
+        Some(slot) => Some(std::mem::replace(slot, value)),
+        None => {
+            env.insert(var.to_string(), value);
+            None
+        }
+    }
+}
+
+/// Undoes [`bind`]: restores the shadowed binding, or unbinds `var`.
+fn unbind(env: &mut Env, var: &str, shadowed: Option<Vec<NodeId>>) {
+    match shadowed {
+        Some(v) => *env.get_mut(var).expect("bound") = v,
+        None => {
+            env.remove(var);
+        }
+    }
+}
+
+/// Rebinds `var`'s slot (bound by [`bind`]) to the single node `l`, reusing
+/// the slot's allocation.
+fn rebind_single(env: &mut Env, var: &str, l: NodeId) {
+    let slot = env.get_mut(var).expect("bound");
+    slot.clear();
+    slot.push(l);
+}
+
 impl<'a> Evaluator<'a> {
-    fn eval(&mut self, q: &Query, env: &Env) -> Result<Vec<NodeId>, EvalError> {
+    fn eval(&mut self, q: &Query, env: &mut Env) -> Result<Vec<NodeId>, EvalError> {
+        let mut out = Vec::new();
+        self.eval_into(q, env, &mut out)?;
+        Ok(out)
+    }
+
+    /// Evaluates `q`, appending its result sequence to `out`. `env` is
+    /// restored to its entry state on success.
+    fn eval_into(
+        &mut self,
+        q: &Query,
+        env: &mut Env,
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), EvalError> {
         match q {
-            Query::Empty => Ok(Vec::new()),
+            Query::Empty => {}
             Query::Concat(a, b) => {
-                let mut l = self.eval(a, env)?;
-                l.extend(self.eval(b, env)?);
-                Ok(l)
+                self.eval_into(a, env, out)?;
+                self.eval_into(b, env, out)?;
             }
-            Query::StringLit(s) => Ok(vec![self.store.new_text(s.clone())]),
+            Query::StringLit(s) => out.push(self.store.new_text(s)),
             Query::Element { tag, content } => {
                 let inner = self.eval(content, env)?;
                 // Element construction copies its content (XQuery semantics).
                 let copies: Vec<NodeId> = inner.iter().map(|&l| self.store.deep_copy(l)).collect();
-                Ok(vec![self.store.new_element(tag.clone(), copies)])
+                out.push(self.store.new_element(tag, copies));
             }
             Query::Step { var, axis, test } => {
                 let ctx = env
                     .get(var)
                     .ok_or_else(|| EvalError::UnboundVariable(var.clone()))?;
-                let mut out = Vec::new();
+                let store = &*self.store;
+                let test = ResolvedTest::resolve(store, test);
+                let start = out.len();
                 for &l in ctx {
-                    for n in self.axis_nodes(l, *axis) {
-                        if self.test_matches(n, test) {
-                            out.push(n);
-                        }
-                    }
+                    step_into(store, l, *axis, test, out);
                 }
-                // Fast path: a downward axis from a single context node
-                // already yields distinct nodes in document order, so the
-                // (expensive) global sort can be skipped. This matters
-                // because desugared paths evaluate steps one context node at
-                // a time.
-                let already_ordered = ctx.len() <= 1
-                    && matches!(
-                        axis,
-                        Axis::SelfAxis | Axis::Child | Axis::Descendant | Axis::DescendantOrSelf
-                    );
-                if !already_ordered {
-                    self.doc_order_dedup(&mut out);
+                // From one context node every axis already yields distinct
+                // nodes in document order; only several context nodes need
+                // the sort.
+                if ctx.len() > 1 {
+                    let mut results = out.split_off(start);
+                    store.doc_order_dedup(&mut results);
+                    out.append(&mut results);
                 }
-                Ok(out)
             }
             Query::For { var, source, ret } => {
                 let seq = self.eval(source, env)?;
-                let mut out = Vec::new();
-                let mut inner_env = env.clone();
+                let shadowed = bind(env, var, Vec::with_capacity(1));
                 for l in seq {
-                    inner_env.insert(var.clone(), vec![l]);
-                    out.extend(self.eval(ret, &inner_env)?);
+                    rebind_single(env, var, l);
+                    self.eval_into(ret, env, out)?;
                 }
-                Ok(out)
+                unbind(env, var, shadowed);
             }
             Query::Let { var, source, ret } => {
                 let seq = self.eval(source, env)?;
-                let mut inner_env = env.clone();
-                inner_env.insert(var.clone(), seq);
-                self.eval(ret, &inner_env)
+                let shadowed = bind(env, var, seq);
+                self.eval_into(ret, env, out)?;
+                unbind(env, var, shadowed);
             }
             Query::If { cond, then, els } => {
-                let c = self.eval(cond, env)?;
-                if c.is_empty() {
-                    self.eval(els, env)
-                } else {
-                    self.eval(then, env)
-                }
+                // The condition's results only decide the branch: evaluate
+                // them into `out`'s tail and drop them again.
+                let start = out.len();
+                self.eval_into(cond, env, out)?;
+                let holds = out.len() > start;
+                out.truncate(start);
+                self.eval_into(if holds { then } else { els }, env, out)?;
             }
         }
-    }
-
-    fn axis_nodes(&self, l: NodeId, axis: Axis) -> Vec<NodeId> {
-        let s = &*self.store;
-        match axis {
-            Axis::SelfAxis => vec![l],
-            Axis::Child => s.children(l).to_vec(),
-            Axis::Descendant => s.descendants(l),
-            Axis::DescendantOrSelf => s.descendants_or_self(l),
-            Axis::Parent => s.parent(l).into_iter().collect(),
-            Axis::Ancestor => s.ancestors(l),
-            Axis::AncestorOrSelf => {
-                let mut v = vec![l];
-                v.extend(s.ancestors(l));
-                v
-            }
-            Axis::PrecedingSibling => s.preceding_siblings(l),
-            Axis::FollowingSibling => s.following_siblings(l),
-        }
-    }
-
-    fn test_matches(&self, l: NodeId, test: &NodeTest) -> bool {
-        match test {
-            NodeTest::AnyNode => true,
-            NodeTest::Text => self.store.is_text(l),
-            NodeTest::AnyElement => self.store.is_element(l),
-            NodeTest::Tag(t) => self.store.tag(l) == Some(t.as_str()),
-        }
-    }
-
-    /// Sorts into document order and removes duplicates. Nodes are ordered by
-    /// (their tree's root, preorder rank within that tree); nodes from
-    /// different trees (e.g. freshly constructed elements) are ordered by
-    /// allocation.
-    fn doc_order_dedup(&self, nodes: &mut Vec<NodeId>) {
-        if nodes.len() <= 1 {
-            return;
-        }
-        let mut root_of: HashMap<NodeId, NodeId> = HashMap::new();
-        let mut order: HashMap<NodeId, (NodeId, usize)> = HashMap::new();
-        for &n in nodes.iter() {
-            if order.contains_key(&n) {
-                continue;
-            }
-            // find the root of n's tree
-            let mut r = n;
-            while let Some(p) = self.store.parent(r) {
-                r = p;
-            }
-            if let std::collections::hash_map::Entry::Vacant(e) = root_of.entry(r) {
-                e.insert(r);
-                for (i, d) in self.store.descendants_or_self(r).into_iter().enumerate() {
-                    order.insert(d, (r, i));
-                }
-            }
-        }
-        nodes.sort_by_key(|n| {
-            order
-                .get(n)
-                .map(|&(r, i)| (r, i))
-                .unwrap_or((*n, usize::MAX))
-        });
-        nodes.dedup();
+        Ok(())
     }
 
     fn eval_update(
         &mut self,
         u: &Update,
-        env: &Env,
+        env: &mut Env,
         upl: &mut Vec<UpdateCommand>,
     ) -> Result<(), EvalError> {
         match u {
@@ -363,18 +380,20 @@ impl<'a> Evaluator<'a> {
             }
             Update::For { var, source, body } => {
                 let seq = self.eval(source, env)?;
-                let mut inner_env = env.clone();
+                let shadowed = bind(env, var, Vec::with_capacity(1));
                 for l in seq {
-                    inner_env.insert(var.clone(), vec![l]);
-                    self.eval_update(body, &inner_env, upl)?;
+                    rebind_single(env, var, l);
+                    self.eval_update(body, env, upl)?;
                 }
+                unbind(env, var, shadowed);
                 Ok(())
             }
             Update::Let { var, source, body } => {
                 let seq = self.eval(source, env)?;
-                let mut inner_env = env.clone();
-                inner_env.insert(var.clone(), seq);
-                self.eval_update(body, &inner_env, upl)
+                let shadowed = bind(env, var, seq);
+                self.eval_update(body, env, upl)?;
+                unbind(env, var, shadowed);
+                Ok(())
             }
             Update::If { cond, then, els } => {
                 let c = self.eval(cond, env)?;
@@ -435,7 +454,7 @@ impl<'a> Evaluator<'a> {
     fn single_target(
         &mut self,
         target: &Query,
-        env: &Env,
+        env: &mut Env,
         operation: &'static str,
     ) -> Result<NodeId, EvalError> {
         let nodes = self.eval(target, env)?;
@@ -446,6 +465,54 @@ impl<'a> Evaluator<'a> {
             });
         }
         Ok(nodes[0])
+    }
+}
+
+/// Appends the nodes of `axis` from `l` that pass `test`, in document order,
+/// without allocating.
+fn step_into(store: &Store, l: NodeId, axis: Axis, test: ResolvedTest, out: &mut Vec<NodeId>) {
+    let mut push = |n: NodeId| {
+        if test.matches(store, n) {
+            out.push(n);
+        }
+    };
+    match axis {
+        Axis::SelfAxis => push(l),
+        Axis::Child => store.children_iter(l).for_each(push),
+        Axis::Descendant => store.subtree_iter(l).skip(1).for_each(push),
+        Axis::DescendantOrSelf => store.subtree_iter(l).for_each(push),
+        Axis::Parent => store.parent(l).into_iter().for_each(push),
+        Axis::Ancestor | Axis::AncestorOrSelf => {
+            // Climbing yields the ancestors nearest-first; reverse them.
+            let from = out.len();
+            let mut cur = if axis == Axis::Ancestor {
+                store.parent(l)
+            } else {
+                Some(l)
+            };
+            while let Some(n) = cur {
+                if test.matches(store, n) {
+                    out.push(n);
+                }
+                cur = store.parent(n);
+            }
+            out[from..].reverse();
+        }
+        Axis::PrecedingSibling => {
+            if let Some(p) = store.parent(l) {
+                store
+                    .children_iter(p)
+                    .take_while(|&c| c != l)
+                    .for_each(push);
+            }
+        }
+        Axis::FollowingSibling => {
+            let mut cur = store.next_sibling(l);
+            while let Some(n) = cur {
+                push(n);
+                cur = store.next_sibling(n);
+            }
+        }
     }
 }
 
@@ -499,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn descendant_paths_and_doc_order() {
+    fn descendant_paths_in_document_order() {
         let r = eval_strings(
             "<doc><a><c>1</c></a><b><c>2</c></b><a><c>3</c></a></doc>",
             "//c",
