@@ -1,6 +1,6 @@
 //! CI guard for the committed benchmark references and the gate wiring.
 //!
-//! Default mode (no flags) runs two checks and exits non-zero on failure:
+//! Default mode (no flags) runs four checks and exits non-zero on failure:
 //!
 //! 1. Every `ci/BENCH_*.json` reference contains its required numeric fields
 //!    and every number in it is finite — a hand-edited or truncated
@@ -12,6 +12,9 @@
 //! 3. Every `QUI_*` variable mentioned in `.github/workflows/*.yml` is
 //!    actually read by a harness gate, and every declared gate variable is
 //!    set somewhere — so a typo cannot silently disable a threshold.
+//! 4. Every `ci/BENCH_*.json` has a reference spec, and every spec has a
+//!    `harness:` cell in `ci.yml`'s perf matrix — so a retired cell cannot
+//!    leave a stale reference or a spec behind.
 //!
 //! Trend mode (`--trend --fresh <dir> [--out <file>]`) renders the nightly
 //! speedup-trend markdown: freshly measured headline metrics from
@@ -23,7 +26,8 @@
 //! crate's manifest), so the binary works from any working directory.
 
 use qui_bench::refs::{
-    check_matrix_agreement, check_wiring, trend_markdown, trend_rows, validate_reference, REF_SPECS,
+    check_cells, check_matrix_agreement, check_wiring, reference_files, trend_markdown, trend_rows,
+    validate_reference, REF_SPECS,
 };
 use std::path::{Path, PathBuf};
 
@@ -80,6 +84,15 @@ fn run_checks() -> Result<(), Vec<String>> {
         failures.push("no workflow YAML files found".to_string());
     }
     failures.extend(check_wiring(&workflows));
+
+    let ci_dir = root.join("ci");
+    match reference_files(&ci_dir) {
+        Ok(files) => match workflows.iter().find(|(name, _)| name == "ci.yml") {
+            Some((_, ci)) => failures.extend(check_cells(&files, REF_SPECS, ci)),
+            None => failures.push("no ci.yml workflow with the perf matrix".to_string()),
+        },
+        Err(e) => failures.push(format!("{}: {e}", ci_dir.display())),
+    }
 
     if failures.is_empty() {
         Ok(())
@@ -175,7 +188,7 @@ fn main() {
         Ok(()) => {
             if !trend {
                 println!(
-                    "check-refs: {} references, their XMark matrix counts and the workflow gate wiring are consistent",
+                    "check-refs: {} references, their XMark matrix counts, perf cells and the workflow gate wiring are consistent",
                     REF_SPECS.len()
                 );
             }

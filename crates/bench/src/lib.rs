@@ -18,7 +18,6 @@
 //! | CI session gate (warm vs cold matrix, per-edit incremental)  | — | `session` |
 //! | CI serve gate (concurrent `&self` checks, HTTP round trips)  | — | `serve` |
 //! | CI maintain gate (live views: naive vs pruned)               | — | `maintain` |
-//! | CI traffic gate (multi-tenant corpus sim, tiered answering)  | — | `traffic` |
 //!
 //! Run a binary with `cargo run --release -p qui-bench --bin fig3a`.
 //!
@@ -37,7 +36,6 @@ pub mod maintain;
 pub mod refs;
 pub mod serve;
 pub mod session;
-pub mod traffic;
 
 use qui_core::{AnalyzerConfig, EngineKind, Jobs, SessionBuilder};
 use qui_workloads::{all_views, xmark_dtd, NamedUpdate, NamedView};
@@ -49,7 +47,6 @@ pub use fig3c::{run_fig3c, Fig3cReport, Fig3cScaleResult, Fig3cScaleSpec};
 pub use maintain::{run_maintain, MaintainGateConfig, MaintainReport, MaintainSpec};
 pub use serve::{run_serve, ServeGateConfig, ServeReport};
 pub use session::{run_session, SessionGateConfig, SessionReport};
-pub use traffic::{run_traffic, TrafficBenchReport, TrafficBenchSpec, TrafficGateConfig};
 
 /// One whole-matrix analysis: wall time plus the verdicts it produced.
 #[derive(Clone, Debug)]

@@ -15,7 +15,12 @@
 //! verdicts are deterministic, so a disagreement means some reference was
 //! measured on older code and is stale.
 //!
-//! The `check-refs` binary runs all three checks in CI. The source of truth for
+//! A fourth check guards against retired cells ([`check_cells`]): every
+//! committed `ci/BENCH_*.json` needs a [`RefSpec`], and every [`RefSpec`]
+//! needs a `harness:` cell in the CI perf matrix that regenerates and gates
+//! it — otherwise a reference outlives its harness unnoticed.
+//!
+//! The `check-refs` binary runs all four checks in CI. The source of truth for
 //! the second check is the `GATE_ENV_VARS` const colocated with each gate's
 //! `from_env` reader ([`crate::baseline::GATE_ENV_VARS`] and friends) — the
 //! const and the reader sit next to each other precisely so a reviewer sees
@@ -125,21 +130,6 @@ pub const REF_SPECS: &[RefSpec] = &[
         ],
         trend: &["concurrent_speedup"],
     },
-    RefSpec {
-        file: "BENCH_traffic.json",
-        required: &[
-            "schema_version",
-            "workers",
-            "calibration_ms",
-            "norm_cost",
-            "ops_total",
-            "throughput_ratio",
-            "p99_ratio",
-            "upgrade_exactness",
-            "errors",
-        ],
-        trend: &["throughput_ratio", "upgrade_exactness"],
-    },
 ];
 
 /// Environment variables that are legitimately referenced by the workflows
@@ -155,7 +145,6 @@ pub fn known_gate_vars() -> BTreeSet<&'static str> {
     set.extend(crate::maintain::GATE_ENV_VARS);
     set.extend(crate::serve::GATE_ENV_VARS);
     set.extend(crate::session::GATE_ENV_VARS);
-    set.extend(crate::traffic::GATE_ENV_VARS);
     set
 }
 
@@ -327,6 +316,55 @@ pub fn check_wiring(workflows: &[(String, String)]) -> Vec<String> {
         }
     }
     failures
+}
+
+/// The `harness:` names of the CI perf matrix, in workflow order.
+fn perf_matrix_harnesses(yaml: &str) -> Vec<&str> {
+    yaml.lines()
+        .filter_map(|line| line.trim_start().strip_prefix("- harness:"))
+        .map(|name| name.trim().trim_matches('"'))
+        .collect()
+}
+
+/// Cross-checks the committed reference files against [`RefSpec`]s and the
+/// perf matrix of `ci_yaml`: fails for a `BENCH_*.json` without a spec and
+/// for a spec whose harness has no `harness:` cell.
+pub fn check_cells(ref_files: &[String], specs: &[RefSpec], ci_yaml: &str) -> Vec<String> {
+    let harnesses = perf_matrix_harnesses(ci_yaml);
+    let mut failures = Vec::new();
+    for file in ref_files {
+        if !specs.iter().any(|spec| spec.file == file) {
+            failures.push(format!(
+                "ci/{file} has no RefSpec; delete the retired reference or add its spec"
+            ));
+        }
+    }
+    for spec in specs {
+        let harness = spec
+            .file
+            .strip_prefix("BENCH_")
+            .and_then(|f| f.strip_suffix(".json"));
+        if !harness.is_some_and(|h| harnesses.contains(&h)) {
+            failures.push(format!(
+                "{}: no `harness:` cell in the perf matrix regenerates it",
+                spec.file
+            ));
+        }
+    }
+    failures
+}
+
+/// The `BENCH_*.json` file names in a directory, sorted.
+pub fn reference_files(dir: &std::path::Path) -> std::io::Result<Vec<String>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            files.push(name);
+        }
+    }
+    files.sort();
+    Ok(files)
 }
 
 /// One row of the speedup-trend table.
@@ -502,6 +540,38 @@ mod tests {
         let failures = check_matrix_agreement(&[("a", ladder), ("b", flat)], 36, 31);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("b = 932"), "{failures:?}");
+    }
+
+    #[test]
+    fn retired_references_and_cells_without_a_harness_are_flagged() {
+        let spec = |file| RefSpec {
+            file,
+            required: &[],
+            trend: &[],
+        };
+        let specs = [spec("BENCH_a.json"), spec("BENCH_b.json")];
+        let yaml =
+            "matrix:\n  include:\n    - harness: a\n      args: \"\"\n    - harness: \"b\"\n";
+        assert_eq!(perf_matrix_harnesses(yaml), vec!["a", "b"]);
+        let files = |names: &[&str]| names.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        assert!(check_cells(&files(&["BENCH_a.json", "BENCH_b.json"]), &specs, yaml).is_empty());
+        // A committed reference nobody specs (a retired cell left behind).
+        let failures = check_cells(&files(&["BENCH_a.json", "BENCH_old.json"]), &specs, yaml);
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("BENCH_old.json"), "{failures:?}");
+        // A spec whose harness cell was dropped from the matrix.
+        let failures = check_cells(&files(&["BENCH_a.json"]), &specs, "    - harness: a\n");
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("BENCH_b.json"), "{failures:?}");
+    }
+
+    #[test]
+    fn committed_references_match_the_perf_matrix() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = reference_files(&root.join("ci")).unwrap();
+        let ci = std::fs::read_to_string(root.join(".github/workflows/ci.yml")).unwrap();
+        let failures = check_cells(&files, REF_SPECS, &ci);
+        assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]

@@ -83,7 +83,6 @@ pub mod projector;
 pub mod protocol;
 pub mod service;
 pub mod session;
-pub mod tiered;
 pub mod types;
 pub mod universe;
 
@@ -98,6 +97,5 @@ pub use projector::{ChainProjector, ProjectionSpec};
 pub use protocol::{Request, Response};
 pub use service::{ServeConfig, Server, SessionHandler, SessionRegistry, SharedSession};
 pub use session::{AnalysisSession, SessionBuilder, SessionStats};
-pub use tiered::{TieredDrain, TieredSession, TieredStats};
 pub use types::{ChainItem, QueryChains, UpdateChain, UpdateChains};
 pub use universe::Universe;

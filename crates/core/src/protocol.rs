@@ -384,18 +384,13 @@ impl Response {
             }
             Response::Stats(s) => format!(
                 "stats: {} cdag inferences ({} cache hits), {} explicit inferences \
-                 ({} cache hits), {} cells computed, {} edits, {} tiered fast answers \
-                 ({}/{} upgrades confirmed, exactness {:.3})\n",
+                 ({} cache hits), {} cells computed, {} edits\n",
                 s.cdag_inferences,
                 s.cdag_cache_hits,
                 s.explicit_inferences,
                 s.explicit_cache_hits,
                 s.cells_computed,
-                s.edits,
-                s.tiered_fast,
-                s.tiered_confirmed,
-                s.tiered_upgrades,
-                s.upgrade_exactness()
+                s.edits
             ),
             Response::Batch(results) => results.iter().map(Response::render_text).collect(),
             Response::Bye => String::new(),
@@ -539,10 +534,6 @@ impl Response {
                     ),
                     ("cells_computed".into(), Json::num(s.cells_computed)),
                     ("edits".into(), Json::num(s.edits)),
-                    ("tiered_fast".into(), Json::num(s.tiered_fast)),
-                    ("tiered_upgrades".into(), Json::num(s.tiered_upgrades)),
-                    ("tiered_confirmed".into(), Json::num(s.tiered_confirmed)),
-                    ("upgrade_exactness".into(), Json::Num(s.upgrade_exactness())),
                 ],
             ),
             Response::Batch(results) => obj(

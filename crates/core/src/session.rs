@@ -293,28 +293,6 @@ pub struct SessionStats {
     pub cells_computed: usize,
     /// Workload edits applied (`add_*` / `remove_*` calls).
     pub edits: usize,
-    /// Fast (CDAG-only) answers served by a [`TieredSession`] front.
-    ///
-    /// [`TieredSession`]: crate::tiered::TieredSession
-    pub tiered_fast: usize,
-    /// Explicit-witness upgrades completed by a tiered front.
-    pub tiered_upgrades: usize,
-    /// Upgrades whose exact verdict confirmed the fast answer.
-    pub tiered_confirmed: usize,
-}
-
-impl SessionStats {
-    /// Fraction of completed tiered upgrades that confirmed the fast
-    /// answer (`1.0` before any upgrade has completed — the fast tier is
-    /// sound for independence, so an empty slow tier has nothing to
-    /// retract).
-    pub fn upgrade_exactness(&self) -> f64 {
-        if self.tiered_upgrades == 0 {
-            1.0
-        } else {
-            self.tiered_confirmed as f64 / self.tiered_upgrades as f64
-        }
-    }
 }
 
 /// The live counters behind [`SessionStats`], incremented with relaxed
@@ -327,9 +305,6 @@ struct SessionCounters {
     explicit_cache_hits: AtomicUsize,
     cells_computed: AtomicUsize,
     edits: AtomicUsize,
-    tiered_fast: AtomicUsize,
-    tiered_upgrades: AtomicUsize,
-    tiered_confirmed: AtomicUsize,
 }
 
 impl SessionCounters {
@@ -345,9 +320,6 @@ impl SessionCounters {
             explicit_cache_hits: self.explicit_cache_hits.load(Ordering::Relaxed),
             cells_computed: self.cells_computed.load(Ordering::Relaxed),
             edits: self.edits.load(Ordering::Relaxed),
-            tiered_fast: self.tiered_fast.load(Ordering::Relaxed),
-            tiered_upgrades: self.tiered_upgrades.load(Ordering::Relaxed),
-            tiered_confirmed: self.tiered_confirmed.load(Ordering::Relaxed),
         }
     }
 }
@@ -513,32 +485,23 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     }
 
     /// One [`MatrixReport`] per registered update, over the registered
-    /// views, read from the materialized matrix.
+    /// views, read from the materialized matrix (`k_range` spans the bounds
+    /// the verdicts were computed at, so it honours the `k` override).
     pub fn reports(&self) -> Vec<MatrixReport> {
         self.updates
             .iter()
-            .enumerate()
-            .map(|(ui, u)| {
-                let mut k_min = usize::MAX;
-                let mut k_max = 0usize;
-                let rows = self
-                    .views
-                    .iter()
-                    .enumerate()
-                    .map(|(vi, v)| {
-                        let k = v.k_q + u.k_u;
-                        k_min = k_min.min(k);
-                        k_max = k_max.max(k);
-                        (v.name.clone(), self.rows[ui][vi].is_independent())
-                    })
-                    .collect();
-                if self.views.is_empty() {
-                    k_min = 0;
-                }
+            .zip(&self.rows)
+            .map(|(u, row)| {
+                let ks = row.iter().map(|v| v.k);
                 MatrixReport {
                     update_name: u.name.clone(),
-                    rows,
-                    k_range: (k_min, k_max),
+                    rows: self
+                        .views
+                        .iter()
+                        .zip(row)
+                        .map(|(v, verdict)| (v.name.clone(), verdict.is_independent()))
+                        .collect(),
+                    k_range: (ks.clone().min().unwrap_or(0), ks.max().unwrap_or(0)),
                 }
             })
             .collect()
@@ -593,40 +556,6 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
             }
         }
         cell_verdict(&self.config, meta, &qkey, &ukey, &self.caches, cdag_flag)
-    }
-
-    /// The fast tier of [`TieredSession`](crate::tiered::TieredSession):
-    /// a CDAG-only verdict, regardless of the configured engine order. The
-    /// polynomial CDAG pass runs (warm through the same session caches
-    /// [`check`](Self::check) fills), but the explicit engine is never
-    /// consulted — an *independent* answer is sound and final, a
-    /// *dependent* answer may be a false positive the explicit tier can
-    /// later retract.
-    pub fn check_cdag(&self, q: &Query, u: &Update) -> Verdict {
-        let meta = (self.k_for(q, u), k_of_query(q), k_of_update(u));
-        let k = meta.0;
-        let qkey = expr_key(q);
-        let ukey = expr_key(u);
-        self.ensure_cdag_query(&qkey, q, k);
-        self.ensure_cdag_update(&ukey, u, k);
-        let flag = Some(self.cdag_independent(&qkey, &ukey, k));
-        let mut config = self.config.clone();
-        config.engine = EngineKind::Cdag;
-        cell_verdict(&config, meta, &qkey, &ukey, &self.caches, flag)
-    }
-
-    /// Counter hook for the tiered front: one fast answer served.
-    pub(crate) fn note_tiered_fast(&self) {
-        SessionCounters::bump(&self.caches.counters.tiered_fast, 1);
-    }
-
-    /// Counter hook for the tiered front: one upgrade completed, and
-    /// whether the exact verdict confirmed the fast answer.
-    pub(crate) fn note_tiered_upgrade(&self, confirmed: bool) {
-        SessionCounters::bump(&self.caches.counters.tiered_upgrades, 1);
-        if confirmed {
-            SessionCounters::bump(&self.caches.counters.tiered_confirmed, 1);
-        }
     }
 
     /// [`check`](Self::check) followed by a human-readable report, using the
@@ -1440,6 +1369,34 @@ mod tests {
         let m = fresh_matrix(&d, &views, &updates, &config, Jobs::Fixed(2));
         assert!(m.rows.iter().flatten().all(|v| v.k == 7));
         assert_cells_match_fresh_checks(&m);
+    }
+
+    #[test]
+    fn report_k_range_is_the_bound_the_verdicts_used() {
+        let d = figure1();
+        let q = parse_query("//a//c").unwrap();
+        let u = parse_update("delete //b//c").unwrap();
+        let pair_k = k_for_pair(&q, &u);
+        for (k_override, expected) in [(None, pair_k), (Some(7), 7)] {
+            let mut session = SessionBuilder::new(&d).k_override(k_override).build();
+            session.add_workload([("v".into(), q.clone())], [("u".into(), u.clone())]);
+            assert_eq!(session.verdict(0, 0).k, expected);
+            assert_eq!(session.reports()[0].k_range, (expected, expected));
+        }
+        // Without an override the range spans the per-pair bounds.
+        let (views, updates) = small_matrix();
+        let m = fresh_matrix(
+            &d,
+            &views,
+            &updates,
+            &AnalyzerConfig::default(),
+            Jobs::Fixed(1),
+        );
+        for (report, u) in m.reports().iter().zip(&updates) {
+            let ks: Vec<usize> = views.iter().map(|v| k_for_pair(v, u)).collect();
+            let range = (*ks.iter().min().unwrap(), *ks.iter().max().unwrap());
+            assert_eq!(report.k_range, range);
+        }
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! [`Corpus`] — five fixtures (shallow-wide catalog, deep-recursive
 //! treatise, attribute-heavy records, mixed-content article,
 //! mutual-recursion orgchart) optionally extended with [`SchemaGen`]
-//! schemas — and the `qui-traffic` simulator registers the same corpus in
-//! its session registry to drive multi-tenant load over heterogeneous
-//! schemas.
+//! schemas — and the concurrency suite loads the same corpus into one
+//! multi-schema session registry.
 //!
 //! Everything here is deterministic per seed: [`SchemaGen::generate`],
 //! [`random_query`] and [`random_update`] derive all choices from the

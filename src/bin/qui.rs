@@ -10,7 +10,6 @@
 //! qui generate  --dtd <file> [--nodes <n>] [--seed <n>] [--start <name>]
 //! qui xmark     (--scale S|M|L|XL | --nodes <n>) [--seed <n>] [--out <file>]
 //! qui maintain  [--scale S|M|L|XL | --nodes <n>] [--seed <n>] [--jobs <n>]
-//! qui traffic   [--tenants <n>] [--ops <n>] [--schemas <n>] [--seed <n>] [--jobs <n>] [--http] [--out <file>]
 //! ```
 //!
 //! Expressions may be given inline or as `@path/to/file`. DTD files may use
@@ -30,7 +29,6 @@ use xml_qui::core::{
 };
 use xml_qui::schema::infer::infer_dtd;
 use xml_qui::schema::{generate_valid, Dtd, GenValidConfig};
-use xml_qui::traffic::{TrafficConfig, TrafficSim};
 use xml_qui::workloads::{
     all_updates, all_views, maintenance_simulation_jobs, stream_xmark_document, XmarkScale,
 };
@@ -70,7 +68,6 @@ fn run(args: &[String]) -> Result<String, String> {
         "generate" => cmd_generate(&parsed),
         "xmark" => cmd_xmark(&parsed),
         "maintain" => cmd_maintain(&parsed),
-        "traffic" => cmd_traffic(&parsed),
         other => Err(format!("unknown command '{other}' (try 'qui help')")),
     }
 }
@@ -117,10 +114,6 @@ fn usage() -> String {
         s,
         "  maintain  [--scale S|M|L|XL | --nodes <n>] [--seed <n>] [--jobs <n>]"
     );
-    let _ = writeln!(
-        s,
-        "  traffic   [--tenants <n>] [--ops <n>] [--schemas <n>] [--seed <n>] [--jobs <n>] [--http] [--out <file>]"
-    );
     let _ = writeln!(s, "options: --start <name> overrides the DTD start symbol;");
     let _ = writeln!(s, "         expressions may be written inline or as @file;");
     let _ = writeln!(
@@ -156,7 +149,7 @@ struct CliArgs {
 
 impl CliArgs {
     fn parse(args: &[String]) -> Result<CliArgs, String> {
-        const VALUE_OPTIONS: [&str; 20] = [
+        const VALUE_OPTIONS: [&str; 17] = [
             "--dtd",
             "--start",
             "--query",
@@ -174,11 +167,8 @@ impl CliArgs {
             "--addr",
             "--workers",
             "--name",
-            "--tenants",
-            "--ops",
-            "--schemas",
         ];
-        const BARE_FLAGS: [&str; 4] = ["--explain", "--attributes", "--stream", "--http"];
+        const BARE_FLAGS: [&str; 3] = ["--explain", "--attributes", "--stream"];
         let mut out = CliArgs::default();
         let mut i = 0;
         while i < args.len() {
@@ -701,28 +691,6 @@ fn cmd_maintain(args: &CliArgs) -> Result<String, String> {
     Ok(out)
 }
 
-fn cmd_traffic(args: &CliArgs) -> Result<String, String> {
-    let seed = args.get_usize("--seed", 42)? as u64;
-    let config = TrafficConfig {
-        tenants: args.get_usize("--tenants", 400)?,
-        ops_per_tenant: args.get_usize("--ops", 25)?,
-        schemas: args.get_usize("--schemas", 8)?,
-        seed,
-        jobs: jobs_arg(args)?.resolve(),
-        http: args.has_flag("--http"),
-        ..Default::default()
-    };
-    // Seed first, before any work: every run is replayable from this line.
-    let mut out = format!("traffic seed {seed} — replay with `qui traffic --seed {seed}`\n");
-    let report = TrafficSim::new(config).run();
-    out.push_str(&report.render());
-    if let Some(path) = args.get("--out") {
-        std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-        let _ = writeln!(out, "wrote {path}");
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1119,36 +1087,6 @@ quit
         );
         assert!(run(&strings(&["maintain", "--scale", "huge"])).is_err());
         assert!(run(&strings(&["maintain", "--jobs", "0"])).is_err());
-    }
-
-    #[test]
-    fn traffic_prints_the_seed_and_writes_the_report() {
-        let dir = std::env::temp_dir().join(format!("qui-cli-traffic-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let out_path = dir.join("traffic.json");
-        let out = run(&strings(&[
-            "traffic",
-            "--tenants",
-            "6",
-            "--ops",
-            "6",
-            "--schemas",
-            "2",
-            "--seed",
-            "5",
-            "--jobs",
-            "2",
-            "--out",
-            out_path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.starts_with("traffic seed 5"), "{out}");
-        assert!(out.contains("exactness"), "{out}");
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        assert!(json.contains("\"seed\": 5"), "{json}");
-        assert!(json.contains("\"stream_digest\""), "{json}");
-        assert!(run(&strings(&["traffic", "--jobs", "0"])).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

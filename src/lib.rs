@@ -21,8 +21,6 @@
 //!   analysis of Benedikt & Cheney used as the comparison baseline.
 //! * [`workloads`] — XMark / XPathMark workloads, the update sets of §6.2,
 //!   the R-benchmark, and document generators.
-//! * [`traffic`] — the schema-corpus-backed multi-tenant traffic simulator
-//!   with tiered approximate-first answering (`qui traffic`).
 //!
 //! ## Quick example
 //!
@@ -43,7 +41,6 @@
 pub use qui_baseline as baseline;
 pub use qui_core as core;
 pub use qui_schema as schema;
-pub use qui_traffic as traffic;
 pub use qui_workloads as workloads;
 pub use qui_xmlstore as xmlstore;
 pub use qui_xquery as xquery;

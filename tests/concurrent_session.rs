@@ -5,12 +5,16 @@
 //!   shared session produce verdicts bit-identical (every `Verdict` field,
 //!   witnesses included) to a fresh single-threaded session, across engine
 //!   policies and explicit budgets (including the overflow → CDAG fallback);
-//! * **interleaved edits** — readers running ad-hoc checks while another
-//!   thread edits the workload never observe a torn matrix, and the final
+//! * **interleaved edits** — readers spread over a multi-schema
+//!   `SessionRegistry` send checks, batches and matrix reads while another
+//!   thread edits every schema's workload: no request errors, every verdict
+//!   equals a fresh single-schema check, no matrix is torn, and each final
 //!   session state matches a from-scratch `add_workload` on a fresh session;
 //! * an HTTP smoke test through the public facade: the wire verdict equals
 //!   the in-process one.
 
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -19,9 +23,9 @@ use std::time::Duration;
 use xml_qui::core::parallel::Jobs;
 use xml_qui::core::{
     AnalyzerConfig, EngineKind, Json, Request, Response, ServeConfig, Server, SessionBuilder,
-    SessionRegistry, SharedSession, Verdict,
+    SessionHandler, SessionRegistry, SharedSession, Verdict,
 };
-use xml_qui::schema::Dtd;
+use xml_qui::schema::{random_query, random_update, Corpus, Dtd};
 use xml_qui::xquery::{parse_query, parse_update, Query, Update};
 
 const FIG1: &str = "doc -> (a|b)* ; a -> c ; b -> c";
@@ -104,106 +108,197 @@ fn concurrent_checks_are_bit_identical_across_engines_and_budgets() {
     }
 }
 
-/// Readers doing ad-hoc checks while another thread edits the workload:
-/// every matrix snapshot a reader sees is internally consistent, ad-hoc
-/// verdicts never waver, and the final state matches a from-scratch
-/// analysis of the surviving workload.
+/// One schema of the multi-schema registry test: its registry name, source,
+/// start symbol and workload pool (views × updates, also the check pool).
+struct RegistrySchema {
+    name: String,
+    source: String,
+    start: String,
+    queries: Vec<String>,
+    updates: Vec<String>,
+}
+
+/// Figure 1 plus every schema of a seeded corpus (the five fixtures and
+/// three generated shapes), each with a seeded workload pool.
+fn registry_schemas() -> Vec<RegistrySchema> {
+    let mut schemas = vec![RegistrySchema {
+        name: "fig1".to_string(),
+        source: FIG1.to_string(),
+        start: "doc".to_string(),
+        queries: QUERIES.iter().map(|q| q.to_string()).collect(),
+        updates: UPDATES.iter().map(|u| u.to_string()).collect(),
+    }];
+    for (si, schema) in Corpus::seeded(7, 3).iter().enumerate() {
+        let labels = schema.labels();
+        let mut rng = StdRng::seed_from_u64(0x5E55 ^ si as u64);
+        schemas.push(RegistrySchema {
+            name: schema.name.clone(),
+            source: schema.source.clone(),
+            start: schema.start.clone(),
+            queries: (0..5).map(|_| random_query(&labels, &mut rng)).collect(),
+            updates: (0..4)
+                .map(|_| random_update(&schema.start, &labels, &mut rng))
+                .collect(),
+        });
+    }
+    schemas
+}
+
+/// Asserts that a matrix response is not torn: one report per update, one
+/// row per view, and the summary count agrees with the rows.
+fn assert_untorn_matrix(response: &Response) {
+    match response {
+        Response::Matrix {
+            reports,
+            n_views,
+            n_updates,
+            independent_cells,
+        } => {
+            assert_eq!(reports.len(), *n_updates);
+            assert!(reports.iter().all(|r| r.rows.len() == *n_views));
+            let independent = reports
+                .iter()
+                .flat_map(|r| r.rows.iter())
+                .filter(|(_, i)| *i)
+                .count();
+            assert_eq!(independent, *independent_cells);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Readers spread over a multi-schema registry send seeded checks, batches
+/// and matrix reads while the main thread edits every schema's workload:
+/// no request errors, every check verdict equals a fresh single-schema
+/// check, no matrix snapshot is torn, and each schema's final matrix
+/// matches a from-scratch analysis of its surviving workload.
 #[test]
 fn interleaved_edits_and_readers_match_from_scratch_matrix() {
-    let dtd = Dtd::parse_compact(FIG1, "doc").unwrap();
     let config = AnalyzerConfig::default();
-    let session = SessionBuilder::new(&dtd).config(config.clone()).build();
-    let shared = SharedSession::new(session);
-    let check = Request::Check {
-        query: "//a//c".to_string(),
-        update: "delete //b//c".to_string(),
-    };
+    let registry = SessionRegistry::new(config.clone(), Jobs::Auto);
+    let schemas = registry_schemas();
+    for schema in &schemas {
+        registry
+            .load_schema(&schema.name, &schema.source, Some(&schema.start))
+            .unwrap();
+    }
+    // The expected answer to every check a reader may send: a fresh
+    // single-schema session over the registry's own parsed schema.
+    let expected: Vec<Vec<(Request, Response)>> = schemas
+        .iter()
+        .map(|schema| {
+            let dtd = registry
+                .get(&schema.name)
+                .unwrap()
+                .with_read(|handler| handler.session().schema());
+            let mut answers = Vec::new();
+            for query in &schema.queries {
+                for update in &schema.updates {
+                    let check = Request::Check {
+                        query: query.clone(),
+                        update: update.clone(),
+                    };
+                    let fresh = SessionBuilder::new(dtd).config(config.clone()).build();
+                    let answer = SessionHandler::new(fresh).handle_read(&check);
+                    assert!(matches!(answer, Response::Check { .. }), "{answer:?}");
+                    answers.push((check, answer));
+                }
+            }
+            answers
+        })
+        .collect();
 
     std::thread::scope(|s| {
-        for _ in 0..4 {
-            let (shared, check) = (&shared, &check);
+        for reader in 0..4u64 {
+            let (registry, schemas, expected) = (&registry, &schemas, &expected);
             s.spawn(move || {
-                for _ in 0..25 {
-                    match shared.handle(check) {
-                        Response::Check { independent, .. } => assert!(independent),
-                        other => panic!("unexpected {other:?}"),
+                let mut rng = StdRng::seed_from_u64(reader);
+                for round in 0..40 {
+                    let si = (reader as usize + round) % schemas.len();
+                    let shared = registry.get(&schemas[si].name).unwrap();
+                    let pairs = &expected[si];
+                    let (check, answer) = &pairs[rng.random_range(0..pairs.len())];
+                    if round % 2 == 0 {
+                        assert_eq!(&shared.handle(check), answer, "{check:?}");
+                        continue;
                     }
-                    match shared.handle(&Request::Matrix) {
-                        Response::Matrix {
-                            reports,
-                            n_views,
-                            n_updates,
-                            independent_cells,
-                        } => {
-                            // A read lock means no torn matrix: one report
-                            // per update, one row per view, and the summary
-                            // count agrees with the rows.
-                            assert_eq!(reports.len(), n_updates);
-                            let independent = reports
-                                .iter()
-                                .flat_map(|r| r.rows.iter())
-                                .filter(|(_, i)| *i)
-                                .count();
-                            assert!(reports.iter().all(|r| r.rows.len() == n_views));
-                            assert_eq!(independent, independent_cells);
+                    let (other, other_answer) = &pairs[rng.random_range(0..pairs.len())];
+                    let batch = Request::Batch(vec![check.clone(), Request::Matrix, other.clone()]);
+                    match shared.handle(&batch) {
+                        Response::Batch(results) => {
+                            assert_eq!(results.len(), 3);
+                            assert_eq!(&results[0], answer, "{check:?}");
+                            assert_untorn_matrix(&results[1]);
+                            assert_eq!(&results[2], other_answer, "{other:?}");
                         }
-                        other => panic!("unexpected {other:?}"),
+                        response => panic!("unexpected {response:?}"),
                     }
                 }
             });
         }
-        // Interleave edits (writes) with the readers above.
-        for (i, q) in QUERIES.iter().enumerate() {
-            shared.handle(&Request::AddView {
-                name: Some(format!("v{i}")),
-                expr: q.to_string(),
+        // Interleave edits (writes) on every schema with the readers above.
+        for schema in &schemas {
+            let shared = registry.get(&schema.name).unwrap();
+            let views = schema
+                .queries
+                .iter()
+                .enumerate()
+                .map(|(i, q)| Request::AddView {
+                    name: Some(format!("v{i}")),
+                    expr: q.clone(),
+                });
+            let updates = schema
+                .updates
+                .iter()
+                .enumerate()
+                .map(|(i, u)| Request::AddUpdate {
+                    name: Some(format!("u{i}")),
+                    expr: u.clone(),
+                });
+            let drops = ["v1", "u0"].map(|name| Request::Drop {
+                name: name.to_string(),
             });
-        }
-        for (i, u) in UPDATES.iter().enumerate() {
-            shared.handle(&Request::AddUpdate {
-                name: Some(format!("u{i}")),
-                expr: u.to_string(),
-            });
-        }
-        shared.handle(&Request::Drop {
-            name: "v1".to_string(),
-        });
-        shared.handle(&Request::Drop {
-            name: "u0".to_string(),
-        });
-    });
-
-    // The surviving workload matches a from-scratch batch analysis cell by
-    // cell, every verdict field included.
-    shared.with_read(|handler| {
-        let session = handler.session();
-        let views: Vec<Query> = session.views().map(|(_, q)| q.clone()).collect();
-        let updates: Vec<Update> = session.updates().map(|(_, u)| u.clone()).collect();
-        assert_eq!(views.len(), QUERIES.len() - 1);
-        assert_eq!(updates.len(), UPDATES.len() - 1);
-        let mut fresh = SessionBuilder::new(&dtd)
-            .config(config.clone())
-            .jobs(Jobs::Fixed(1))
-            .build();
-        fresh.add_workload(
-            session.views().map(|(n, q)| (n.to_string(), q.clone())),
-            session.updates().map(|(n, u)| (n.to_string(), u.clone())),
-        );
-        for ui in 0..fresh.n_updates() {
-            for vi in 0..fresh.n_views() {
+            for edit in views.chain(updates).chain(drops) {
+                let response = shared.handle(&edit);
                 assert!(
-                    session.verdict(ui, vi) == fresh.verdict(ui, vi),
-                    "cell (view {vi}, update {ui}) diverged:\n  session: {:?}\n  fresh:   {:?}",
-                    session.verdict(ui, vi),
-                    fresh.verdict(ui, vi)
+                    !matches!(response, Response::Error { .. }),
+                    "{}: {edit:?} -> {response:?}",
+                    schema.name
                 );
             }
         }
     });
+
+    // Each surviving workload matches a from-scratch batch analysis cell by
+    // cell, every verdict field included.
+    for schema in &schemas {
+        registry.get(&schema.name).unwrap().with_read(|handler| {
+            let session = handler.session();
+            assert_eq!(session.n_views(), schema.queries.len() - 1);
+            assert_eq!(session.n_updates(), schema.updates.len() - 1);
+            let mut fresh = SessionBuilder::new(session.schema())
+                .config(config.clone())
+                .jobs(Jobs::Fixed(1))
+                .build();
+            fresh.add_workload(
+                session.views().map(|(n, q)| (n.to_string(), q.clone())),
+                session.updates().map(|(n, u)| (n.to_string(), u.clone())),
+            );
+            for ui in 0..fresh.n_updates() {
+                for vi in 0..fresh.n_views() {
+                    assert!(
+                        session.verdict(ui, vi) == fresh.verdict(ui, vi),
+                        "{}: cell (view {vi}, update {ui}) diverged:\n  session: {:?}\n  fresh:   {:?}",
+                        schema.name,
+                        session.verdict(ui, vi),
+                        fresh.verdict(ui, vi)
+                    );
+                }
+            }
+        });
+    }
 }
 
-/// Sends one HTTP request over a fresh connection and returns the parsed
-/// JSON body.
 /// A query nested far beyond the parser's depth limit costs one error
 /// response, not the process: handled on a thread with the 2 MB stack of a
 /// scoped `qui serve` worker, both the ad-hoc check and the view
@@ -251,6 +346,8 @@ fn deeply_nested_query_is_an_error_response() {
     });
 }
 
+/// Sends one HTTP request over a fresh connection and returns the parsed
+/// JSON body.
 fn http_json(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> Json {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream

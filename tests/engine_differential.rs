@@ -15,19 +15,23 @@
 //!   produces bit-identical mixed-engine verdicts for jobs ∈ {1, 2, 8};
 //! * **witness totality** — every dependent verdict carries a valid
 //!   conflict witness, including cells whose explicit confirmation
-//!   overflowed (their witness is synthesized from the CDAG sub-DAGs).
+//!   overflowed (their witness is synthesized from the CDAG sub-DAGs);
+//! * **CDAG exactness** — on the seeded corpus, a CDAG-only matrix never
+//!   proves a cell Auto refutes, and agrees with Auto on ≥ 90% of cells.
 //!
 //! The nightly workflow re-runs this suite with a larger deterministic case
 //! count via `QUI_PROPTEST_CASES`.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use xml_qui::core::engine::cdag::CdagEngine;
 use xml_qui::core::engine::explicit::ExplicitEngine;
 use xml_qui::core::{
     AnalysisSession, AnalyzerConfig, ChainProjector, EngineKind, Jobs, SessionBuilder, Universe,
     Verdict,
 };
-use xml_qui::schema::Corpus;
+use xml_qui::schema::{random_query, random_update, Corpus};
 use xml_qui::schema::{Chain, Dtd, SchemaLike};
 use xml_qui::xmlstore::parse_xml;
 use xml_qui::xquery::dynamic::snapshot_query;
@@ -119,9 +123,9 @@ fn schema_pool() -> Vec<Dtd> {
 }
 
 /// The schema corpus as plain DTDs: the five hand-written fixtures plus two
-/// seeded generated shapes, so the differential properties run over every
-/// corpus schema the traffic simulator registers (and more shapes than the
-/// hand pool above covers — deep chains, wide fan-out, recursion cliques).
+/// seeded generated shapes, so the differential properties run over more
+/// shapes than the hand pool above covers (deep chains, wide fan-out,
+/// recursion cliques).
 fn corpus_pool() -> Vec<Dtd> {
     Corpus::seeded(0xC0FFEE, 2)
         .iter()
@@ -305,7 +309,7 @@ proptest! {
     /// sibling of the headline property above — the attributability and
     /// witness-containment clauses stay on the curated pool, where the
     /// relaxed-`k` re-check is affordable; soundness and production
-    /// equality, the clauses the traffic simulator rides on, run corpus-wide.
+    /// equality run corpus-wide.
     #[test]
     fn corpus_schemas_keep_engine_agreement(
         si in 0usize..7,
@@ -650,4 +654,56 @@ fn forced_engines_agree_with_auto_on_the_straddling_flat_half() {
         .collect();
     assert_eq!(verdicts[0], verdicts[1]);
     assert_eq!(verdicts[0], verdicts[2]);
+}
+
+#[test]
+fn cdag_answers_stay_sound_and_mostly_exact_against_auto_on_the_corpus() {
+    // The exactness of a CDAG-only answer: on every corpus schema, the same
+    // seeded workload registered in a CDAG session and in an Auto session
+    // (whose explicit pass confirms or refines each CDAG "dependent") must
+    // never disagree on an independence the CDAG proved, and must agree on
+    // at least 90% of cells.
+    let mut cells = 0usize;
+    let mut agree = 0usize;
+    for (si, schema) in Corpus::seeded(1, 8).iter().enumerate() {
+        let dtd = schema.dtd();
+        let labels = schema.labels();
+        let mut rng = StdRng::seed_from_u64(0xE8AC ^ si as u64);
+        let views: Vec<Query> = (0..12)
+            .map(|_| parse_query(&random_query(&labels, &mut rng)).expect("corpus query parses"))
+            .collect();
+        let updates: Vec<Update> = (0..12)
+            .map(|_| {
+                parse_update(&random_update(&schema.start, &labels, &mut rng))
+                    .expect("corpus update parses")
+            })
+            .collect();
+        let session = |engine| {
+            let config = AnalyzerConfig {
+                engine,
+                ..Default::default()
+            };
+            fresh_matrix(&dtd, &views, &updates, &config, Jobs::Fixed(1))
+        };
+        let (cdag, auto) = (session(EngineKind::Cdag), session(EngineKind::Auto));
+        for (ui, u) in updates.iter().enumerate() {
+            for (vi, q) in views.iter().enumerate() {
+                let fast = cdag.verdict(ui, vi).is_independent();
+                let exact = auto.verdict(ui, vi).is_independent();
+                assert!(
+                    !fast || exact,
+                    "UNSOUND: CDAG proves ({q}, {u}) independent on corpus schema {}, Auto refutes",
+                    schema.name
+                );
+                cells += 1;
+                agree += usize::from(fast == exact);
+            }
+        }
+    }
+    assert_eq!(cells, 13 * 12 * 12);
+    let exactness = agree as f64 / cells as f64;
+    assert!(
+        exactness >= 0.90,
+        "CDAG answers agree with Auto on only {agree}/{cells} cells ({exactness:.3})"
+    );
 }

@@ -72,10 +72,10 @@ fn xmark_chain_analysis_is_sound_and_dominates_the_baseline() {
 
 #[test]
 fn corpus_chain_analysis_is_sound_on_generated_instances() {
-    // For every corpus schema — the same corpus the traffic simulator
-    // registers — draw seeded query/update pairs from the corpus
-    // generators, then refute each *static* independence claim against the
-    // dynamic check (Definition 2.4) on several generated valid instances.
+    // For every corpus schema, draw seeded query/update pairs from the
+    // corpus generators, then refute each *static* independence claim
+    // against the dynamic check (Definition 2.4) on several generated valid
+    // instances.
     // A static "independent" with a dynamic "changed" on any instance is a
     // soundness bug, whatever the schema shape.
     let pairs_per_schema: usize = std::env::var("QUI_PROPTEST_CASES")
