@@ -11,9 +11,14 @@
 //!
 //! Two strategies run over the identical update stream:
 //!
-//! * **naive** — every view re-evaluates after every batch;
-//! * **pruned** — only the views not statically independent of the batch
-//!   re-evaluate (the Fig. 3.c discipline, applied live).
+//! * **naive** — every view re-evaluates after every batch that changed
+//!   the document;
+//! * **pruned** — after such a batch, only the views not statically
+//!   independent of the batch re-evaluate (the Fig. 3.c discipline, applied
+//!   live).
+//!
+//! Under both, a batch that left the document as it was refreshes nothing
+//! (`unchanged` in the report counts those batches).
 //!
 //! The headline gate compares the *maintenance phase* (the work the
 //! strategies differ on; update application and analysis cost are common):
@@ -116,7 +121,9 @@ pub struct StrategyRow {
     pub updates_applied: usize,
     /// Batches the stream was split into.
     pub batches: usize,
-    /// View refreshes skipped as independent.
+    /// Batches that left the document as it was, so no view refreshed.
+    pub unchanged: usize,
+    /// View refreshes skipped: as independent, or after an unchanged batch.
     pub skipped: usize,
     /// Views re-evaluated from scratch.
     pub reevaluated: usize,
@@ -215,12 +222,13 @@ impl MaintainReport {
                 let _ = write!(
                     s,
                     "      {{\"strategy\": \"{}\", \"updates_applied\": {}, \"batches\": {}, \
-                     \"skipped\": {}, \"reevaluated\": {}, \"analysis_ms\": {:.3}, \
-                     \"apply_ms\": {:.3}, \"maintain_ms\": {:.3}, \"total_ms\": {:.3}, \
-                     \"updates_per_sec\": {:.1}}}",
+                     \"unchanged\": {}, \"skipped\": {}, \"reevaluated\": {}, \
+                     \"analysis_ms\": {:.3}, \"apply_ms\": {:.3}, \"maintain_ms\": {:.3}, \
+                     \"total_ms\": {:.3}, \"updates_per_sec\": {:.1}}}",
                     row.strategy,
                     row.updates_applied,
                     row.batches,
+                    row.unchanged,
                     row.skipped,
                     row.reevaluated,
                     row.analysis_ms,
@@ -365,6 +373,7 @@ fn run_scale(spec: &MaintainSpec, workers: usize, reps: usize) -> MaintainScaleR
             strategy: strategy_name(strategy).to_string(),
             updates_applied: stats.updates,
             batches: spec.rounds.max(1) * spec.updates.div_ceil(spec.batch.max(1)),
+            unchanged: stats.unchanged,
             skipped: stats.skipped,
             reevaluated: stats.reevaluated,
             analysis_ms: ms_f64(stats.analysis),
@@ -506,6 +515,7 @@ mod tests {
             strategy: strategy.to_string(),
             updates_applied: 62,
             batches: 32,
+            unchanged: 0,
             skipped: 900,
             reevaluated: reeval,
             analysis_ms: 5.0,
@@ -595,7 +605,11 @@ mod tests {
         let pruned = &r.rows[1];
         assert_eq!(naive.updates_applied, 6);
         assert_eq!(naive.batches, 3);
-        assert_eq!(naive.reevaluated, 8 * 3, "naive refreshes every view");
+        // Naive refreshes every view after each batch that changed the
+        // document and none after one that did not.
+        assert_eq!(pruned.unchanged, naive.unchanged);
+        assert_eq!(naive.reevaluated, 8 * (3 - naive.unchanged));
+        assert_eq!(naive.skipped, 8 * naive.unchanged);
         assert!(pruned.reevaluated <= naive.reevaluated);
         assert!(pruned.total_ms > 0.0);
         let json = report.to_json();

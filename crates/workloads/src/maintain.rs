@@ -7,19 +7,29 @@
 //! two strategies:
 //!
 //! * [`MaintainStrategy::Naive`] — re-evaluate every view after every batch
-//!   (the no-analysis baseline of the paper's experiment);
-//! * [`MaintainStrategy::Pruned`] — re-evaluate only the views the chain
-//!   analysis cannot prove independent of some update in the batch
-//!   (Fig. 3.c, extended to batches).
+//!   that changed the document (the no-analysis baseline of the paper's
+//!   experiment);
+//! * [`MaintainStrategy::Pruned`] — after such a batch, re-evaluate only the
+//!   views the chain analysis cannot prove independent of some update in
+//!   the batch (Fig. 3.c, extended to batches).
+//!
+//! Each batch is applied first. [`apply_pending_list`] reports whether the
+//! document's value changed; when no update of the batch changed it (a
+//! delete or rename whose targets are gone, a rename to the same tag, a
+//! replace by value-equal content), the batch is independent of every view
+//! in the sense of Def. 2.4 and neither strategy refreshes anything. Those
+//! batches count in [`BatchStats::unchanged`] and their views in
+//! [`BatchStats::skipped`].
 //!
 //! The skip decision is the C-independence verdict (Def. 4.1) of an
 //! [`AnalysisSession`] the engine owns, built once with the polynomial CDAG
 //! engine ([`EngineKind::Cdag`], §6.1). Every view is registered on the
 //! session when it is registered here; an update joins the session as a
-//! matrix row the first time it is seen, so a recurring update stream pays
-//! the chain analysis once per distinct update and then one matrix lookup
-//! per (view, update) per batch. Views registered later get their column
-//! computed against every row already present.
+//! matrix row the first time a batch carrying it changes the document, so
+//! a recurring update stream pays the chain analysis once per distinct
+//! update and then one matrix lookup per (view, update) per batch. Views
+//! registered later get their column computed against every row already
+//! present.
 //!
 //! Update application is sequential (the semantics of a batch is the
 //! sequential composition of its updates); re-evaluations are sharded over
@@ -42,9 +52,10 @@ use qui_xquery::{apply_pending_list, evaluate_query, evaluate_update, EvalError,
 /// How a [`MaintenanceEngine`] refreshes its views after each batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MaintainStrategy {
-    /// Re-evaluate every view after every batch.
+    /// Re-evaluate every view after every batch that changed the document.
     Naive,
-    /// Re-evaluate only views not statically independent of the batch.
+    /// After a batch that changed the document, re-evaluate only the views
+    /// not statically independent of the batch.
     Pruned,
 }
 
@@ -96,11 +107,15 @@ impl MaintainedView {
 pub struct BatchStats {
     /// Updates applied in this batch.
     pub updates: usize,
-    /// Views left untouched (independent of the whole batch).
+    /// Views left untouched: independent of the whole batch, or every view
+    /// after a batch that did not change the document.
     pub skipped: usize,
     /// Views re-evaluated from scratch.
     pub reevaluated: usize,
-    /// Wall time of the static analysis pass.
+    /// Batches that left the document's value as it was (see
+    /// [`apply_pending_list`]), so no view was refreshed.
+    pub unchanged: usize,
+    /// Wall time of the skip decision (the static analysis pass).
     pub analysis: Duration,
     /// Wall time of update evaluation + application.
     pub apply: Duration,
@@ -113,14 +128,15 @@ impl BatchStats {
         self.updates += other.updates;
         self.skipped += other.skipped;
         self.reevaluated += other.reevaluated;
+        self.unchanged += other.unchanged;
         self.analysis += other.analysis;
         self.apply += other.apply;
         self.maintain += other.maintain;
     }
 
     /// The worker-count-independent part, for bit-identity assertions.
-    pub fn deterministic_fields(&self) -> [usize; 3] {
-        [self.updates, self.skipped, self.reevaluated]
+    pub fn deterministic_fields(&self) -> [usize; 4] {
+        [self.updates, self.skipped, self.reevaluated, self.unchanged]
     }
 }
 
@@ -129,9 +145,8 @@ pub struct MaintenanceEngine<'s, S: SchemaLike> {
     /// The CDAG analysis of every registered view against every distinct
     /// update seen so far (see the [module docs](self)).
     session: AnalysisSession<'s, S>,
-    /// Session row of each distinct update, keyed by its expression
-    /// fingerprint.
-    update_rows: HashMap<String, usize>,
+    /// Session row of each distinct update.
+    update_rows: HashMap<Update, usize>,
     strategy: MaintainStrategy,
     jobs: Jobs,
     doc: Tree,
@@ -198,13 +213,12 @@ impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
     fn independent_views(&mut self, updates: &[Update]) -> Vec<bool> {
         let mut rows = Vec::with_capacity(updates.len());
         for u in updates {
-            let fingerprint = format!("{u:?}");
-            let row = match self.update_rows.get(&fingerprint) {
+            let row = match self.update_rows.get(u) {
                 Some(&row) => row,
                 None => {
                     let name = format!("u{}", self.update_rows.len());
                     let row = self.session.add_update(name, u.clone());
-                    self.update_rows.insert(fingerprint, row);
+                    self.update_rows.insert(u.clone(), row);
                     row
                 }
             };
@@ -223,39 +237,26 @@ impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
     ///
     /// The batch semantics is sequential composition: each update is
     /// evaluated against the document state its predecessors produced.
-    /// Maintenance runs once, after the whole batch. When the batch leaves
-    /// the store at twice its length at the last rebuild, the document is
-    /// rebuilt into a fresh store holding only its reachable nodes, so node
-    /// locations of [`doc`](Self::doc) are not stable across batches.
+    /// Maintenance runs once, after the whole batch, and only if some
+    /// update changed the document (see the [module docs](self)). When the
+    /// batch leaves the store at twice its length at the last rebuild, the
+    /// document is rebuilt into a fresh store holding only its reachable
+    /// nodes, so node locations of [`doc`](Self::doc) are not stable across
+    /// batches.
     pub fn apply_batch(&mut self, updates: &[Update]) -> Result<BatchStats, EvalError> {
         let mut stats = BatchStats {
             updates: updates.len(),
             ..Default::default()
         };
 
-        // Phase 1: one static analysis pass for the whole batch — skipped
-        // entirely by the naive strategy, which refreshes everything anyway.
-        // A view is skipped iff it is independent of every update in the
-        // batch: a single dependent update forces re-evaluation.
-        let analysis_start = Instant::now();
-        let reeval: Vec<usize> = if self.strategy == MaintainStrategy::Naive {
-            (0..self.views.len()).collect()
-        } else {
-            let independent = self.independent_views(updates);
-            (0..self.views.len())
-                .filter(|&vi| !independent[vi])
-                .collect()
-        };
-        stats.analysis = analysis_start.elapsed();
-        stats.reevaluated = reeval.len();
-        stats.skipped = self.views.len() - reeval.len();
-
-        // Phase 2: apply the updates sequentially.
+        // Phase 1: apply the updates sequentially, noting whether any of
+        // them changed the document's value.
         let apply_start = Instant::now();
+        let mut changed = false;
         for u in updates {
             let root = self.doc.root;
             let cmds = evaluate_update(&mut self.doc.store, root, u)?;
-            apply_pending_list(&mut self.doc.store, &cmds);
+            changed |= apply_pending_list(&mut self.doc.store, &cmds);
         }
         // Deleted, replaced and constructed subtrees stay in the store as
         // unreachable locations. Once they could make up half of it, copy
@@ -269,6 +270,26 @@ impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
         }
         self.doc.freeze();
         stats.apply = apply_start.elapsed();
+
+        // Phase 2: decide what to refresh. A batch that left the document
+        // as it was cannot have changed any view, under either strategy.
+        // Otherwise naive refreshes everything, and pruned skips a view iff
+        // it is independent of every update in the batch.
+        let analysis_start = Instant::now();
+        let reeval: Vec<usize> = if !changed {
+            stats.unchanged = 1;
+            Vec::new()
+        } else if self.strategy == MaintainStrategy::Naive {
+            (0..self.views.len()).collect()
+        } else {
+            let independent = self.independent_views(updates);
+            (0..self.views.len())
+                .filter(|&vi| !independent[vi])
+                .collect()
+        };
+        stats.analysis = analysis_start.elapsed();
+        stats.reevaluated = reeval.len();
+        stats.skipped = self.views.len() - reeval.len();
 
         // Phase 3: re-evaluate the dependent views, sharded over the pool.
         let maintain_start = Instant::now();
@@ -326,7 +347,9 @@ mod tests {
             .unwrap();
         eng.register_view("bs", &parse_query("//b/c").unwrap())
             .unwrap();
-        let u = parse_update("delete //a/c").unwrap();
+        // An insert changes the document every time it runs, so every
+        // batch below reaches the session lookup.
+        let u = parse_update("for $x in //a return insert <c/> into $x").unwrap();
         let first = eng.apply_batch(std::slice::from_ref(&u)).unwrap();
         let inferences = eng.session.stats().cdag_inferences;
         assert!(inferences > 0, "the first sighting runs the CDAG inference");
@@ -341,7 +364,37 @@ mod tests {
             1,
             "one session row per distinct update"
         );
+        assert_eq!(first.unchanged, 0);
         assert_eq!(first.deterministic_fields(), again.deterministic_fields());
+        assert_eq!([first.skipped, first.reevaluated], [1, 1]);
+    }
+
+    #[test]
+    fn a_batch_that_changes_nothing_refreshes_nothing_and_skips_the_session() {
+        let dtd = Dtd::parse_compact("doc -> (a|b)* ; a -> c* ; b -> c*", "doc").unwrap();
+        for strategy in [MaintainStrategy::Naive, MaintainStrategy::Pruned] {
+            let doc = parse_xml("<doc><a><c/></a><b/></doc>").unwrap();
+            let mut eng = MaintenanceEngine::new(&dtd, doc, strategy, Jobs::Fixed(1));
+            eng.register_view("cs", &parse_query("//c").unwrap())
+                .unwrap();
+            eng.register_view("as", &parse_query("//a").unwrap())
+                .unwrap();
+            let batch = [
+                parse_update("delete //b/c").unwrap(),
+                parse_update("for $x in //a return rename $x as a").unwrap(),
+            ];
+            let stats = eng.apply_batch(&batch).unwrap();
+            assert_eq!(stats.unchanged, 1, "{strategy:?}");
+            assert_eq!([stats.skipped, stats.reevaluated], [2, 0], "{strategy:?}");
+            assert_eq!(eng.session.n_updates(), 0, "no session lookup");
+            let stats = eng
+                .apply_batch(&[parse_update("delete //a/c").unwrap()])
+                .unwrap();
+            assert_eq!(stats.unchanged, 0, "{strategy:?}");
+            assert!(stats.reevaluated > 0, "{strategy:?}");
+            assert_eq!(eng.serialized_views(), vec!["<view/>", "<view><a/></view>"]);
+            assert_eq!(eng.totals().unchanged, 1);
+        }
     }
 
     /// The skip set of a workload, computed directly per pair by a plain
@@ -465,16 +518,35 @@ mod tests {
                 eng.register_view(v.name, &v.query).unwrap();
             }
         }
-        for batch in updates.chunks(2) {
+        // Two rounds, the second one update per batch. There UA1 and UB2
+        // find nothing to delete (on this document, not even in the first
+        // round), UN1 nothing left to rename, and UP5 replaces value-equal
+        // content.
+        let mut unchanged = 0;
+        for batch in updates.chunks(2).chain(updates.chunks(1)) {
+            let before = engines[0].doc().to_xml();
             let stats: Vec<BatchStats> = engines
                 .iter_mut()
                 .map(|e| e.apply_batch(batch).unwrap())
                 .collect();
             assert_eq!(engines[1].serialized_views(), engines[0].serialized_views());
-            // Naive refreshes everything; pruning never refreshes more.
-            assert_eq!(stats[0].reevaluated, views.len());
+            assert_eq!(stats[0].unchanged, stats[1].unchanged);
+            // Naive refreshes every view after a batch that changed the
+            // document and none after one that did not; pruning never
+            // refreshes more.
+            if stats[0].unchanged == 1 {
+                assert_eq!(stats[0].reevaluated, 0);
+                assert_eq!(engines[0].doc().to_xml(), before);
+                unchanged += 1;
+            } else {
+                assert_eq!(stats[0].reevaluated, views.len());
+            }
             assert!(stats[1].reevaluated <= stats[0].reevaluated);
         }
+        assert_eq!(
+            unchanged, 5,
+            "no-op batches: UA1+UB2, then UA1, UB2, UN1, UP5"
+        );
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl fmt::Display for NodeTest {
 }
 
 /// The query fragment of §2.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Query {
     /// The empty sequence `()`.
     Empty,
@@ -306,7 +306,7 @@ impl fmt::Display for UpdatePos {
 }
 
 /// The update fragment of §2.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Update {
     /// The empty update `()`.
     Empty,

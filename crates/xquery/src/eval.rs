@@ -19,9 +19,17 @@
 //! this is the common case. Only a context of several nodes (a `let`-bound
 //! sequence) goes through [`Store::doc_order_dedup`], which ranks every
 //! tree the results lie in.
+//!
+//! A `for` whose body is a single step on its own variable (every
+//! desugared `//t` and `a/b`) runs the step straight from each source node,
+//! without binding the variable. Its output is the generic path's exactly:
+//! the results of each iteration in document order, iterations in source
+//! order, no dedup across them. So `for` order, not document order, decides
+//! the overall sequence when source nodes nest (recursive `listitem` /
+//! `parlist`).
 
 use crate::ast::{Axis, NodeTest, Query, Update, UpdatePos};
-use qui_xmlstore::{NodeId, Store, Sym, Tree};
+use qui_xmlstore::{value_equiv, NodeId, Store, Sym, Tree};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -174,7 +182,16 @@ pub fn evaluate_update(
 /// Commands are applied grouped by kind in the W3C-prescribed order:
 /// insertions first, then renames, then replacements, then deletions. Within
 /// a group, list order is preserved.
-pub fn apply_pending_list(store: &mut Store, upl: &[UpdateCommand]) {
+///
+/// Returns whether the document's value may have changed: `false` only if
+/// every command was an identity — an insert of no content, a delete of a
+/// node already without a parent, a rename to the node's own tag, or a
+/// replace of a parentless node or by exactly one node value equivalent
+/// ([`qui_xmlstore::value_equiv`]) to the target when it is applied. Every
+/// command is applied either way: an identity replace still detaches the
+/// target's subtree, which a later delete in the same list may target.
+pub fn apply_pending_list(store: &mut Store, upl: &[UpdateCommand]) -> bool {
+    let mut changed = false;
     for cmd in upl {
         if let UpdateCommand::Ins {
             content,
@@ -182,6 +199,7 @@ pub fn apply_pending_list(store: &mut Store, upl: &[UpdateCommand]) {
             target,
         } = cmd
         {
+            changed |= !content.is_empty();
             match pos {
                 UpdatePos::Into | UpdatePos::IntoAsLast => {
                     store.append_children(*target, content);
@@ -200,19 +218,24 @@ pub fn apply_pending_list(store: &mut Store, upl: &[UpdateCommand]) {
     }
     for cmd in upl {
         if let UpdateCommand::Ren { target, new_tag } = cmd {
+            changed |= store.tag(*target).is_some_and(|t| t != new_tag);
             store.rename(*target, new_tag);
         }
     }
     for cmd in upl {
         if let UpdateCommand::Repl { target, content } = cmd {
+            changed |= store.parent(*target).is_some()
+                && !matches!(content[..], [c] if value_equiv(store, c, store, *target));
             store.replace(*target, content);
         }
     }
     for cmd in upl {
         if let UpdateCommand::Del { target } = cmd {
+            changed |= store.parent(*target).is_some();
             store.detach(*target);
         }
     }
+    changed
 }
 
 /// Convenience: evaluates and applies an update on a tree in place
@@ -340,12 +363,31 @@ impl<'a> Evaluator<'a> {
             }
             Query::For { var, source, ret } => {
                 let seq = self.eval(source, env)?;
-                let shadowed = bind(env, var, Vec::with_capacity(1));
-                for l in seq {
-                    rebind_single(env, var, l);
-                    self.eval_into(ret, env, out)?;
+                match &**ret {
+                    // A desugared path step, `for $v in q return
+                    // $v/axis::test`: each iteration's context is the one
+                    // node bound to `$v`, so the step needs no binding and
+                    // no dedup, and the test resolves once.
+                    Query::Step {
+                        var: ctx,
+                        axis,
+                        test,
+                    } if ctx == var => {
+                        let store = &*self.store;
+                        let test = ResolvedTest::resolve(store, test);
+                        for l in seq {
+                            step_into(store, l, *axis, test, out);
+                        }
+                    }
+                    _ => {
+                        let shadowed = bind(env, var, Vec::with_capacity(1));
+                        for l in seq {
+                            rebind_single(env, var, l);
+                            self.eval_into(ret, env, out)?;
+                        }
+                        unbind(env, var, shadowed);
+                    }
                 }
-                unbind(env, var, shadowed);
             }
             Query::Let { var, source, ret } => {
                 let seq = self.eval(source, env)?;
@@ -677,6 +719,90 @@ mod tests {
             ),
             "<doc><a><new/></a></doc>"
         );
+    }
+
+    /// Applies `u` to `xml`; returns the change flag, after checking that a
+    /// `false` flag left the serialized document as it was.
+    fn change_flag(xml: &str, u: &str) -> bool {
+        let mut t = parse_xml(xml).unwrap();
+        let upd = parse_update(u).unwrap();
+        let root = t.root;
+        let upl = evaluate_update(&mut t.store, root, &upd).unwrap();
+        let changed = apply_pending_list(&mut t.store, &upl);
+        if !changed {
+            assert_eq!(t.to_xml(), xml, "`{u}` reported no change");
+        }
+        changed
+    }
+
+    #[test]
+    fn identity_commands_report_no_change() {
+        let xml = "<doc><k><a>x</a></k><b/></doc>";
+        assert!(!change_flag(xml, "for $x in //a return rename $x as a"));
+        assert!(!change_flag(
+            xml,
+            "for $x in //a return replace $x with <a>{\"x\"}</a>"
+        ));
+        assert!(!change_flag(xml, "for $x in //k return replace $x with /k"));
+        assert!(!change_flag(xml, "for $x in //k return insert () into $x"));
+        assert!(!change_flag(
+            xml,
+            "for $x in //b return insert //zzz after $x"
+        ));
+        assert!(!change_flag(xml, "delete //zzz"));
+        assert!(!change_flag(xml, "for $x in //zzz return rename $x as q"));
+        assert!(!change_flag(xml, "()"));
+    }
+
+    #[test]
+    fn effective_commands_report_a_change() {
+        let xml = "<doc><k><a>x</a></k><b/></doc>";
+        assert!(change_flag(xml, "for $x in //k return insert <n/> into $x"));
+        assert!(change_flag(xml, "delete //b"));
+        assert!(change_flag(xml, "for $x in //a return rename $x as c"));
+        assert!(change_flag(
+            xml,
+            "for $x in //a return replace $x with <a>{\"y\"}</a>"
+        ));
+        // Replacing one node by two value-equal copies of it changes it.
+        assert!(change_flag(
+            xml,
+            "for $x in //b return replace $x with (<b/>, <b/>)"
+        ));
+        assert!(change_flag(xml, "for $x in //b return replace $x with ()"));
+    }
+
+    #[test]
+    fn a_change_undone_later_in_the_same_list_is_still_reported() {
+        // The insert lands first; the replace then compares the grown `k`
+        // against the content, which is `k`'s old value. The document ends
+        // where it began, but the flag only ever over-reports a change.
+        let xml = "<doc><k><a/></k></doc>";
+        let mut t = parse_xml(xml).unwrap();
+        let u = parse_update(
+            "for $x in //k return insert <n/> into $x, \
+             for $x in //k return replace $x with <k><a/></k>",
+        )
+        .unwrap();
+        let root = t.root;
+        let upl = evaluate_update(&mut t.store, root, &u).unwrap();
+        assert!(apply_pending_list(&mut t.store, &upl));
+        assert_eq!(t.to_xml(), xml);
+    }
+
+    #[test]
+    fn identity_replace_still_detaches_for_a_later_delete() {
+        // The replace is an identity, but the delete of `a` (a child of the
+        // replaced `k`) still runs and reports a change conservatively:
+        // its target keeps a parent, though that parent left the document.
+        let xml = "<doc><k><a/></k></doc>";
+        let mut t = parse_xml(xml).unwrap();
+        let u =
+            parse_update("for $x in //k return replace $x with <k><a/></k>, delete //a").unwrap();
+        let root = t.root;
+        let upl = evaluate_update(&mut t.store, root, &u).unwrap();
+        assert!(apply_pending_list(&mut t.store, &upl));
+        assert_eq!(t.to_xml(), xml);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use xml_qui::xmlstore::{parse_xml, serialize_node, NodeId, Store, Tree};
 use xml_qui::xquery::eval::{
     evaluate_query, evaluate_query_with_env, evaluate_update, UpdateCommand,
 };
-use xml_qui::xquery::{Axis, NodeTest, Query};
+use xml_qui::xquery::{parse_query, parse_update, Axis, NodeTest, Query, Update};
 
 fn sibling_dtd() -> Dtd {
     Dtd::parse_compact(
@@ -408,4 +408,172 @@ const XMARK_DIGESTS: [(&str, u64); 67] = [
 #[test]
 fn xmark_results_and_pending_lists_match_recorded_digests() {
     assert_eq!(xmark_digests(), XMARK_DIGESTS);
+}
+
+/// `q` with every `for` body that is one step on the loop variable,
+/// `$v/axis::t`, rewritten to `($v/axis::t, ())`: the same query, but the
+/// evaluator's one-step fast path no longer applies to it. Adds the number
+/// of bodies rewritten to `n`.
+fn slow_query(q: &Query, n: &mut usize) -> Query {
+    let b = |q: &Query, n: &mut usize| Box::new(slow_query(q, n));
+    match q {
+        Query::Empty | Query::StringLit(_) | Query::Step { .. } => q.clone(),
+        Query::Concat(a, c) => Query::Concat(b(a, n), b(c, n)),
+        Query::Element { tag, content } => Query::Element {
+            tag: tag.clone(),
+            content: b(content, n),
+        },
+        Query::For { var, source, ret } => {
+            let ret = match &**ret {
+                Query::Step { var: ctx, .. } if ctx == var => {
+                    *n += 1;
+                    Query::Concat(ret.clone(), Box::new(Query::Empty))
+                }
+                other => slow_query(other, n),
+            };
+            Query::For {
+                var: var.clone(),
+                source: b(source, n),
+                ret: Box::new(ret),
+            }
+        }
+        Query::Let { var, source, ret } => Query::Let {
+            var: var.clone(),
+            source: b(source, n),
+            ret: b(ret, n),
+        },
+        Query::If { cond, then, els } => Query::If {
+            cond: b(cond, n),
+            then: b(then, n),
+            els: b(els, n),
+        },
+    }
+}
+
+/// [`slow_query`] applied to every query inside `u`.
+fn slow_update(u: &Update, n: &mut usize) -> Update {
+    let q = |q: &Query, n: &mut usize| Box::new(slow_query(q, n));
+    let b = |u: &Update, n: &mut usize| Box::new(slow_update(u, n));
+    match u {
+        Update::Empty => Update::Empty,
+        Update::Concat(a, c) => Update::Concat(b(a, n), b(c, n)),
+        Update::For { var, source, body } => Update::For {
+            var: var.clone(),
+            source: q(source, n),
+            body: b(body, n),
+        },
+        Update::Let { var, source, body } => Update::Let {
+            var: var.clone(),
+            source: q(source, n),
+            body: b(body, n),
+        },
+        Update::If { cond, then, els } => Update::If {
+            cond: q(cond, n),
+            then: b(then, n),
+            els: b(els, n),
+        },
+        Update::Delete { target } => Update::Delete {
+            target: q(target, n),
+        },
+        Update::Rename { target, new_tag } => Update::Rename {
+            target: q(target, n),
+            new_tag: new_tag.clone(),
+        },
+        Update::Insert {
+            source,
+            pos,
+            target,
+        } => Update::Insert {
+            source: q(source, n),
+            pos: *pos,
+            target: q(target, n),
+        },
+        Update::Replace { target, source } => Update::Replace {
+            target: q(target, n),
+            source: q(source, n),
+        },
+    }
+}
+
+/// The one-step `for` fast path returns exactly the generic path's
+/// sequence, in order and with its duplicates: every XMark view and update
+/// (targets, sources and constructed ids alike) on the digest documents and
+/// a small nested one, plus paths through nested `listitem`/`parlist`,
+/// where `for` order is not document order.
+#[test]
+fn one_step_for_fast_path_matches_the_generic_path() {
+    let nested = parse_xml(
+        "<site><listitem><parlist><listitem><text>a<keyword>k1</keyword></text>\
+         <parlist><listitem><text>b</text></listitem></parlist></listitem></parlist>\
+         <text>c<keyword>k2</keyword></text></listitem></site>",
+    )
+    .unwrap();
+    let docs: Vec<Tree> = DIGEST_DOCUMENTS
+        .iter()
+        .map(|&(size, seed)| xmark_document(size, seed))
+        .chain(std::iter::once(nested))
+        .collect();
+    let mut queries: Vec<(String, Query)> = all_views()
+        .into_iter()
+        .map(|v| (v.name.to_string(), v.query))
+        .collect();
+    for src in [
+        "//listitem//text",
+        "//listitem//keyword",
+        "//parlist/listitem//listitem",
+        "//keyword/ancestor::listitem",
+        "//keyword/ancestor::listitem/text/keyword",
+        "for $l in //listitem return $l/descendant-or-self::listitem",
+        "//listitem/parlist/listitem/text/preceding-sibling::node()",
+    ] {
+        queries.push((src.to_string(), parse_query(src).unwrap()));
+    }
+
+    let mut rewritten = 0;
+    let mut out_of_document_order = 0;
+    for (name, q) in &queries {
+        let slow = slow_query(q, &mut rewritten);
+        for doc in &docs {
+            let (mut fast_doc, mut slow_doc) = (doc.clone(), doc.clone());
+            let fast = evaluate_query(&mut fast_doc.store, doc.root, q).unwrap();
+            let generic = evaluate_query(&mut slow_doc.store, doc.root, &slow).unwrap();
+            assert_eq!(fast, generic, "{name}");
+            let mut sorted = fast.clone();
+            fast_doc.store.doc_order_dedup(&mut sorted);
+            out_of_document_order += usize::from(sorted != fast);
+        }
+    }
+    assert!(rewritten > queries.len(), "paths must hit the fast path");
+    assert!(
+        out_of_document_order > 0,
+        "some case must return nodes outside document order"
+    );
+
+    for u in all_updates() {
+        let mut n = 0;
+        let slow = slow_update(&u.update, &mut n);
+        assert!(n > 0, "{}", u.name);
+        for doc in &docs {
+            let (mut fast_doc, mut slow_doc) = (doc.clone(), doc.clone());
+            let fast = evaluate_update(&mut fast_doc.store, doc.root, &u.update);
+            let generic = evaluate_update(&mut slow_doc.store, doc.root, &slow);
+            assert_eq!(fast, generic, "{}", u.name);
+        }
+    }
+    // One update whose target path runs through the nested region.
+    let u = parse_update("delete //listitem//keyword").unwrap();
+    let mut n = 0;
+    let slow = slow_update(&u, &mut n);
+    let doc = docs.last().unwrap();
+    let (mut fast_doc, mut slow_doc) = (doc.clone(), doc.clone());
+    let fast = evaluate_update(&mut fast_doc.store, doc.root, &u).unwrap();
+    assert_eq!(
+        fast.len(),
+        3,
+        "k1 twice (once per enclosing listitem), k2 once"
+    );
+    assert_eq!(
+        Ok(fast),
+        evaluate_update(&mut slow_doc.store, doc.root, &slow)
+    );
 }

@@ -11,8 +11,12 @@
 //!   (skipped / re-evaluated) and the view contents of the pruned strategy
 //!   are identical across worker counts, pinning that sharded
 //!   re-evaluation is invisible to the observable outcome.
-//! * **strategy monotonicity** — naive re-evaluates everything, pruning
-//!   re-evaluates no more than naive.
+//! * **the change flag** — whenever `apply_pending_list` reports that an
+//!   update changed nothing, the serialized document is byte-identical, so
+//!   skipping every refresh after such a batch is sound.
+//! * **strategy monotonicity** — naive re-evaluates every view after a
+//!   batch that changed the document and none after one that did not;
+//!   pruning re-evaluates no more than naive.
 //!
 //! The nightly CI run multiplies the deterministic case count via
 //! `QUI_PROPTEST_CASES`.
@@ -25,7 +29,7 @@ use xml_qui::workloads::{
     MaintenanceEngine,
 };
 use xml_qui::xmlstore::{parse_xml, Tree};
-use xml_qui::xquery::{parse_query, parse_update, Update};
+use xml_qui::xquery::{apply_pending_list, evaluate_update, parse_query, parse_update, Update};
 
 /// One schema + document + expression-pool scenario. Every update in the
 /// pool preserves schema validity (the static analysis reasons over
@@ -178,6 +182,7 @@ proptest! {
                 .iter()
                 .map(|&i| parse_update(fx.updates[i % fx.updates.len()]).unwrap())
                 .collect();
+            let doc_before = engines[0].doc().to_xml();
             let stats: Vec<BatchStats> = engines
                 .iter_mut()
                 .map(|e| e.apply_batch(&batch).unwrap())
@@ -201,8 +206,16 @@ proptest! {
                 stats[2].deterministic_fields(),
                 "pruned counters depend on the worker count"
             );
-            // Naive refreshes everything; pruning never refreshes more.
-            prop_assert_eq!(stats[0].reevaluated, fx.queries.len());
+            // Naive refreshes every view after a batch that changed the
+            // document and none after one that left it byte-identical;
+            // pruning never refreshes more.
+            prop_assert!(stats.iter().all(|s| s.unchanged == stats[0].unchanged));
+            if stats[0].unchanged == 1 {
+                prop_assert_eq!(stats[0].reevaluated, 0);
+                prop_assert_eq!(&engines[0].doc().to_xml(), &doc_before);
+            } else {
+                prop_assert_eq!(stats[0].reevaluated, fx.queries.len());
+            }
             prop_assert!(stats[1].reevaluated <= stats[0].reevaluated);
         }
     }
@@ -433,5 +446,68 @@ fn xmark_stream_is_bit_identical_across_strategies_and_jobs() {
     assert!(
         pruned_totals.reevaluated > 0,
         "the XMark stream must exercise re-evaluation"
+    );
+}
+
+/// Applies `u` to `doc` in place and returns the change flag of
+/// `apply_pending_list`, after checking the flag's promise: when it says
+/// "no change", the serialized document is byte-identical. `None` when the
+/// update fails to evaluate (the document is then left as it was).
+fn apply_checked(doc: &mut Tree, u: &Update) -> Option<bool> {
+    let before = doc.to_xml();
+    let root = doc.root;
+    let upl = evaluate_update(&mut doc.store, root, u).ok()?;
+    let changed = apply_pending_list(&mut doc.store, &upl);
+    if !changed {
+        assert_eq!(
+            doc.to_xml(),
+            before,
+            "a no-change flag altered the document"
+        );
+    }
+    Some(changed)
+}
+
+/// The change flag never hides a change: rounds of the 31 XMark updates
+/// (after their first round most of them do nothing) on several documents,
+/// and random corpus updates on generated valid instances.
+#[test]
+fn no_change_flag_leaves_the_document_byte_identical() {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use xml_qui::schema::{generate_valid, random_update, Corpus, GenValidConfig};
+
+    let updates = all_updates();
+    let mut flags = [0usize; 2];
+    for seed in [1u64, 7, 4242] {
+        let mut doc = xmark_document(3_000, seed);
+        for _ in 0..3 {
+            for u in &updates {
+                let changed = apply_checked(&mut doc, &u.update).expect("XMark updates evaluate");
+                flags[usize::from(changed)] += 1;
+            }
+        }
+    }
+    assert!(
+        flags[0] > 0 && flags[1] > 0,
+        "the XMark rounds must report both outcomes: {flags:?}"
+    );
+
+    let mut corpus_flags = [0usize; 2];
+    for (si, schema) in Corpus::seeded(0xF1A6, 8).iter().enumerate() {
+        let dtd = schema.dtd();
+        let labels = schema.labels();
+        let mut rng = StdRng::seed_from_u64(0xC4A6 ^ si as u64);
+        let mut doc = generate_valid(&dtd, &GenValidConfig::with_target(200), si as u64);
+        for _ in 0..cases(8) as usize * 5 {
+            let u = parse_update(&random_update(&schema.start, &labels, &mut rng)).unwrap();
+            if let Some(changed) = apply_checked(&mut doc, &u) {
+                corpus_flags[usize::from(changed)] += 1;
+            }
+        }
+    }
+    assert!(
+        corpus_flags[0] > 0 && corpus_flags[1] > 0,
+        "the corpus updates must report both outcomes: {corpus_flags:?}"
     );
 }
