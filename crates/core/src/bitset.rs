@@ -195,12 +195,6 @@ impl BitGrid {
     pub fn row_is_empty(&self, row: usize) -> bool {
         self.row(row).iter().all(|&w| w == 0)
     }
-
-    /// The whole word array (rows concatenated at [`Self::stride`] words
-    /// each) — read-only access for parallel passes over disjoint rows.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
 
 /// Word-OR of `src` into `dst` (`dst` must be at least as long).

@@ -9,13 +9,12 @@
 //!   independently `RwLock`ed shards. Warm reads take one uncontended read
 //!   lock; cold inserts write-lock only the key's shard, so concurrent
 //!   checks over different expressions never serialize against each other.
-//! * [`EnginePool`] — a checkout pool of [`CdagEngine`]s keyed by the
-//!   multiplicity bound `k`. An engine's generation-stamped scratch
-//!   workspace makes it cheap to reuse but inherently single-threaded
-//!   (`!Sync`); the pool hands each calling thread its own engine and takes
-//!   it back when the [`PooledEngine`] guard drops, so scratch reuse
-//!   survives across calls *and* across threads without a global lock held
-//!   during inference.
+//! * [`EnginePool`] — a checkout pool of [`CdagEngine`]s for conflict
+//!   tests. An engine's generation-stamped scratch workspace makes it cheap
+//!   to reuse but inherently single-threaded (`!Sync`); the pool hands each
+//!   calling thread its own engine and takes it back when the
+//!   [`PooledEngine`] guard drops, so scratch reuse survives across calls
+//!   *and* across threads without a global lock held during a test.
 //!
 //! Both structures are deliberately conservative: plain `std::sync`
 //! primitives, no lock-free cleverness, and semantics chosen so that racing
@@ -25,11 +24,10 @@
 
 use crate::engine::cdag::CdagEngine;
 use crate::fxhash::FxHasher;
-use crate::parallel::Jobs;
 use qui_schema::SchemaLike;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Number of shards. A small power of two: enough that a handful of worker
 /// threads rarely collide on a shard lock, small enough that iterating all
@@ -110,77 +108,66 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     }
 }
 
-/// A checkout pool of [`CdagEngine`]s, one free-list per multiplicity bound.
+/// A checkout pool of [`CdagEngine`]s for [`CdagEngine::independent`] and
+/// [`CdagEngine::find_dag_conflict`], on one free list.
 ///
 /// The engine's scratch workspace (mark vectors, adjacency buffers) is what
 /// makes warm CDAG checks cheap, but it is interior-mutable and therefore
-/// `!Sync`. The pool keeps finished engines on a per-`k` free list: a
-/// thread checks one out (or builds a fresh one when the list is empty),
-/// runs its inference without holding any lock, and the guard returns the
-/// engine — scratch intact — on drop.
+/// `!Sync`. A thread checks an engine out (or builds a fresh one when the
+/// list is empty), runs its conflict tests without holding any lock, and
+/// the guard returns the engine — scratch intact — on drop.
+///
+/// The conflict tests read only the DAGs' node indices, the schema-sized
+/// grid width and the scratch: never the multiplicity bound, the
+/// element-chain setting or the grid depth. So every pooled engine is built
+/// at `k = 1` and serves chain sets inferred at any bound (property-tested
+/// in `tests/engine_differential.rs`). Inference does not go through the
+/// pool.
 pub struct EnginePool<'a, S: SchemaLike> {
     schema: &'a S,
-    element_chains: bool,
-    jobs: Jobs,
-    free: Mutex<HashMap<usize, Vec<CdagEngine<'a, S>>>>,
+    free: Mutex<Vec<CdagEngine<'a, S>>>,
 }
 
 impl<'a, S: SchemaLike> EnginePool<'a, S> {
-    /// A pool creating engines over `schema` with the given element-chain
-    /// configuration.
-    pub fn new(schema: &'a S, element_chains: bool) -> Self {
+    /// An empty pool creating engines over `schema`.
+    pub fn new(schema: &'a S) -> Self {
         EnginePool {
             schema,
-            element_chains,
-            jobs: Jobs::Fixed(1),
-            free: Mutex::new(HashMap::new()),
+            free: Mutex::new(Vec::new()),
         }
     }
 
-    /// Worker-count policy handed to every engine the pool creates (see
-    /// [`CdagEngine::with_jobs`]): large closure sweeps shard over this many
-    /// workers. Results are bit-identical for every value.
-    pub fn with_jobs(mut self, jobs: Jobs) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Checks out an engine for bound `k`: a pooled one when available, a
-    /// fresh one otherwise. The engine returns to the pool when the guard
-    /// drops.
-    pub fn checkout(&self, k: usize) -> PooledEngine<'_, 'a, S> {
-        let pooled = self
-            .free
-            .lock()
-            .unwrap()
-            .get_mut(&k)
-            .and_then(|v: &mut Vec<CdagEngine<'a, S>>| v.pop());
-        let engine = pooled.unwrap_or_else(|| {
-            CdagEngine::new(self.schema, k)
-                .with_element_chains(self.element_chains)
-                .with_jobs(self.jobs)
-        });
+    /// Checks out an engine: a pooled one when available, a fresh one
+    /// otherwise. The engine returns to the pool when the guard drops.
+    pub fn checkout(&self) -> PooledEngine<'_, 'a, S> {
+        let pooled = self.free().pop();
         PooledEngine {
             pool: self,
-            k,
-            engine: Some(engine),
+            engine: Some(pooled.unwrap_or_else(|| CdagEngine::new(self.schema, 1))),
         }
     }
 
     /// Number of idle engines currently pooled (tests/stats only).
     pub fn idle(&self) -> usize {
-        self.free.lock().unwrap().values().map(Vec::len).sum()
+        self.free().len()
     }
 
-    fn put_back(&self, k: usize, engine: CdagEngine<'a, S>) {
-        let mut free = self.free.lock().unwrap();
-        let slot = free.entry(k).or_default();
-        // Bound the free list: engines beyond a small per-k cap are dropped
-        // rather than hoarded (the cap comfortably covers the worker counts
-        // the pool sees; an unbounded list would pin every scratch buffer a
+    /// The free list. A push or pop never leaves it half-updated, so a
+    /// thread that panicked while holding the lock left it valid: recover
+    /// the guard instead of propagating the poison (the pool is also locked
+    /// from `Drop`, which must not panic).
+    fn free(&self) -> MutexGuard<'_, Vec<CdagEngine<'a, S>>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn put_back(&self, engine: CdagEngine<'a, S>) {
+        let mut free = self.free();
+        // Bound the free list: engines beyond a small cap are dropped rather
+        // than hoarded (the cap comfortably covers the worker counts the
+        // pool sees; an unbounded list would pin every scratch buffer a
         // burst ever allocated).
-        if slot.len() < 32 {
-            slot.push(engine);
+        if free.len() < 32 {
+            free.push(engine);
         }
     }
 }
@@ -189,7 +176,6 @@ impl<'a, S: SchemaLike> EnginePool<'a, S> {
 /// returns it to its pool on drop.
 pub struct PooledEngine<'p, 'a, S: SchemaLike> {
     pool: &'p EnginePool<'a, S>,
-    k: usize,
     engine: Option<CdagEngine<'a, S>>,
 }
 
@@ -204,7 +190,7 @@ impl<'p, 'a, S: SchemaLike> std::ops::Deref for PooledEngine<'p, 'a, S> {
 impl<'p, 'a, S: SchemaLike> Drop for PooledEngine<'p, 'a, S> {
     fn drop(&mut self) {
         if let Some(engine) = self.engine.take() {
-            self.pool.put_back(self.k, engine);
+            self.pool.put_back(engine);
         }
     }
 }
@@ -249,21 +235,21 @@ mod tests {
     }
 
     #[test]
-    fn engine_pool_reuses_engines_per_bound() {
+    fn engine_pool_reuses_engines_from_one_free_list() {
         let dtd = fig1();
-        let pool = EnginePool::new(&dtd, true);
+        let pool = EnginePool::new(&dtd);
         assert_eq!(pool.idle(), 0);
         {
-            let _e2 = pool.checkout(2);
-            let _e3 = pool.checkout(3);
+            let _a = pool.checkout();
+            let _b = pool.checkout();
             // Both checked out: nothing idle.
             assert_eq!(pool.idle(), 0);
         }
         // Both returned on drop.
         assert_eq!(pool.idle(), 2);
         {
-            let _again = pool.checkout(2);
-            // The k=2 engine came off the free list, the k=3 one stayed.
+            let _again = pool.checkout();
+            // One came off the free list, the other stayed.
             assert_eq!(pool.idle(), 1);
         }
         assert_eq!(pool.idle(), 2);
@@ -272,16 +258,17 @@ mod tests {
     #[test]
     fn engine_pool_checkout_works_concurrently() {
         let dtd = fig1();
-        let pool = EnginePool::new(&dtd, true);
+        let pool = EnginePool::new(&dtd);
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let pool = &pool;
                 s.spawn(move || {
                     for _ in 0..50 {
-                        let e = pool.checkout(2);
+                        let e = pool.checkout();
                         // Touch the engine so the checkout is not optimized
-                        // away; k() is a cheap accessor.
-                        assert_eq!(e.k(), 2);
+                        // away; k() is a cheap accessor, and pooled engines
+                        // are built at k = 1.
+                        assert_eq!(e.k(), 1);
                     }
                 });
             }

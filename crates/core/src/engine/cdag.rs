@@ -42,11 +42,13 @@
 //!   level-synchronous: each grid level is one frontier bitmask, and
 //!   stepping the closure ORs precomputed per-symbol child masks into the
 //!   next level (the grid encodes `(type, depth)` level-major, so a level
-//!   is a contiguous bit range). Large closures additionally shard their
-//!   per-level edge materialization over the worker pool when the engine
-//!   was built with [`CdagEngine::with_jobs`]; the per-level lists are
-//!   merged in level order, so results are bit-identical for every worker
-//!   count.
+//!   is a contiguous bit range).
+//!
+//! One inference runs on one thread. Parallelism lives a level up: the
+//! analysis session shards whole inferences and conflict tests over its
+//! worker pool, and its pooled engines are reused across them (the
+//! conflict tests read no multiplicity bound, so one pool serves every
+//! `k`).
 //!
 //! ## Saturation
 //!
@@ -61,7 +63,6 @@ use super::label_syms;
 use crate::bitset::{self, BitGrid, BitSet};
 use crate::conflict::{ConflictKind, ConflictWitness};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::parallel::{run_indexed, Jobs};
 use crate::types::{ChainItem, QueryChains, UpdateChains};
 use qui_schema::{Chain, SchemaLike, Sym, TEXT_SYM};
 use qui_xquery::{Axis, NodeTest, Query, Update, UpdatePos};
@@ -205,16 +206,6 @@ pub struct CdagEngine<'a, S: SchemaLike> {
     /// one-level bitmask of the child slots of each schema type. Stepping
     /// the descendant closure is OR-ing these masks.
     child_masks: Vec<u64>,
-    /// Per-symbol child slot lists, flattened (`child_off` delimits them) —
-    /// the plain-data form of `SchemaLike::child_types` that the parallel
-    /// edge materialization reads without touching the schema.
-    child_slots: Vec<u32>,
-    /// `child_slots[child_off[s]..child_off[s + 1]]` are the children of
-    /// symbol slot `s`.
-    child_off: Vec<u32>,
-    /// Worker count for intra-inference parallelism (1 = fully sequential;
-    /// see [`Self::with_jobs`]).
-    par_workers: usize,
     /// Set when an inference hits the depth cap (so its result may be
     /// missing chains a deeper grid would add); cleared by
     /// [`Self::take_saturated`].
@@ -260,17 +251,12 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
         let depth = (k.max(1) * schema.schema_size().max(1) + 2) as u32;
         let stride = (width as usize).div_ceil(bitset::WORD_BITS);
         let mut child_masks = vec![0u64; n * stride];
-        let mut child_slots = Vec::new();
-        let mut child_off = Vec::with_capacity(n + 1);
-        child_off.push(0u32);
         for i in 0..n {
             for &c in schema.child_types(Sym(i as u16)) {
                 let slot = (c.index() as u32).min(width - 1);
-                child_slots.push(slot);
                 child_masks[i * stride + slot as usize / bitset::WORD_BITS] |=
                     1u64 << (slot as usize % bitset::WORD_BITS);
             }
-            child_off.push(child_slots.len() as u32);
         }
         CdagEngine {
             schema,
@@ -280,9 +266,6 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
             element_chains: true,
             stride,
             child_masks,
-            child_slots,
-            child_off,
-            par_workers: 1,
             saturated: Cell::new(false),
             scratch: RefCell::new(Scratch::default()),
         }
@@ -291,16 +274,6 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
     /// Enables or disables element-chain inference (ablation switch).
     pub fn with_element_chains(mut self, on: bool) -> Self {
         self.element_chains = on;
-        self
-    }
-
-    /// Enables intra-inference parallelism: large descendant closures shard
-    /// their per-level edge materialization over the worker pool. Results
-    /// are bit-identical for every worker count — the per-level work items
-    /// are merged in level order — so this only changes wall-clock time.
-    /// Defaults to sequential.
-    pub fn with_jobs(mut self, jobs: Jobs) -> Self {
-        self.par_workers = jobs.resolve();
         self
     }
 
@@ -652,10 +625,8 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
     /// bitmask, the forward closure ORs per-symbol child masks into the next
     /// level (64 nodes per word operation), and a backward word-parallel
     /// pass computes which ends actually produced a match (the STEPUH
-    /// `used` restriction). Large closures shard their per-level edge
-    /// materialization over the worker pool (see [`Self::with_jobs`]).
-    /// Results are identical to the per-end closure, cell for cell — the
-    /// engine-differential suite pins this against
+    /// `used` restriction). Results are identical to the per-end closure,
+    /// cell for cell — the engine-differential suite pins this against
     /// [`Self::step_descendant_reference`].
     #[doc(hidden)]
     pub fn step_descendant(
@@ -785,59 +756,16 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                 used.ends.insert(end, false);
             }
         }
-        // Materialize the discovered edges from the visited masks, one level
-        // at a time. Levels are independent given the masks, so large
-        // closures shard the level list over the worker pool; the per-level
-        // lists are merged in level order, keeping the edge set identical
-        // for every worker count.
-        let mut levels: Vec<usize> = Vec::new();
-        let mut grid_nodes = 0usize;
-        if top >= lo && rows >= 2 {
-            for d in lo..=top.min(rows - 2) {
-                let n: usize = s
-                    .visited
-                    .row(d)
-                    .iter()
-                    .map(|w| w.count_ones() as usize)
-                    .sum();
-                if n > 0 {
-                    levels.push(d);
-                    grid_nodes += n;
-                }
-            }
-        }
-        let width_u = self.width;
-        let child_off = &self.child_off;
-        let child_slots = &self.child_slots;
-        let vis_words = s.visited.words();
-        let edges_of = |d: usize| -> Vec<(NodeIdx, NodeIdx)> {
-            let row = &vis_words[d * stride..(d + 1) * stride];
-            let mut out = Vec::new();
-            for slot in bitset::ones(row) {
-                let from = d as u32 * width_u + slot;
-                let base = (d as u32 + 1) * width_u;
-                let range =
-                    child_off[slot as usize] as usize..child_off[slot as usize + 1] as usize;
-                for &cslot in &child_slots[range] {
-                    out.push((from, base + cslot));
-                }
-            }
-            out
-        };
-        /// Grid-node count below which sharding the levels costs more than
-        /// it saves (thread dispatch vs. a linear scan).
-        const PAR_MIN_NODES: usize = 512;
-        let lists: Vec<Vec<(NodeIdx, NodeIdx)>> =
-            if self.par_workers > 1 && levels.len() >= 2 && grid_nodes >= PAR_MIN_NODES {
-                run_indexed(Jobs::Fixed(self.par_workers), levels.len(), |i| {
-                    edges_of(levels[i])
-                })
-            } else {
-                levels.iter().map(|&d| edges_of(d)).collect()
-            };
+        // Materialize the discovered edges from the visited masks, level by
+        // level.
         let mut new_edges: FxHashSet<(NodeIdx, NodeIdx)> = FxHashSet::default();
-        for list in lists {
-            new_edges.extend(list);
+        for d in lo..=top.min(rows - 2) {
+            for slot in bitset::ones(s.visited.row(d)) {
+                let from = d as u32 * self.width + slot;
+                for &c in self.schema.child_types(Sym(slot as u16)) {
+                    new_edges.insert((from, self.node(c, d as u32 + 1)));
+                }
+            }
         }
         // Release the scratch borrow: `finish_step`'s trimming re-borrows it.
         drop(guard);

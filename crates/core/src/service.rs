@@ -52,13 +52,13 @@ use std::time::Duration;
 
 /// Executes protocol [`Request`]s against one [`AnalysisSession`],
 /// maintaining the REPL's auto-naming state (`v1, v2, …` / `u1, u2, …`).
-pub struct SessionHandler<'a, S: SchemaLike + Sync> {
+pub struct SessionHandler<'a, S: SchemaLike> {
     session: AnalysisSession<'a, S>,
     auto_views: usize,
     auto_updates: usize,
 }
 
-impl<'a, S: SchemaLike + Sync> SessionHandler<'a, S> {
+impl<'a, S: SchemaLike> SessionHandler<'a, S> {
     /// Wraps a session for protocol dispatch.
     pub fn new(session: AnalysisSession<'a, S>) -> Self {
         SessionHandler {
@@ -227,11 +227,11 @@ impl<'a, S: SchemaLike + Sync> SessionHandler<'a, S> {
 /// A [`SessionHandler`] shared across threads: reads run concurrently on
 /// the session's `&self` path under a read lock; edits take the write lock
 /// and are serialized against everything.
-pub struct SharedSession<'a, S: SchemaLike + Sync> {
+pub struct SharedSession<'a, S: SchemaLike> {
     inner: RwLock<SessionHandler<'a, S>>,
 }
 
-impl<'a, S: SchemaLike + Sync> SharedSession<'a, S> {
+impl<'a, S: SchemaLike> SharedSession<'a, S> {
     /// Wraps a session for shared dispatch.
     pub fn new(session: AnalysisSession<'a, S>) -> Self {
         SharedSession {

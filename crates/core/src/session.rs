@@ -7,18 +7,18 @@
 //! to be part of. A session is constructed **once per schema** and owns all
 //! reusable inference state, so repeated checks and matrix queries are warm:
 //!
-//! * CDAG chain sets per `(expression, k)`, inferred straight from
-//!   [`CdagEngine`]; a result whose inference never hit the `k·|d|` depth
-//!   cap serves every larger bound of that expression, so a matrix prepass
-//!   walks each expression's bounds in ascending order and stops inferring
-//!   at the first complete result;
-//! * explicit chain sets per `(expression, k)` (including remembered budget
-//!   overflows, so a hopeless expression is never re-materialized);
-//! * a checkout pool of [`CdagEngine`]s per multiplicity bound, whose
-//!   generation-stamped scratch workspaces are reused across ad-hoc
-//!   [`check`](AnalysisSession::check) calls and across the parallel
-//!   matrix cell passes (each worker checks an engine out, runs without
-//!   holding any lock, and returns it);
+//! * chain sets per `(expression, k)` for both engines, keyed by the
+//!   expression itself and held in one cache shape. A CDAG result whose
+//!   inference never hit the `k·|d|` depth cap serves every larger bound of
+//!   that expression, so the fill routine walks each expression's missing
+//!   bounds in ascending order and stops at the first complete result.
+//!   Explicit results serve their own bound only, budget overflows
+//!   included (a hopeless expression is never re-materialized);
+//! * one checkout pool of [`CdagEngine`]s for the conflict tests. Their
+//!   generation-stamped scratch workspaces are reused across checks and
+//!   matrix cells: each worker checks an engine out, runs without holding
+//!   any lock, and returns it. The conflict tests read no multiplicity
+//!   bound, so one free list serves every `k`;
 //! * compiled [`Projection`]s (path automata) per view for streamed
 //!   document projection.
 //!
@@ -66,10 +66,22 @@
 //! view-maintenance engine of `qui-workloads` reads its skip decisions from
 //! a CDAG-engine session's materialized matrix.
 //!
-//! Engine order: [`EngineKind::Explicit`] runs only the explicit engine,
-//! [`EngineKind::Cdag`] only the CDAG engine, and [`EngineKind::Auto`] runs
-//! the CDAG engine on every cell and the explicit engine on the cells the
-//! CDAG could not prove independent.
+//! ## One pipeline
+//!
+//! Matrix cells and [`check`](AnalysisSession::check) run the same
+//! pipeline; a check is a one-cell run. Each cell is a query-update pair at
+//! `k = k_q + k_u` (paper §5):
+//!
+//! 1. infer the CDAG chains of the cells' expressions and test each cell
+//!    for a conflict;
+//! 2. for the cells the CDAG could not prove independent, infer the
+//!    explicit query chains, and then the explicit update chains of only
+//!    those cells whose query side fit the budget (an overflowed side makes
+//!    the cell fall back whatever the other side holds);
+//! 3. assemble each verdict from the caches.
+//!
+//! [`EngineKind::Explicit`] skips step 1 and [`EngineKind::Cdag`] skips
+//! step 2; [`EngineKind::Auto`] runs both.
 //!
 //! ```
 //! use qui_schema::Dtd;
@@ -102,6 +114,7 @@ use crate::conflict::find_conflict;
 use crate::engine::cdag::{CdagEngine, ChainDag, DagQueryChains};
 use crate::engine::explicit::ExplicitEngine;
 use crate::explain::{explain_verdict, ExplainOptions, MatrixReport};
+use crate::fxhash::FxHashMap;
 use crate::kbound::{k_for_pair, k_of_query, k_of_update};
 use crate::parallel::{run_indexed, Jobs};
 use crate::projector::ChainProjector;
@@ -110,7 +123,8 @@ use crate::universe::Universe;
 use qui_schema::SchemaLike;
 use qui_xmlstore::Projection;
 use qui_xquery::{Query, Update};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -202,7 +216,6 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
     /// Finishes the builder.
     pub fn build(self) -> AnalysisSession<'a, S> {
         AnalysisSession {
-            caches: SessionCaches::new(self.schema, self.config.element_chains, self.jobs),
             schema: self.schema,
             config: self.config,
             jobs: self.jobs,
@@ -210,6 +223,12 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
             views: Vec::new(),
             updates: Vec::new(),
             rows: Vec::new(),
+            cdag: Tier::default(),
+            explicit: Tier::default(),
+            engines: EnginePool::new(self.schema),
+            projections: ShardedMap::new(),
+            cells_computed: 0,
+            edits: 0,
         }
     }
 }
@@ -218,39 +237,39 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
 // Caches
 // ---------------------------------------------------------------------------
 
-/// Per-expression CDAG results across multiplicity bounds. A result whose
-/// inference never saturated at bound `k0` is exact for *every* bound
-/// `≥ k0` (the DAG node encoding is k-independent), so it serves all of
-/// them from one `Arc`.
-struct CdagCache<T> {
+/// One expression's chain sets across multiplicity bounds. A result that is
+/// *complete* at bound `k0` is exact for every bound `≥ k0` and serves them
+/// all from one entry; any other result serves its own bound only. Only
+/// CDAG results are ever complete: a CDAG inference that never hit the
+/// depth cap yields the same DAG at every larger bound (see
+/// [`CdagEngine::take_saturated`]).
+struct ExprCache<V> {
     /// `(k0, result)`: exact for every bound `≥ k0`.
-    complete: Option<(usize, Arc<T>)>,
-    /// Saturated (per-bound) results.
-    per_k: BTreeMap<usize, Arc<T>>,
+    complete: Option<(usize, V)>,
+    /// Per-bound results.
+    per_k: BTreeMap<usize, V>,
 }
 
-impl<T> Default for CdagCache<T> {
+impl<V> Default for ExprCache<V> {
     fn default() -> Self {
-        CdagCache {
+        ExprCache {
             complete: None,
             per_k: BTreeMap::new(),
         }
     }
 }
 
-impl<T> CdagCache<T> {
-    fn get(&self, k: usize) -> Option<Arc<T>> {
-        if let Some((k0, r)) = &self.complete {
-            if k >= *k0 {
-                return Some(Arc::clone(r));
-            }
+impl<V: Clone> ExprCache<V> {
+    fn get(&self, k: usize) -> Option<V> {
+        match &self.complete {
+            Some((k0, r)) if k >= *k0 => Some(r.clone()),
+            _ => self.per_k.get(&k).cloned(),
         }
-        self.per_k.get(&k).cloned()
     }
 
-    /// Records a result inferred at bound `k`; `complete` when that
-    /// inference never saturated, so it serves every bound `≥ k`.
-    fn insert(&mut self, k: usize, complete: bool, result: Arc<T>) {
+    /// Records a result inferred at bound `k`; `complete` when it serves
+    /// every bound `≥ k`.
+    fn insert(&mut self, k: usize, complete: bool, result: V) {
         if !complete {
             self.per_k.insert(k, result);
         } else if !matches!(self.complete, Some((k0, _)) if k0 <= k) {
@@ -259,25 +278,193 @@ impl<T> CdagCache<T> {
     }
 }
 
-/// A registered view: display name, expression, cache key and `k_q`.
+/// One engine's caches: the chain sets of queries and of updates, keyed by
+/// the expression itself, with the counters of the fill routine. For the
+/// explicit engine a result is `None` when its materialization overflowed
+/// the budget.
+struct Tier<VQ, VU> {
+    queries: ShardedMap<Query, ExprCache<VQ>>,
+    updates: ShardedMap<Update, ExprCache<VU>>,
+    /// Fresh inferences run.
+    inferences: AtomicUsize,
+    /// Distinct `(expression, k)` requests served from the cache.
+    hits: AtomicUsize,
+}
+
+impl<VQ, VU> Default for Tier<VQ, VU> {
+    fn default() -> Self {
+        Tier {
+            queries: ShardedMap::new(),
+            updates: ShardedMap::new(),
+            inferences: AtomicUsize::new(0),
+            hits: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl<VQ: Clone + Send, VU: Clone + Send> Tier<VQ, VU> {
+    fn query(&self, q: &Query, k: usize) -> Option<VQ> {
+        self.queries.read_with(q, |c| c.get(k)).flatten()
+    }
+
+    fn update(&self, u: &Update, k: usize) -> Option<VU> {
+        self.updates.read_with(u, |c| c.get(k)).flatten()
+    }
+
+    /// The fill routine of both engines: groups the requested bounds the
+    /// cache misses per distinct expression, runs each group's
+    /// [`infer_ascending`] ladder over the pool, and stores and counts the
+    /// results. Queries and updates share one batch. Groups shard across
+    /// the workers first, and any leftover parallelism is handed *inside*
+    /// each inference (only the explicit engine uses it).
+    fn fill<'e>(
+        &self,
+        jobs: Jobs,
+        queries: impl IntoIterator<Item = (&'e Query, usize)>,
+        updates: impl IntoIterator<Item = (&'e Update, usize)>,
+        infer_query: impl Fn(&Query, usize, Jobs) -> (VQ, bool) + Sync,
+        infer_update: impl Fn(&Update, usize, Jobs) -> (VU, bool) + Sync,
+    ) {
+        let qg = missing(&self.queries, queries, &self.hits);
+        let ug = missing(&self.updates, updates, &self.hits);
+        let n_q = qg.len();
+        let n = n_q + ug.len();
+        if n == 0 {
+            return;
+        }
+        let inner = Jobs::Fixed((jobs.resolve() / n).max(1));
+        enum Built<Q, U> {
+            Query(Vec<(usize, Q, bool)>),
+            Update(Vec<(usize, U, bool)>),
+        }
+        let built = run_indexed(jobs, n, |i| match qg.get(i) {
+            Some((q, ks)) => Built::Query(infer_ascending(ks, |k| infer_query(q, k, inner))),
+            None => {
+                let (u, ks) = &ug[i - n_q];
+                Built::Update(infer_ascending(ks, |k| infer_update(u, k, inner)))
+            }
+        });
+        for (i, b) in built.into_iter().enumerate() {
+            match b {
+                Built::Query(b) => self.store(&self.queries, &qg[i], b),
+                Built::Update(b) => self.store(&self.updates, &ug[i - n_q], b),
+            }
+        }
+    }
+
+    /// Stores one expression's fresh inferences `(k, result, complete)` and
+    /// counts them; the group's other bounds were served by a complete one.
+    fn store<E: Hash + Eq + Clone, V: Clone>(
+        &self,
+        map: &ShardedMap<E, ExprCache<V>>,
+        (expr, ks): &(&E, Vec<usize>),
+        built: Vec<(usize, V, bool)>,
+    ) {
+        bump(&self.inferences, built.len());
+        bump(&self.hits, ks.len() - built.len());
+        map.write_with((*expr).clone(), |cache| {
+            for (k, result, complete) in built {
+                cache.insert(k, complete, result);
+            }
+        });
+    }
+}
+
+/// The requested bounds a cache misses, grouped per distinct expression (in
+/// first-request order) and sorted ascending. Every distinct request the
+/// cache serves counts as a hit. Expressions may come from clients, so the
+/// grouping map keeps the default (collision-resistant) hasher.
+fn missing<'e, E: Hash + Eq, V: Clone>(
+    map: &ShardedMap<E, ExprCache<V>>,
+    requests: impl IntoIterator<Item = (&'e E, usize)>,
+    hits: &AtomicUsize,
+) -> Vec<(&'e E, Vec<usize>)> {
+    let mut groups: Vec<(&E, Vec<usize>)> = Vec::new();
+    let mut index: HashMap<&E, usize> = HashMap::new();
+    for (expr, k) in requests {
+        let i = *index.entry(expr).or_insert_with(|| {
+            groups.push((expr, Vec::new()));
+            groups.len() - 1
+        });
+        if !groups[i].1.contains(&k) {
+            groups[i].1.push(k);
+        }
+    }
+    groups.retain_mut(|(expr, ks)| {
+        let requested = ks.len();
+        map.read_with(expr, |cache| ks.retain(|&k| cache.get(k).is_none()));
+        bump(hits, requested - ks.len());
+        ks.sort_unstable();
+        !ks.is_empty()
+    });
+    groups
+}
+
+/// The distinct `(expression, k)` requests of one side of a batch of
+/// cells, and for each cell the index of its request. Deduplicates by
+/// address, which is cheap per cell; equal expressions at different
+/// addresses stay separate requests, and the fill routine merges them by
+/// value.
+fn requests<'e, E>(
+    sides: impl Iterator<Item = (&'e E, usize)>,
+) -> (Vec<(&'e E, usize)>, Vec<usize>) {
+    let mut index: FxHashMap<(*const E, usize), usize> = FxHashMap::default();
+    let mut list = Vec::new();
+    let of_cell = sides
+        .map(|(expr, k)| {
+            *index.entry((expr as *const E, k)).or_insert_with(|| {
+                list.push((expr, k));
+                list.len() - 1
+            })
+        })
+        .collect();
+    (list, of_cell)
+}
+
+/// The requests whose `wanted` flag is set.
+fn marked<'r, 'e, E>(
+    requests: &'r [(&'e E, usize)],
+    wanted: &'r [bool],
+) -> impl Iterator<Item = (&'e E, usize)> + 'r {
+    requests
+        .iter()
+        .zip(wanted)
+        .filter(|(_, w)| **w)
+        .map(|(r, _)| *r)
+}
+
+fn bump(counter: &AtomicUsize, by: usize) {
+    counter.fetch_add(by, Ordering::Relaxed);
+}
+
+/// A registered view: display name, expression and `k_q`.
 struct RegisteredView {
     name: String,
     query: Query,
-    key: Arc<str>,
     k_q: usize,
 }
 
-/// A registered update: display name, expression, cache key and `k_u`.
+/// A registered update: display name, expression and `k_u`.
 struct RegisteredUpdate {
     name: String,
     update: Update,
-    key: Arc<str>,
     k_u: usize,
 }
 
-/// Cache-effectiveness counters of a session (all monotone). A snapshot of
-/// the live atomic counters; under concurrent readers the fields are
-/// individually accurate but not mutually atomic.
+/// One cell of the pipeline: a query-update pair, borrowed from the
+/// registered workload or from a [`check`](AnalysisSession::check) call,
+/// with its bound `k` and the per-side bounds `k_q`, `k_u`.
+struct Cell<'e> {
+    query: &'e Query,
+    update: &'e Update,
+    k: usize,
+    k_q: usize,
+    k_u: usize,
+}
+
+/// Cache-effectiveness counters of a session (all monotone). Under
+/// concurrent readers the fields are individually accurate but not
+/// mutually atomic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Fresh CDAG inferences run (one per `(expression, k)` the cache could
@@ -293,101 +480,6 @@ pub struct SessionStats {
     pub cells_computed: usize,
     /// Workload edits applied (`add_*` / `remove_*` calls).
     pub edits: usize,
-}
-
-/// The live counters behind [`SessionStats`], incremented with relaxed
-/// atomics from any thread on the read path.
-#[derive(Default)]
-struct SessionCounters {
-    cdag_inferences: AtomicUsize,
-    cdag_cache_hits: AtomicUsize,
-    explicit_inferences: AtomicUsize,
-    explicit_cache_hits: AtomicUsize,
-    cells_computed: AtomicUsize,
-    edits: AtomicUsize,
-}
-
-impl SessionCounters {
-    fn bump(counter: &AtomicUsize, by: usize) {
-        counter.fetch_add(by, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> SessionStats {
-        SessionStats {
-            cdag_inferences: self.cdag_inferences.load(Ordering::Relaxed),
-            cdag_cache_hits: self.cdag_cache_hits.load(Ordering::Relaxed),
-            explicit_inferences: self.explicit_inferences.load(Ordering::Relaxed),
-            explicit_cache_hits: self.explicit_cache_hits.load(Ordering::Relaxed),
-            cells_computed: self.cells_computed.load(Ordering::Relaxed),
-            edits: self.edits.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The interior-mutable state shared by every session read: the four chain
-/// caches, the engine checkout pool and the compiled projections. All
-/// methods take `&self`; thread-safety comes from the sharded maps and the
-/// pool, not from any outer lock.
-struct SessionCaches<'a, S: SchemaLike> {
-    cdag_queries: ShardedMap<Arc<str>, CdagCache<DagQueryChains>>,
-    cdag_updates: ShardedMap<Arc<str>, CdagCache<ChainDag>>,
-    explicit_queries: ShardedMap<(Arc<str>, usize), Option<Arc<QueryChains>>>,
-    explicit_updates: ShardedMap<(Arc<str>, usize), Option<Arc<UpdateChains>>>,
-    engines: EnginePool<'a, S>,
-    projections: ShardedMap<String, Projection>,
-    counters: SessionCounters,
-}
-
-impl<'a, S: SchemaLike> SessionCaches<'a, S> {
-    fn new(schema: &'a S, element_chains: bool, jobs: Jobs) -> Self {
-        SessionCaches {
-            cdag_queries: ShardedMap::new(),
-            cdag_updates: ShardedMap::new(),
-            explicit_queries: ShardedMap::new(),
-            explicit_updates: ShardedMap::new(),
-            engines: EnginePool::new(schema, element_chains).with_jobs(jobs),
-            projections: ShardedMap::new(),
-            counters: SessionCounters::default(),
-        }
-    }
-
-    fn cdag_query(&self, key: &Arc<str>, k: usize) -> Option<Arc<DagQueryChains>> {
-        self.cdag_queries.read_with(key, |c| c.get(k)).flatten()
-    }
-
-    fn cdag_update(&self, key: &Arc<str>, k: usize) -> Option<Arc<ChainDag>> {
-        self.cdag_updates.read_with(key, |c| c.get(k)).flatten()
-    }
-
-    /// The cached explicit query chains: `None` = never inferred,
-    /// `Some(None)` = inferred but overflowed the budget.
-    fn explicit_query(&self, key: &Arc<str>, k: usize) -> Option<Option<Arc<QueryChains>>> {
-        self.explicit_queries.get(&(Arc::clone(key), k))
-    }
-
-    fn explicit_update(&self, key: &Arc<str>, k: usize) -> Option<Option<Arc<UpdateChains>>> {
-        self.explicit_updates.get(&(Arc::clone(key), k))
-    }
-
-    /// Stores one expression's fresh CDAG inferences `(k, result, complete)`
-    /// and counts them; the other `requested - built.len()` bounds were
-    /// served from the cache.
-    fn store_cdag<T>(
-        &self,
-        map: &ShardedMap<Arc<str>, CdagCache<T>>,
-        key: &Arc<str>,
-        requested: usize,
-        built: Vec<(usize, T, bool)>,
-    ) {
-        let inferences = built.len();
-        map.write_with(Arc::clone(key), |cache| {
-            for (k, result, complete) in built {
-                cache.insert(k, complete, Arc::new(result));
-            }
-        });
-        SessionCounters::bump(&self.counters.cdag_inferences, inferences);
-        SessionCounters::bump(&self.counters.cdag_cache_hits, requested - inferences);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -412,7 +504,12 @@ pub struct AnalysisSession<'a, S: SchemaLike> {
     updates: Vec<RegisteredUpdate>,
     /// The materialized verdict matrix, indexed `[update][view]`.
     rows: Vec<Vec<Verdict>>,
-    caches: SessionCaches<'a, S>,
+    cdag: Tier<Arc<DagQueryChains>, Arc<ChainDag>>,
+    explicit: Tier<Option<Arc<QueryChains>>, Option<Arc<UpdateChains>>>,
+    engines: EnginePool<'a, S>,
+    projections: ShardedMap<Query, Projection>,
+    cells_computed: usize,
+    edits: usize,
 }
 
 impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
@@ -439,7 +536,15 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
 
     /// Cache-effectiveness counters.
     pub fn stats(&self) -> SessionStats {
-        self.caches.counters.snapshot()
+        let load = |counter: &AtomicUsize| counter.load(Ordering::Relaxed);
+        SessionStats {
+            cdag_inferences: load(&self.cdag.inferences),
+            cdag_cache_hits: load(&self.cdag.hits),
+            explicit_inferences: load(&self.explicit.inferences),
+            explicit_cache_hits: load(&self.explicit.hits),
+            cells_computed: self.cells_computed,
+            edits: self.edits,
+        }
     }
 
     /// Number of registered views (matrix columns).
@@ -519,43 +624,14 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     /// inferred by earlier checks or workload edits are reused, and fresh
     /// inference results enter the session caches. The verdict is
     /// bit-identical to the first check of a fresh session under the same
-    /// configuration.
+    /// configuration, and to the matrix cell of the same pair: a check is a
+    /// one-cell run of the matrix pipeline.
     ///
     /// This is `&self` and thread-safe: any number of threads may check
     /// against one session concurrently (see the [module docs](self)).
     pub fn check(&self, q: &Query, u: &Update) -> Verdict {
-        let meta = (self.k_for(q, u), k_of_query(q), k_of_update(u));
-        let k = meta.0;
-        let qkey = expr_key(q);
-        let ukey = expr_key(u);
-        let engine = self.config.engine;
-        let mut cdag_flag = None;
-        if engine != EngineKind::Explicit {
-            self.ensure_cdag_query(&qkey, q, k);
-            self.ensure_cdag_update(&ukey, u, k);
-            cdag_flag = Some(self.cdag_independent(&qkey, &ukey, k));
-        }
-        let need_explicit = match engine {
-            EngineKind::Explicit => true,
-            EngineKind::Cdag => false,
-            EngineKind::Auto => cdag_flag != Some(true),
-        };
-        if need_explicit {
-            // Query side first: when it overflows the budget the explicit
-            // verdict can never materialize regardless of the update side,
-            // so the update inference is skipped on that conservative path
-            // (the verdict falls through to the CDAG / conservative
-            // fallback either way — only wasted work is avoided).
-            self.ensure_explicit_query(&qkey, q, k);
-            let q_ok = self
-                .caches
-                .explicit_query(&qkey, k)
-                .is_some_and(|qc| qc.is_some());
-            if q_ok {
-                self.ensure_explicit_update(&ukey, u, k);
-            }
-        }
-        cell_verdict(&self.config, meta, &qkey, &ukey, &self.caches, cdag_flag)
+        let cell = self.cell(q, k_of_query(q), u, k_of_update(u));
+        self.compute_cells(&[cell]).remove(0)
     }
 
     /// [`check`](Self::check) followed by a human-readable report, using the
@@ -570,157 +646,230 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     /// materialization overflowed the budget. Served from (and filling) the
     /// session's explicit cache.
     pub fn explicit_query_chains(&self, q: &Query, k: usize) -> Option<Arc<QueryChains>> {
-        let key = expr_key(q);
-        self.ensure_explicit_query(&key, q, k);
-        self.caches.explicit_query(&key, k).flatten()
+        self.fill_explicit([(q, k)], []);
+        self.explicit.query(q, k).flatten()
     }
 
     /// The explicit engine's chain set of an update at bound `k`; see
     /// [`explicit_query_chains`](Self::explicit_query_chains).
     pub fn explicit_update_chains(&self, u: &Update, k: usize) -> Option<Arc<UpdateChains>> {
-        let key = expr_key(u);
-        self.ensure_explicit_update(&key, u, k);
-        self.caches.explicit_update(&key, k).flatten()
+        self.fill_explicit([], [(u, k)]);
+        self.explicit.update(u, k).flatten()
     }
 
     /// The streamed projection for a query (an enumerated path spec when
     /// the explicit chains fit the budget, a compiled [`Projection`]
     /// automaton otherwise), cached per query across the session.
     pub fn streaming_projection(&self, q: &Query) -> Projection {
-        let key = format!("{q:?}");
-        if let Some(p) = self.caches.projections.get(&key) {
+        if let Some(p) = self.projections.get(q) {
             return p;
         }
         let p = ChainProjector::new(self.schema).streaming_projection_for_query(q);
-        self.caches.projections.insert(key, p.clone());
+        self.projections.insert(q.clone(), p.clone());
         p
     }
 
-    // -- cache plumbing (all `&self`, all idempotent under races) -----------
+    // -- the pipeline (all `&self`, all idempotent under races) -------------
 
-    fn cdag_independent(&self, qkey: &Arc<str>, ukey: &Arc<str>, k: usize) -> bool {
-        let qc = self
-            .caches
-            .cdag_query(qkey, k)
-            .expect("cdag query chains ensured");
-        let uc = self
-            .caches
-            .cdag_update(ukey, k)
-            .expect("cdag update chains ensured");
-        self.caches.engines.checkout(k).independent(&qc, &uc)
+    fn cell<'e>(&self, query: &'e Query, k_q: usize, update: &'e Update, k_u: usize) -> Cell<'e> {
+        Cell {
+            query,
+            update,
+            k: self.config.k_override.unwrap_or(k_q + k_u),
+            k_q,
+            k_u,
+        }
     }
 
-    fn ensure_cdag_query(&self, key: &Arc<str>, q: &Query, k: usize) {
-        if self.caches.cdag_query(key, k).is_some() {
-            SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
-            return;
-        }
-        // The inference runs outside any lock; a racing thread may compute
-        // the same chains — both insert equal values, so last-wins is fine.
-        let (qc, complete) = cdag_query_at(self.schema, q, k, self.config.element_chains);
-        self.caches
-            .store_cdag(&self.caches.cdag_queries, key, 1, vec![(k, qc, complete)]);
+    /// Evaluates `cells` and returns their verdicts in input order: the
+    /// single implementation of the pipeline in the [module docs](self).
+    /// Each step fills the session caches for the distinct `(expression, k)`
+    /// requests of the cells, resolves every request once, and shards the
+    /// per-cell work over the pool; conflict tests check their engines out
+    /// of the session pool, so scratch workspaces are reused across cells.
+    fn compute_cells(&self, cells: &[Cell<'_>]) -> Vec<Verdict> {
+        let (queries, q_of) = requests(cells.iter().map(|c| (c.query, c.k)));
+        let (updates, u_of) = requests(cells.iter().map(|c| (c.update, c.k)));
+        let engine = self.config.engine;
+        let cdag = (engine != EngineKind::Explicit).then(|| {
+            self.fill_cdag(queries.iter().copied(), updates.iter().copied());
+            let qc: Vec<Arc<DagQueryChains>> = queries
+                .iter()
+                .map(|&(q, k)| self.cdag.query(q, k).expect("cdag query chains filled"))
+                .collect();
+            let uc: Vec<Arc<ChainDag>> = updates
+                .iter()
+                .map(|&(u, k)| self.cdag.update(u, k).expect("cdag update chains filled"))
+                .collect();
+            let proved = run_indexed(self.jobs, cells.len(), |i| {
+                self.engines
+                    .checkout()
+                    .independent(&qc[q_of[i]], &uc[u_of[i]])
+            });
+            (qc, uc, proved)
+        });
+        let explicit = (engine != EngineKind::Cdag).then(|| {
+            let open: Vec<usize> = (0..cells.len())
+                .filter(|&i| !cdag.as_ref().is_some_and(|(_, _, proved)| proved[i]))
+                .collect();
+            let mut wanted = vec![false; queries.len()];
+            for &i in &open {
+                wanted[q_of[i]] = true;
+            }
+            self.fill_explicit(marked(&queries, &wanted), []);
+            let qc: Vec<Option<Arc<QueryChains>>> = queries
+                .iter()
+                .map(|&(q, k)| self.explicit.query(q, k).flatten())
+                .collect();
+            let mut wanted = vec![false; updates.len()];
+            for &i in open.iter().filter(|&&i| qc[q_of[i]].is_some()) {
+                wanted[u_of[i]] = true;
+            }
+            self.fill_explicit([], marked(&updates, &wanted));
+            let uc: Vec<Option<Arc<UpdateChains>>> = updates
+                .iter()
+                .map(|&(u, k)| self.explicit.update(u, k).flatten())
+                .collect();
+            (qc, uc)
+        });
+        run_indexed(self.jobs, cells.len(), |i| {
+            let (qi, ui) = (q_of[i], u_of[i]);
+            self.cell_verdict(
+                &cells[i],
+                cdag.as_ref()
+                    .map(|(qc, uc, proved)| (proved[i], &*qc[qi], &*uc[ui])),
+                explicit
+                    .as_ref()
+                    .and_then(|(qc, uc)| Some((qc[qi].as_deref()?, uc[ui].as_deref()?))),
+            )
+        })
     }
 
-    fn ensure_cdag_update(&self, key: &Arc<str>, u: &Update, k: usize) {
-        if self.caches.cdag_update(key, k).is_some() {
-            SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
-            return;
-        }
-        let (uc, complete) = cdag_update_at(self.schema, u, k, self.config.element_chains);
-        self.caches
-            .store_cdag(&self.caches.cdag_updates, key, 1, vec![(k, uc, complete)]);
+    fn fill_cdag<'e>(
+        &self,
+        queries: impl IntoIterator<Item = (&'e Query, usize)>,
+        updates: impl IntoIterator<Item = (&'e Update, usize)>,
+    ) {
+        let (schema, element_chains) = (self.schema, self.config.element_chains);
+        self.cdag.fill(
+            self.jobs,
+            queries,
+            updates,
+            |q, k, _| cdag_query_at(schema, q, k, element_chains),
+            |u, k, _| cdag_update_at(schema, u, k, element_chains),
+        );
     }
 
-    fn ensure_explicit_query(&self, key: &Arc<str>, q: &Query, k: usize) {
-        if self.caches.explicit_query(key, k).is_some() {
-            SessionCounters::bump(&self.caches.counters.explicit_cache_hits, 1);
-            return;
-        }
-        let qc = infer_query_explicit(self.schema, &self.config, q, k, self.jobs);
-        self.caches
-            .explicit_queries
-            .insert((Arc::clone(key), k), qc.map(Arc::new));
-        SessionCounters::bump(&self.caches.counters.explicit_inferences, 1);
+    fn fill_explicit<'e>(
+        &self,
+        queries: impl IntoIterator<Item = (&'e Query, usize)>,
+        updates: impl IntoIterator<Item = (&'e Update, usize)>,
+    ) {
+        let (schema, config) = (self.schema, &self.config);
+        self.explicit.fill(
+            self.jobs,
+            queries,
+            updates,
+            |q, k, jobs| (infer_query_explicit(schema, config, q, k, jobs), false),
+            |u, k, jobs| (infer_update_explicit(schema, config, u, k, jobs), false),
+        );
     }
 
-    fn ensure_explicit_update(&self, key: &Arc<str>, u: &Update, k: usize) {
-        if self.caches.explicit_update(key, k).is_some() {
-            SessionCounters::bump(&self.caches.counters.explicit_cache_hits, 1);
-            return;
+    /// Produces one cell's verdict from its chain sets: the CDAG ones with
+    /// their conflict test's result (present for every non-explicit engine),
+    /// and the explicit ones when both sides fit the budget. This is the only
+    /// place a [`Verdict`] is assembled.
+    fn cell_verdict(
+        &self,
+        cell: &Cell<'_>,
+        cdag: Option<(bool, &DagQueryChains, &ChainDag)>,
+        explicit: Option<(&QueryChains, &UpdateChains)>,
+    ) -> Verdict {
+        let (k, k_query, k_update) = (cell.k, cell.k_q, cell.k_u);
+        let explicit_verdict = || {
+            explicit.map(|(qc, uc)| {
+                let witness = find_conflict(qc, uc);
+                Verdict {
+                    independent: witness.is_none(),
+                    k,
+                    k_query,
+                    k_update,
+                    engine_used: EngineKind::Explicit,
+                    query_chain_count: qc.total_len(),
+                    update_chain_count: uc.len(),
+                    witness,
+                }
+            })
+        };
+        let cdag_verdict = |(independent, qc, uc): (bool, &DagQueryChains, &ChainDag)| {
+            // Dependent CDAG verdicts carry a synthesized witness (deterministic
+            // BFS over the conflicting sub-DAG), so pairs whose explicit
+            // confirmation overflowed still explain *which* chains collide.
+            let witness = if independent {
+                None
+            } else {
+                self.engines.checkout().find_dag_conflict(qc, uc)
+            };
+            Verdict {
+                independent,
+                k,
+                k_query,
+                k_update,
+                engine_used: EngineKind::Cdag,
+                witness,
+                query_chain_count: qc.returns.edge_count() + qc.used.edge_count(),
+                update_chain_count: uc.edge_count(),
+            }
+        };
+        match (self.config.engine, cdag) {
+            // A forced explicit engine whose budget overflowed answers with the
+            // conservative (dependent) verdict.
+            (EngineKind::Explicit, _) => explicit_verdict().unwrap_or(Verdict {
+                independent: false,
+                k,
+                k_query,
+                k_update,
+                engine_used: EngineKind::Explicit,
+                witness: None,
+                query_chain_count: 0,
+                update_chain_count: 0,
+            }),
+            (EngineKind::Cdag, Some(c)) | (EngineKind::Auto, Some(c @ (true, _, _))) => {
+                cdag_verdict(c)
+            }
+            (EngineKind::Auto, Some(c)) => explicit_verdict().unwrap_or_else(|| cdag_verdict(c)),
+            (_, None) => unreachable!("the CDAG step runs for every non-explicit engine"),
         }
-        let uc = infer_update_explicit(self.schema, &self.config, u, k, self.jobs);
-        self.caches
-            .explicit_updates
-            .insert((Arc::clone(key), k), uc.map(Arc::new));
-        SessionCounters::bump(&self.caches.counters.explicit_inferences, 1);
+    }
+
+    // -- the registered workload --------------------------------------------
+
+    /// Runs the pipeline over the matrix cells `(view, update)`.
+    fn matrix_cells(&mut self, at: &[(usize, usize)]) -> Vec<Verdict> {
+        let cells: Vec<Cell<'_>> = at
+            .iter()
+            .map(|&(vi, ui)| {
+                let (v, u) = (&self.views[vi], &self.updates[ui]);
+                self.cell(&v.query, v.k_q, &u.update, u.k_u)
+            })
+            .collect();
+        let verdicts = self.compute_cells(&cells);
+        self.cells_computed += verdicts.len();
+        verdicts
     }
 
     fn register_view(&mut self, name: String, query: Query) -> usize {
-        let key = expr_key(&query);
         let k_q = k_of_query(&query);
-        self.views.push(RegisteredView {
-            name,
-            query,
-            key,
-            k_q,
-        });
+        self.views.push(RegisteredView { name, query, k_q });
         self.views.len() - 1
     }
 
     fn register_update(&mut self, name: String, update: Update) -> usize {
-        let key = expr_key(&update);
         let k_u = k_of_update(&update);
-        self.updates.push(RegisteredUpdate {
-            name,
-            update,
-            key,
-            k_u,
-        });
+        self.updates.push(RegisteredUpdate { name, update, k_u });
         self.updates.len() - 1
     }
 
-    /// Removes the view at `index`, dropping its matrix column. Returns its
-    /// name and expression, or `None` when out of range. Chain caches are
-    /// kept — re-adding the view is instant.
-    pub fn remove_view_at(&mut self, index: usize) -> Option<(String, Query)> {
-        if index >= self.views.len() {
-            return None;
-        }
-        let v = self.views.remove(index);
-        for row in &mut self.rows {
-            row.remove(index);
-        }
-        SessionCounters::bump(&self.caches.counters.edits, 1);
-        Some((v.name, v.query))
-    }
-
-    /// Removes the first view with the given name (see
-    /// [`remove_view_at`](Self::remove_view_at)).
-    pub fn remove_view(&mut self, name: &str) -> Option<(String, Query)> {
-        let idx = self.views.iter().position(|v| v.name == name)?;
-        self.remove_view_at(idx)
-    }
-
-    /// Removes the update at `index`, dropping its matrix row.
-    pub fn remove_update_at(&mut self, index: usize) -> Option<(String, Update)> {
-        if index >= self.updates.len() {
-            return None;
-        }
-        let u = self.updates.remove(index);
-        self.rows.remove(index);
-        SessionCounters::bump(&self.caches.counters.edits, 1);
-        Some((u.name, u.update))
-    }
-
-    /// Removes the first update with the given name.
-    pub fn remove_update(&mut self, name: &str) -> Option<(String, Update)> {
-        let idx = self.updates.iter().position(|u| u.name == name)?;
-        self.remove_update_at(idx)
-    }
-}
-
-impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
     /// Registers a view and computes its matrix column against every
     /// registered update (only the new cells are evaluated; chain sets
     /// cached from earlier work are reused). Returns the view's column
@@ -728,11 +877,11 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
     pub fn add_view(&mut self, name: impl Into<String>, query: Query) -> usize {
         let vi = self.register_view(name.into(), query);
         let cells: Vec<(usize, usize)> = (0..self.updates.len()).map(|ui| (vi, ui)).collect();
-        let verdicts = self.compute_cells(&cells);
+        let verdicts = self.matrix_cells(&cells);
         for (row, v) in self.rows.iter_mut().zip(verdicts) {
             row.push(v);
         }
-        SessionCounters::bump(&self.caches.counters.edits, 1);
+        self.edits += 1;
         vi
     }
 
@@ -741,9 +890,9 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
     pub fn add_update(&mut self, name: impl Into<String>, update: Update) -> usize {
         let ui = self.register_update(name.into(), update);
         let cells: Vec<(usize, usize)> = (0..self.views.len()).map(|vi| (vi, ui)).collect();
-        let row = self.compute_cells(&cells);
+        let row = self.matrix_cells(&cells);
         self.rows.push(row);
-        SessionCounters::bump(&self.caches.counters.edits, 1);
+        self.edits += 1;
         ui
     }
 
@@ -771,7 +920,7 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
                 }
             }
         }
-        let verdicts = self.compute_cells(&cells);
+        let verdicts = self.matrix_cells(&cells);
         let mut it = verdicts.into_iter();
         for ui in 0..self.updates.len() {
             if ui >= self.rows.len() {
@@ -783,7 +932,7 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
                 }
             }
         }
-        SessionCounters::bump(&self.caches.counters.edits, 1);
+        self.edits += 1;
     }
 
     /// Recomputes every cell of the materialized matrix from the session
@@ -794,277 +943,54 @@ impl<'a, S: SchemaLike + Sync> AnalysisSession<'a, S> {
         let cells: Vec<(usize, usize)> = (0..nu)
             .flat_map(|ui| (0..nv).map(move |vi| (vi, ui)))
             .collect();
-        let verdicts = self.compute_cells(&cells);
+        let verdicts = self.matrix_cells(&cells);
         let mut it = verdicts.into_iter();
         self.rows = (0..nu).map(|_| it.by_ref().take(nv).collect()).collect();
     }
 
-    /// Evaluates the given cells `(view, update)` and returns their
-    /// verdicts in input order. This is the single implementation of the
-    /// analysis pipeline: a CDAG prepass over missing `(expression, k)`
-    /// chain sets (per expression in ascending bound order, sharded over
-    /// the pool), the CDAG cell pass, the explicit prepass for cells the
-    /// CDAG could not prove (mirroring the configured engine order), and the
-    /// final cell pass — all reading from and filling the session caches.
-    /// Workers in the cell passes check engines out of the session pool, so
-    /// scratch workspaces are reused across cells instead of rebuilt per
-    /// cell.
-    fn compute_cells(&self, cells: &[(usize, usize)]) -> Vec<Verdict> {
-        if cells.is_empty() {
-            return Vec::new();
+    /// Removes the view at `index`, dropping its matrix column. Returns its
+    /// name and expression, or `None` when out of range. Chain caches are
+    /// kept — re-adding the view is instant.
+    pub fn remove_view_at(&mut self, index: usize) -> Option<(String, Query)> {
+        if index >= self.views.len() {
+            return None;
         }
-        let engine = self.config.engine;
-        let cdag_all = engine != EngineKind::Explicit;
-        let ks: Vec<usize> = cells
-            .iter()
-            .map(|&(vi, ui)| {
-                self.config
-                    .k_override
-                    .unwrap_or(self.views[vi].k_q + self.updates[ui].k_u)
-            })
-            .collect();
-
-        // ------------------------------------------------ CDAG prepass
-        if cdag_all {
-            let mut qt = BTreeSet::new();
-            let mut ut = BTreeSet::new();
-            for (&(vi, ui), &k) in cells.iter().zip(&ks) {
-                qt.insert((vi, k));
-                ut.insert((ui, k));
-            }
-            self.ensure_cdag_bulk(&qt, &ut);
+        let v = self.views.remove(index);
+        for row in &mut self.rows {
+            row.remove(index);
         }
-
-        // ------------------------------------------------ CDAG cell pass
-        let cdag_flags: Vec<Option<bool>> = if cdag_all {
-            let (views, updates) = (&self.views, &self.updates);
-            let caches = &self.caches;
-            run_indexed(self.jobs, cells.len(), |i| {
-                let (vi, ui) = cells[i];
-                let k = ks[i];
-                let qc = caches
-                    .cdag_query(&views[vi].key, k)
-                    .expect("cdag query chains ensured");
-                let uc = caches
-                    .cdag_update(&updates[ui].key, k)
-                    .expect("cdag update chains ensured");
-                Some(caches.engines.checkout(k).independent(&qc, &uc))
-            })
-        } else {
-            vec![None; cells.len()]
-        };
-
-        // ------------------------------------------------ explicit prepass
-        if engine != EngineKind::Cdag {
-            let mut qt = BTreeSet::new();
-            let mut ut = BTreeSet::new();
-            for ((&(vi, ui), &k), proved) in cells.iter().zip(&ks).zip(&cdag_flags) {
-                if *proved == Some(true) {
-                    continue;
-                }
-                qt.insert((vi, k));
-                ut.insert((ui, k));
-            }
-            self.ensure_explicit_bulk(&qt, &ut);
-        }
-
-        // ------------------------------------------------ cell pass
-        let config = &self.config;
-        let (views, updates) = (&self.views, &self.updates);
-        let caches = &self.caches;
-        let out = run_indexed(self.jobs, cells.len(), |i| {
-            let (vi, ui) = cells[i];
-            cell_verdict(
-                config,
-                (ks[i], views[vi].k_q, updates[ui].k_u),
-                &views[vi].key,
-                &updates[ui].key,
-                caches,
-                cdag_flags[i],
-            )
-        });
-        SessionCounters::bump(&self.caches.counters.cells_computed, cells.len());
-        out
+        self.edits += 1;
+        Some((v.name, v.query))
     }
 
-    /// Fills the CDAG caches for the requested `(view index, k)` /
-    /// `(update index, k)` tasks: missing bounds are grouped per distinct
-    /// expression, each group runs [`infer_ascending`] over its bounds, and
-    /// the groups run in parallel over the pool.
-    fn ensure_cdag_bulk(
-        &self,
-        query_tasks: &BTreeSet<(usize, usize)>,
-        update_tasks: &BTreeSet<(usize, usize)>,
-    ) {
-        let mut q_groups: BTreeMap<Arc<str>, (Query, Vec<usize>)> = BTreeMap::new();
-        for &(vi, k) in query_tasks {
-            let v = &self.views[vi];
-            if self.caches.cdag_query(&v.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
-                continue;
-            }
-            let entry = q_groups
-                .entry(Arc::clone(&v.key))
-                .or_insert_with(|| (v.query.clone(), Vec::new()));
-            if !entry.1.contains(&k) {
-                entry.1.push(k);
-            }
-        }
-        let mut u_groups: BTreeMap<Arc<str>, (Update, Vec<usize>)> = BTreeMap::new();
-        for &(ui, k) in update_tasks {
-            let u = &self.updates[ui];
-            if self.caches.cdag_update(&u.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.cdag_cache_hits, 1);
-                continue;
-            }
-            let entry = u_groups
-                .entry(Arc::clone(&u.key))
-                .or_insert_with(|| (u.update.clone(), Vec::new()));
-            if !entry.1.contains(&k) {
-                entry.1.push(k);
-            }
-        }
-        if q_groups.is_empty() && u_groups.is_empty() {
-            return;
-        }
-        let qg: Vec<(Arc<str>, Query, Vec<usize>)> = q_groups
-            .into_iter()
-            .map(|(key, (q, mut ks))| {
-                ks.sort_unstable();
-                (key, q, ks)
-            })
-            .collect();
-        let ug: Vec<(Arc<str>, Update, Vec<usize>)> = u_groups
-            .into_iter()
-            .map(|(key, (u, mut ks))| {
-                ks.sort_unstable();
-                (key, u, ks)
-            })
-            .collect();
-        let schema = self.schema;
-        let element_chains = self.config.element_chains;
-        let n_q = qg.len();
-        enum Out {
-            Query(usize, Vec<(usize, DagQueryChains, bool)>),
-            Update(usize, Vec<(usize, ChainDag, bool)>),
-        }
-        let results = run_indexed(self.jobs, n_q + ug.len(), |i| {
-            if i < n_q {
-                let (_, q, ks) = &qg[i];
-                Out::Query(
-                    i,
-                    infer_ascending(ks, |k| cdag_query_at(schema, q, k, element_chains)),
-                )
-            } else {
-                let (_, u, ks) = &ug[i - n_q];
-                Out::Update(
-                    i - n_q,
-                    infer_ascending(ks, |k| cdag_update_at(schema, u, k, element_chains)),
-                )
-            }
-        });
-        let caches = &self.caches;
-        for r in results {
-            match r {
-                Out::Query(i, built) => {
-                    let (key, _, ks) = &qg[i];
-                    caches.store_cdag(&caches.cdag_queries, key, ks.len(), built);
-                }
-                Out::Update(i, built) => {
-                    let (key, _, ks) = &ug[i];
-                    caches.store_cdag(&caches.cdag_updates, key, ks.len(), built);
-                }
-            }
-        }
+    /// Removes the first view with the given name (see
+    /// [`remove_view_at`](Self::remove_view_at)).
+    pub fn remove_view(&mut self, name: &str) -> Option<(String, Query)> {
+        let idx = self.views.iter().position(|v| v.name == name)?;
+        self.remove_view_at(idx)
     }
 
-    /// Fills the explicit caches for the requested tasks, one fresh
-    /// inference per missing `(expression, k)`, sharded over the pool.
-    fn ensure_explicit_bulk(
-        &self,
-        query_tasks: &BTreeSet<(usize, usize)>,
-        update_tasks: &BTreeSet<(usize, usize)>,
-    ) {
-        let mut qt: Vec<(Arc<str>, Query, usize)> = Vec::new();
-        let mut seen_q: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
-        for &(vi, k) in query_tasks {
-            let v = &self.views[vi];
-            if self.caches.explicit_query(&v.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.explicit_cache_hits, 1);
-                continue;
-            }
-            if seen_q.insert((Arc::clone(&v.key), k)) {
-                qt.push((Arc::clone(&v.key), v.query.clone(), k));
-            }
+    /// Removes the update at `index`, dropping its matrix row.
+    pub fn remove_update_at(&mut self, index: usize) -> Option<(String, Update)> {
+        if index >= self.updates.len() {
+            return None;
         }
-        let mut ut: Vec<(Arc<str>, Update, usize)> = Vec::new();
-        let mut seen_u: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
-        for &(ui, k) in update_tasks {
-            let u = &self.updates[ui];
-            if self.caches.explicit_update(&u.key, k).is_some() {
-                SessionCounters::bump(&self.caches.counters.explicit_cache_hits, 1);
-                continue;
-            }
-            if seen_u.insert((Arc::clone(&u.key), k)) {
-                ut.push((Arc::clone(&u.key), u.update.clone(), k));
-            }
-        }
-        if qt.is_empty() && ut.is_empty() {
-            return;
-        }
-        let schema = self.schema;
-        let config = &self.config;
-        enum Out {
-            Query(usize, Option<QueryChains>),
-            Update(usize, Option<UpdateChains>),
-        }
-        let n_q = qt.len();
-        // Split the worker budget: tasks shard across workers first, and any
-        // leftover parallelism goes *inside* each explicit inference (the
-        // descendant enumeration dominates when one expensive task remains).
-        let n_tasks = n_q + ut.len();
-        let inner = Jobs::Fixed((self.jobs.resolve() / n_tasks.max(1)).max(1));
-        let results = run_indexed(self.jobs, n_tasks, |i| {
-            if i < n_q {
-                let (_, q, k) = &qt[i];
-                Out::Query(i, infer_query_explicit(schema, config, q, *k, inner))
-            } else {
-                let (_, u, k) = &ut[i - n_q];
-                Out::Update(i - n_q, infer_update_explicit(schema, config, u, *k, inner))
-            }
-        });
-        for r in results {
-            match r {
-                Out::Query(i, qc) => {
-                    let (key, _, k) = &qt[i];
-                    self.caches
-                        .explicit_queries
-                        .insert((Arc::clone(key), *k), qc.map(Arc::new));
-                    SessionCounters::bump(&self.caches.counters.explicit_inferences, 1);
-                }
-                Out::Update(i, uc) => {
-                    let (key, _, k) = &ut[i];
-                    self.caches
-                        .explicit_updates
-                        .insert((Arc::clone(key), *k), uc.map(Arc::new));
-                    SessionCounters::bump(&self.caches.counters.explicit_inferences, 1);
-                }
-            }
-        }
+        let u = self.updates.remove(index);
+        self.rows.remove(index);
+        self.edits += 1;
+        Some((u.name, u.update))
+    }
+
+    /// Removes the first update with the given name.
+    pub fn remove_update(&mut self, name: &str) -> Option<(String, Update)> {
+        let idx = self.updates.iter().position(|u| u.name == name)?;
+        self.remove_update_at(idx)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shared inference and verdict assembly
+// Inference
 // ---------------------------------------------------------------------------
-
-/// The cache key of an expression: its derived `Debug` representation.
-/// `Debug` prints the full AST structure, so — unlike `Display`, which
-/// elides grouping (a `Concat` renders without parentheses) — structurally
-/// different expressions never share a key.
-fn expr_key<T: std::fmt::Debug>(expr: &T) -> Arc<str> {
-    Arc::from(format!("{expr:?}").as_str())
-}
 
 /// CDAG query inference for one `(expression, k)`, and whether it stayed
 /// under the depth cap (so the result is exact at every larger bound).
@@ -1073,10 +999,10 @@ fn cdag_query_at<S: SchemaLike>(
     q: &Query,
     k: usize,
     element_chains: bool,
-) -> (DagQueryChains, bool) {
+) -> (Arc<DagQueryChains>, bool) {
     let eng = CdagEngine::new(schema, k).with_element_chains(element_chains);
     let qc = eng.infer_query(&eng.root_gamma(q.free_vars()), q);
-    (qc, !eng.take_saturated())
+    (Arc::new(qc), !eng.take_saturated())
 }
 
 /// CDAG update inference for one `(expression, k)`; see [`cdag_query_at`].
@@ -1085,13 +1011,13 @@ fn cdag_update_at<S: SchemaLike>(
     u: &Update,
     k: usize,
     element_chains: bool,
-) -> (ChainDag, bool) {
+) -> (Arc<ChainDag>, bool) {
     let eng = CdagEngine::new(schema, k).with_element_chains(element_chains);
     let uc = eng.infer_update(&eng.root_gamma(u.free_vars()), u);
-    (uc, !eng.take_saturated())
+    (Arc::new(uc), !eng.take_saturated())
 }
 
-/// One expression's CDAG inferences over its ascending missing bounds `ks`:
+/// One expression's inferences over its ascending missing bounds `ks`:
 /// infer at the smallest bound, then at the next one, until a result is
 /// complete — that result serves every remaining bound. Returns the
 /// inferences run as `(k, result, complete)`.
@@ -1115,12 +1041,14 @@ fn infer_query_explicit<S: SchemaLike>(
     q: &Query,
     k: usize,
     jobs: Jobs,
-) -> Option<QueryChains> {
+) -> Option<Arc<QueryChains>> {
     let universe = Universe::with_k(schema, k);
     let eng = ExplicitEngine::new(&universe, config.explicit_budget)
         .with_element_chains(config.element_chains)
         .with_jobs(jobs);
-    eng.infer_query(&eng.root_gamma(q.free_vars()), q).ok()
+    eng.infer_query(&eng.root_gamma(q.free_vars()), q)
+        .ok()
+        .map(Arc::new)
 }
 
 /// Explicit update inference for one `(expression, k)`; `None` on overflow.
@@ -1130,85 +1058,14 @@ fn infer_update_explicit<S: SchemaLike>(
     u: &Update,
     k: usize,
     jobs: Jobs,
-) -> Option<UpdateChains> {
+) -> Option<Arc<UpdateChains>> {
     let universe = Universe::with_k(schema, k);
     let eng = ExplicitEngine::new(&universe, config.explicit_budget)
         .with_element_chains(config.element_chains)
         .with_jobs(jobs);
-    eng.infer_update(&eng.root_gamma(u.free_vars()), u).ok()
-}
-
-/// Produces one cell's verdict from the session caches. `cdag_independent`
-/// is the CDAG cell-pass result, present for every non-explicit engine.
-/// This is the only place a [`Verdict`] is assembled.
-fn cell_verdict<S: SchemaLike>(
-    config: &AnalyzerConfig,
-    (k, k_query, k_update): (usize, usize, usize),
-    qkey: &Arc<str>,
-    ukey: &Arc<str>,
-    caches: &SessionCaches<'_, S>,
-    cdag_independent: Option<bool>,
-) -> Verdict {
-    let explicit = || -> Option<Verdict> {
-        let qc = caches.explicit_query(qkey, k)??;
-        let uc = caches.explicit_update(ukey, k)??;
-        let witness = find_conflict(&qc, &uc);
-        Some(Verdict {
-            independent: witness.is_none(),
-            k,
-            k_query,
-            k_update,
-            engine_used: EngineKind::Explicit,
-            query_chain_count: qc.total_len(),
-            update_chain_count: uc.len(),
-            witness,
-        })
-    };
-    let cdag = |independent: bool| -> Verdict {
-        let qc = caches
-            .cdag_query(qkey, k)
-            .expect("cdag query chains ensured");
-        let uc = caches
-            .cdag_update(ukey, k)
-            .expect("cdag update chains ensured");
-        // Dependent CDAG verdicts carry a synthesized witness (deterministic
-        // BFS over the conflicting sub-DAG), so pairs whose explicit
-        // confirmation overflowed still explain *which* chains collide.
-        let witness = if independent {
-            None
-        } else {
-            caches.engines.checkout(k).find_dag_conflict(&qc, &uc)
-        };
-        Verdict {
-            independent,
-            k,
-            k_query,
-            k_update,
-            engine_used: EngineKind::Cdag,
-            witness,
-            query_chain_count: qc.returns.edge_count() + qc.used.edge_count(),
-            update_chain_count: uc.edge_count(),
-        }
-    };
-    match (config.engine, cdag_independent) {
-        // A forced explicit engine whose budget overflowed answers with the
-        // conservative (dependent) verdict.
-        (EngineKind::Explicit, _) => explicit().unwrap_or(Verdict {
-            independent: false,
-            k,
-            k_query,
-            k_update,
-            engine_used: EngineKind::Explicit,
-            witness: None,
-            query_chain_count: 0,
-            update_chain_count: 0,
-        }),
-        (EngineKind::Cdag, Some(independent)) | (EngineKind::Auto, Some(independent @ true)) => {
-            cdag(independent)
-        }
-        (EngineKind::Auto, Some(false)) => explicit().unwrap_or_else(|| cdag(false)),
-        (_, None) => unreachable!("the CDAG cell pass runs for every non-explicit engine"),
-    }
+    eng.infer_update(&eng.root_gamma(u.free_vars()), u)
+        .ok()
+        .map(Arc::new)
 }
 
 /// The verdict of a fresh one-shot session: the from-scratch reference that
@@ -1231,6 +1088,7 @@ mod tests {
     use super::*;
     use qui_schema::Dtd;
     use qui_xquery::{parse_query, parse_update};
+    use std::collections::BTreeSet;
 
     fn figure1() -> Dtd {
         Dtd::parse_compact("doc -> (a|b)* ; a -> c ; b -> c", "doc").unwrap()
@@ -1539,6 +1397,29 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(verdict, fresh_check(&d, &config, &q, &u));
+    }
+
+    #[test]
+    fn overflowed_query_side_skips_update_inference_in_the_matrix() {
+        // The matrix runs the same short-circuit as a check: with a budget
+        // of 0 every query side overflows, so the matrix runs one explicit
+        // inference per distinct (view, k) and none for updates.
+        let d = figure1();
+        let (views, updates) = small_matrix();
+        let config = AnalyzerConfig {
+            engine: EngineKind::Explicit,
+            explicit_budget: 0,
+            ..Default::default()
+        };
+        let m = fresh_matrix(&d, &views, &updates, &config, Jobs::Fixed(2));
+        let view_bounds: BTreeSet<(usize, usize)> = views
+            .iter()
+            .enumerate()
+            .flat_map(|(vi, v)| updates.iter().map(move |u| (vi, k_for_pair(v, u))))
+            .collect();
+        assert_eq!(m.stats().explicit_inferences, view_bounds.len());
+        assert_eq!(m.independent_count(), 0, "overflow must stay conservative");
+        assert_cells_match_fresh_checks(&m);
     }
 
     #[test]

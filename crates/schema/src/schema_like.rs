@@ -9,8 +9,9 @@
 use crate::symbols::Sym;
 use std::collections::HashSet;
 
-/// Schema operations needed by the static analyses.
-pub trait SchemaLike {
+/// Schema operations needed by the static analyses. Schemas are shared
+/// read-only across the analysis workers, hence `Sync`.
+pub trait SchemaLike: Sync {
     /// The start type `s_d`.
     fn start_type(&self) -> Sym;
 

@@ -157,7 +157,7 @@ pub struct MaintenanceEngine<'s, S: SchemaLike> {
     totals: BatchStats,
 }
 
-impl<'s, S: SchemaLike + Sync> MaintenanceEngine<'s, S> {
+impl<'s, S: SchemaLike> MaintenanceEngine<'s, S> {
     /// Creates an engine over `doc` (frozen on entry so every snapshot below
     /// is O(1)).
     pub fn new(schema: &'s S, mut doc: Tree, strategy: MaintainStrategy, jobs: Jobs) -> Self {
@@ -436,7 +436,7 @@ mod tests {
             .collect()
     }
 
-    fn engine_skip_sets<S: SchemaLike + Sync>(
+    fn engine_skip_sets<S: SchemaLike>(
         schema: &S,
         doc: Tree,
         views: &[Query],

@@ -28,8 +28,8 @@ use rand::SeedableRng;
 use xml_qui::core::engine::cdag::CdagEngine;
 use xml_qui::core::engine::explicit::ExplicitEngine;
 use xml_qui::core::{
-    AnalysisSession, AnalyzerConfig, ChainProjector, EngineKind, Jobs, SessionBuilder, Universe,
-    Verdict,
+    k_for_pair, AnalysisSession, AnalyzerConfig, ChainProjector, EngineKind, Jobs, SessionBuilder,
+    Universe, Verdict,
 };
 use xml_qui::schema::{random_query, random_update, Corpus};
 use xml_qui::schema::{Chain, Dtd, SchemaLike};
@@ -432,10 +432,45 @@ proptest! {
         );
     }
 
+    /// What the session's engine pool relies on: the conflict tests read no
+    /// multiplicity bound, so an engine built at `k = 1` decides and
+    /// explains chain sets inferred at the pair's bound exactly as an engine
+    /// built at that bound does.
+    #[test]
+    fn conflict_tests_ignore_the_engine_bound(
+        si in 0usize..7,
+        q_shape in 0usize..8,
+        ql1 in 0usize..24,
+        ql2 in 0usize..24,
+        u_shape in 0usize..6,
+        ul1 in 0usize..24,
+        ul2 in 0usize..24,
+    ) {
+        let pool = corpus_pool();
+        let schema = &pool[si % pool.len()];
+        let q = build_query(schema, q_shape, ql1, ql2);
+        let u = build_update(schema, u_shape, ul1, ul2);
+        let k = k_for_pair(&q, &u);
+        let eng = CdagEngine::new(schema, k);
+        let qc = eng.infer_query(&eng.root_gamma(q.free_vars()), &q);
+        let uc = eng.infer_update(&eng.root_gamma(u.free_vars()), &u);
+        let pooled = CdagEngine::new(schema, 1);
+        prop_assert_eq!(
+            pooled.independent(&qc, &uc),
+            eng.independent(&qc, &uc),
+            "independent differs for ({}, {}) at k = {}", q, u, k
+        );
+        prop_assert_eq!(
+            pooled.find_dag_conflict(&qc, &uc),
+            eng.find_dag_conflict(&qc, &uc),
+            "find_dag_conflict differs for ({}, {}) at k = {}", q, u, k
+        );
+    }
+
     /// The level-synchronous word-bitset descendant closure is bit-identical
     /// to the naive depth-first reference (`step_descendant_reference`, the
     /// pre-bitset implementation) — result ends, used ends, edges and the
-    /// saturation flag — on random contexts, for every worker count.
+    /// saturation flag — on random contexts.
     #[test]
     fn descendant_step_bitset_matches_dfs_reference(
         schema_idx in 0usize..5,
@@ -443,10 +478,8 @@ proptest! {
         prefix in prop::collection::vec((0usize..3, 0usize..8), 0..3),
         or_self_pick in 0usize..2,
         test_pick in 0usize..12,
-        jobs_pick in 0usize..3,
     ) {
         let or_self = or_self_pick == 1;
-        let jobs = [1usize, 2, 8][jobs_pick];
         let schemas = schema_pool();
         let schema = &schemas[schema_idx % schemas.len()];
         let labels = schema.labels();
@@ -458,7 +491,7 @@ proptest! {
                 j => NodeTest::Tag(labels[j - 3].clone()),
             }
         };
-        let eng = CdagEngine::new(schema, k).with_jobs(Jobs::Fixed(jobs));
+        let eng = CdagEngine::new(schema, k);
         // Build a context by stepping from the root along a random prefix.
         let mut ctx = eng.root_dag();
         for &(axis_i, label_i) in &prefix {
@@ -475,9 +508,9 @@ proptest! {
         let sat_a = eng.take_saturated();
         let (res_b, used_b) = eng.step_descendant_reference(&ctx, or_self, &test);
         let sat_b = eng.take_saturated();
-        prop_assert_eq!(res_a, res_b, "result ends/edges differ (jobs = {})", jobs);
-        prop_assert_eq!(used_a, used_b, "used ends differ (jobs = {})", jobs);
-        prop_assert_eq!(sat_a, sat_b, "saturation flag differs (jobs = {})", jobs);
+        prop_assert_eq!(res_a, res_b, "result ends/edges differ");
+        prop_assert_eq!(used_a, used_b, "used ends differ");
+        prop_assert_eq!(sat_a, sat_b, "saturation flag differs");
     }
 }
 
@@ -550,6 +583,34 @@ fn budget_straddling_matrix_mixes_engines_and_stays_bit_identical() {
             }
         }
     }
+}
+
+#[test]
+fn straddling_auto_matrix_runs_the_explicit_inferences_of_its_checks() {
+    // A matrix is the same pipeline as a check, short-circuit included: its
+    // cells equal per-pair checks, and it runs exactly the explicit
+    // inferences those checks run on one session. Before the matrix shared
+    // the short-circuit it ran 22 here, inferring update sides that only
+    // paired with overflowing queries.
+    let (schema, views, updates) = straddling_workload();
+    let config = AnalyzerConfig {
+        explicit_budget: 60,
+        ..Default::default()
+    };
+    let m = fresh_matrix(&schema, &views, &updates, &config, Jobs::Fixed(2));
+    let checks = SessionBuilder::new(&schema).config(config).build();
+    for (ui, u) in updates.iter().enumerate() {
+        for (vi, v) in views.iter().enumerate() {
+            assert_eq!(
+                &checks.check(v, u),
+                m.verdict(ui, vi),
+                "cell (view {vi}, update {ui}) diverged from the per-pair check"
+            );
+        }
+    }
+    let explicit = m.stats().explicit_inferences;
+    assert_eq!(explicit, checks.stats().explicit_inferences);
+    assert!(explicit <= 22, "{explicit} explicit inferences");
 }
 
 #[test]
