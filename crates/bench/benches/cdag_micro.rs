@@ -8,14 +8,20 @@
 //!   phase is attributable;
 //! * the `k = k_q + k_u` bound vs the unsound `k = max(k_q, k_u)` choice
 //!   (§5's `/descendant::b` vs `delete /descendant::c` example), again with
-//!   the universe construction hoisted out of the measured loop.
+//!   the universe construction hoisted out of the measured loop;
+//! * the upward step on a recursive schema: XMark's
+//!   `//keyword/ancestor::listitem` step alone (the `//keyword` context is
+//!   inferred outside the measured loop) and the whole inferences of view
+//!   B2 and update UB2 that contain it, at the smallest and largest bound
+//!   they are checked at in the XMark matrix.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qui_core::engine::cdag::CdagEngine;
 use qui_core::engine::explicit::ExplicitEngine;
 use qui_core::Universe;
 use qui_schema::Dtd;
-use qui_xquery::parse_query;
+use qui_workloads::{updates, views, xmark_dtd};
+use qui_xquery::{parse_query, Axis, NodeTest};
 use std::hint::black_box;
 
 /// The footnote-8 schema with `n` levels.
@@ -111,10 +117,40 @@ fn bench_k_choice(c: &mut Criterion) {
     group.finish();
 }
 
+/// The ancestor step over XMark's recursive `parlist`/`listitem` region,
+/// alone and inside the two workload expressions that use it.
+fn bench_upward_step(c: &mut Criterion) {
+    let mut group = quick_group(c, "upward_step");
+    let schema = xmark_dtd();
+    let keywords = parse_query("//keyword").unwrap();
+    let listitem = NodeTest::Tag("listitem".into());
+    let b2 = views::view("B2").expect("XMark view B2").query;
+    let ub2 = updates::update("UB2").expect("XMark update UB2").update;
+    for k in [5usize, 8] {
+        let eng = CdagEngine::new(&schema, k);
+        let ctx = eng
+            .infer_query(&eng.root_gamma(keywords.free_vars()), &keywords)
+            .returns;
+        group.bench_function(format!("ancestor_step/k{k}"), |b| {
+            b.iter(|| black_box(eng.step(&ctx, Axis::Ancestor, &listitem).0.edge_count()))
+        });
+        let gamma = eng.root_gamma(b2.free_vars());
+        group.bench_function(format!("infer_b2/k{k}"), |b| {
+            b.iter(|| black_box(eng.infer_query(&gamma, &b2).returns.edge_count()))
+        });
+        let gamma = eng.root_gamma(ub2.free_vars());
+        group.bench_function(format!("infer_ub2/k{k}"), |b| {
+            b.iter(|| black_box(eng.infer_update(&gamma, &ub2).edge_count()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_closure_construction,
     bench_inference,
-    bench_k_choice
+    bench_k_choice,
+    bench_upward_step
 );
 criterion_main!(benches);

@@ -29,7 +29,7 @@
 //!
 //! The engine is the default first pass of `EngineKind::Auto`, so its
 //! inference and conflict primitives are hot paths (see the `cdag_micro`
-//! bench and the `cdag` perf harness). Three things keep them cheap:
+//! bench and the `cdag` perf harness). Four things keep them cheap:
 //!
 //! * all node/edge sets hash with [`crate::fxhash`] instead of SipHash
 //!   (node indices are dense small integers, never attacker-controlled),
@@ -42,7 +42,12 @@
 //!   level-synchronous: each grid level is one frontier bitmask, and
 //!   stepping the closure ORs precomputed per-symbol child masks into the
 //!   next level (the grid encodes `(type, depth)` level-major, so a level
-//!   is a contiguous bit range).
+//!   is a contiguous bit range),
+//! * the ancestor step is one sweep over the context DAG shared across all
+//!   context ends, not one walk per end: a reverse walk marks every proper
+//!   ancestor of some end once, and a pass over those marks in ascending
+//!   index order (which is by depth) decides which ends produced a result.
+//!   It costs the context's edges, not ends × edges.
 //!
 //! One inference runs on one thread. Parallelism lives a level up: the
 //! analysis session shards whole inferences and conflict tests over its
@@ -179,11 +184,45 @@ impl Scratch {
         self.adj[i].push(to);
     }
 
+    /// Drains `stack`, marking in `mark` every node reachable from it along
+    /// `adj` in one or more steps (a stacked node is marked only if the
+    /// caller marked it or the walk reaches it).
+    fn mark_reachable(&mut self) {
+        while let Some(n) = self.stack.pop() {
+            let i = n as usize;
+            for j in 0..self.adj.get(i).map(Vec::len).unwrap_or(0) {
+                let p = self.adj[i][j];
+                if self.mark.insert(p) {
+                    self.stack.push(p);
+                }
+            }
+        }
+    }
+
     fn adj_clear(&mut self) {
         for &n in &self.touched {
             self.adj[n as usize].clear();
         }
         self.touched.clear();
+    }
+}
+
+/// Reverse adjacency of an edge set: the parents of each node within it.
+#[derive(Default)]
+struct Preds(FxHashMap<NodeIdx, Vec<NodeIdx>>);
+
+impl Preds {
+    fn of(edges: &FxHashSet<(NodeIdx, NodeIdx)>) -> Self {
+        let mut preds: FxHashMap<NodeIdx, Vec<NodeIdx>> = FxHashMap::default();
+        for &(f, t) in edges {
+            preds.entry(t).or_default().push(f);
+        }
+        Preds(preds)
+    }
+
+    /// The parents of `n` (empty for a node no edge enters).
+    fn get(&self, n: NodeIdx) -> &[NodeIdx] {
+        self.0.get(&n).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -410,6 +449,19 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
         }
     }
 
+    /// Fills `mask` with the one-level node-test mask: bit `slot` is set iff
+    /// the schema type in that slot passes `test` (the unknown-label
+    /// sentinel slot never does).
+    fn fill_match_mask(&self, mask: &mut Vec<u64>, test: &NodeTest) {
+        mask.clear();
+        mask.resize(self.stride, 0);
+        for i in 0..self.width as usize - 1 {
+            if self.sym_passes(Sym(i as u16), test) {
+                mask[i / bitset::WORD_BITS] |= 1u64 << (i % bitset::WORD_BITS);
+            }
+        }
+    }
+
     /// The root node of the grid.
     pub fn root_node(&self) -> NodeIdx {
         self.node(self.schema.start_type(), 0)
@@ -450,15 +502,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                 s.stack.push(e);
             }
         }
-        while let Some(n) = s.stack.pop() {
-            let i = n as usize;
-            for j in 0..s.adj.get(i).map(Vec::len).unwrap_or(0) {
-                let p = s.adj[i][j];
-                if s.mark.insert(p) {
-                    s.stack.push(p);
-                }
-            }
-        }
+        s.mark_reachable();
         s.adj_clear();
         // Forward reachability from the root, restricted to `above`
         // (in `mark2`).
@@ -508,26 +552,28 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
     /// node test discarded would pollute later steps through shared CDAG
     /// nodes.
     pub fn step(&self, ctx: &ChainDag, axis: Axis, test: &NodeTest) -> (ChainDag, ChainDag) {
-        if matches!(axis, Axis::Descendant | Axis::DescendantOrSelf) {
-            return self.step_descendant(ctx, axis == Axis::DescendantOrSelf, test);
+        match axis {
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                return self.step_descendant(ctx, axis == Axis::DescendantOrSelf, test);
+            }
+            Axis::Ancestor | Axis::AncestorOrSelf => {
+                return self.step_ancestor(ctx, axis == Axis::AncestorOrSelf, test);
+            }
+            _ => {}
         }
         let mut new_edges: FxHashSet<(NodeIdx, NodeIdx)> = FxHashSet::default();
         let mut result = ChainDag::empty();
         let mut used = ChainDag::empty();
-        // Reverse adjacency of the context DAG, needed by upward axes.
-        let mut preds: FxHashMap<NodeIdx, Vec<NodeIdx>> = FxHashMap::default();
-        if matches!(
+        // Reverse adjacency of the context DAG, needed by the parent and
+        // sibling axes.
+        let preds = if matches!(
             axis,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::AncestorOrSelf
-                | Axis::FollowingSibling
-                | Axis::PrecedingSibling
+            Axis::Parent | Axis::FollowingSibling | Axis::PrecedingSibling
         ) {
-            for &(f, t) in &ctx.edges {
-                preds.entry(t).or_default().push(f);
-            }
-        }
+            Preds::of(&ctx.edges)
+        } else {
+            Preds::default()
+        };
         for &end in ctx.ends.keys() {
             let Some(end_sym) = self.sym_of(end) else {
                 continue;
@@ -555,11 +601,14 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                         self.note_depth_cap(end_sym);
                     }
                 }
-                Axis::Descendant | Axis::DescendantOrSelf => {
-                    unreachable!("handled by step_descendant")
+                Axis::Descendant
+                | Axis::DescendantOrSelf
+                | Axis::Ancestor
+                | Axis::AncestorOrSelf => {
+                    unreachable!("handled by the shared sweeps")
                 }
                 Axis::Parent => {
-                    for &p in preds.get(&end).map(|v| v.as_slice()).unwrap_or(&[]) {
+                    for &p in preds.get(end) {
                         if let Some(ps) = self.sym_of(p) {
                             if self.sym_passes(ps, test) {
                                 result.ends.insert(p, false);
@@ -568,29 +617,8 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                         }
                     }
                 }
-                Axis::Ancestor | Axis::AncestorOrSelf => {
-                    if axis == Axis::AncestorOrSelf && self.sym_passes(end_sym, test) {
-                        result.ends.insert(end, false);
-                        produced = true;
-                    }
-                    let mut frontier = vec![end];
-                    let mut visited: FxHashSet<NodeIdx> = FxHashSet::default();
-                    while let Some(n) = frontier.pop() {
-                        for &p in preds.get(&n).map(|v| v.as_slice()).unwrap_or(&[]) {
-                            if let Some(ps) = self.sym_of(p) {
-                                if self.sym_passes(ps, test) {
-                                    result.ends.insert(p, false);
-                                    produced = true;
-                                }
-                            }
-                            if visited.insert(p) {
-                                frontier.push(p);
-                            }
-                        }
-                    }
-                }
                 Axis::FollowingSibling | Axis::PrecedingSibling => {
-                    for &p in preds.get(&end).map(|v| v.as_slice()).unwrap_or(&[]) {
+                    for &p in preds.get(end) {
                         let Some(parent_sym) = self.sym_of(p) else {
                             continue;
                         };
@@ -694,13 +722,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
             }
         }
         // Matched descendants: reached ∧ node-test mask, level by level.
-        s.match_mask.clear();
-        s.match_mask.resize(stride, 0);
-        for i in 0..width - 1 {
-            if self.sym_passes(Sym(i as u16), test) {
-                s.match_mask[i / bitset::WORD_BITS] |= 1u64 << (i % bitset::WORD_BITS);
-            }
-        }
+        self.fill_match_mask(&mut s.match_mask, test);
         for d in lo + 1..=top {
             s.level_buf.clear();
             s.level_buf.extend(
@@ -846,6 +868,85 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
             }
         }
         self.finish_step(ctx, new_edges, result, used)
+    }
+
+    /// The ancestor / ancestor-or-self step, as one sweep over the context
+    /// DAG shared across **all** context ends instead of one walk per end
+    /// (the pruning of the staircase join, moved from documents to
+    /// chain-DAGs). Two passes over the engine scratch:
+    ///
+    /// * *up*: one reverse walk from every typed end marks each proper
+    ///   ancestor of some end (`mark`); the marked nodes that pass the node
+    ///   test are the result ends;
+    /// * *down*: the marked nodes in ascending index order — every DAG edge
+    ///   goes one level down and the grid is level-major, so this order is
+    ///   by depth — get `hit` (`mark2`) when some parent passes the test or
+    ///   is itself hit. An end produced a result (the STEPUH `used`
+    ///   restriction) iff one of its parents is, in that sense, hit or
+    ///   passing.
+    ///
+    /// Ends on the unknown-label sentinel slot seed nothing, as in the
+    /// per-end walk this replaces; the engine-differential suite pins the
+    /// sweep against that walk bit for bit.
+    fn step_ancestor(
+        &self,
+        ctx: &ChainDag,
+        or_self: bool,
+        test: &NodeTest,
+    ) -> (ChainDag, ChainDag) {
+        let mut result = ChainDag::empty();
+        let mut used = ChainDag::empty();
+        let mut guard = self.scratch.borrow_mut();
+        let s = &mut *guard;
+        // Up pass: reverse adjacency, then one walk from every typed end.
+        for &(f, t) in &ctx.edges {
+            s.adj_push(t, f);
+        }
+        s.mark.clear();
+        s.stack.clear();
+        s.stack
+            .extend(ctx.ends.keys().filter(|&&e| self.sym_of(e).is_some()));
+        s.mark_reachable();
+        self.fill_match_mask(&mut s.match_mask, test);
+        let width = self.width;
+        let mask = &s.match_mask;
+        let passes = |n: NodeIdx| {
+            let slot = (n % width) as usize;
+            mask[slot / bitset::WORD_BITS] & (1u64 << (slot % bitset::WORD_BITS)) != 0
+        };
+        // Down pass: every parent of a marked node is marked and sits one
+        // level higher, so it is settled before the node itself.
+        s.mark2.clear();
+        for n in s.mark.iter_ones() {
+            if passes(n) {
+                result.ends.insert(n, false);
+            }
+            let parents = s.adj.get(n as usize).map_or(&[][..], Vec::as_slice);
+            if parents.iter().any(|&p| {
+                debug_assert!(p < n, "DAG edges go one level down");
+                passes(p) || s.mark2.contains(p)
+            }) {
+                s.mark2.insert(n);
+            }
+        }
+        for &end in ctx.ends.keys() {
+            if self.sym_of(end).is_none() {
+                continue;
+            }
+            let parents = s.adj.get(end as usize).map_or(&[][..], Vec::as_slice);
+            let mut produced = parents.iter().any(|&p| passes(p) || s.mark2.contains(p));
+            if or_self && passes(end) {
+                result.ends.insert(end, false);
+                produced = true;
+            }
+            if produced {
+                used.ends.insert(end, false);
+            }
+        }
+        s.adj_clear();
+        // Release the scratch borrow: `finish_step`'s trimming re-borrows it.
+        drop(guard);
+        self.finish_step(ctx, FxHashSet::default(), result, used)
     }
 
     /// Shared tail of every step: provenance trimming. Keeps only the context
@@ -1076,27 +1177,16 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                 let mut out = r0.clone();
                 // c:b for every new-label type b: add a sibling end next to
                 // each target end (same parent, same depth, type b).
-                let mut preds: FxHashMap<NodeIdx, Vec<NodeIdx>> = FxHashMap::default();
-                for &(f, t) in &r0.edges {
-                    preds.entry(t).or_default().push(f);
-                }
+                // A target without parents is the root itself: renaming the
+                // root changes the chain at depth 0.
+                let preds = Preds::of(&r0.edges);
                 for &b in &label_syms(self.schema, new_tag) {
                     for &end in r0.ends.keys() {
-                        let depth = self.depth_of(end);
-                        let bn = self.node(b, depth);
-                        match preds.get(&end) {
-                            Some(ps) => {
-                                for &p in ps {
-                                    out.edges.insert((p, bn));
-                                }
-                                out.ends.insert(bn, false);
-                            }
-                            None => {
-                                // The target is the root itself: renaming the
-                                // root changes the chain at depth 0.
-                                out.ends.insert(bn, false);
-                            }
+                        let bn = self.node(b, self.depth_of(end));
+                        for &p in preds.get(end) {
+                            out.edges.insert((p, bn));
                         }
+                        out.ends.insert(bn, false);
                     }
                 }
                 out
@@ -1126,16 +1216,13 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
 
     /// The set of parent chains of every chain in `dag` (within the DAG).
     fn parents_of(&self, dag: &ChainDag) -> ChainDag {
-        let mut preds: FxHashMap<NodeIdx, Vec<NodeIdx>> = FxHashMap::default();
-        for &(f, t) in &dag.edges {
-            preds.entry(t).or_default().push(f);
-        }
+        let preds = Preds::of(&dag.edges);
         let mut out = ChainDag {
             edges: dag.edges.clone(),
             ends: FxHashMap::default(),
         };
         for &end in dag.ends.keys() {
-            for &p in preds.get(&end).map(|v| v.as_slice()).unwrap_or(&[]) {
+            for &p in preds.get(end) {
                 out.ends.insert(p, false);
             }
         }
@@ -1205,15 +1292,7 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
                 s.stack.push(e);
             }
         }
-        while let Some(n) = s.stack.pop() {
-            let i = n as usize;
-            for j in 0..s.adj.get(i).map(Vec::len).unwrap_or(0) {
-                let p = s.adj[i][j];
-                if s.mark.insert(p) {
-                    s.stack.push(p);
-                }
-            }
-        }
+        s.mark_reachable();
         s.adj_clear();
         // Early exit: if no end of a can still reach an end of b, no walk
         // over the common edges can succeed — skip building the adjacency.
@@ -1341,13 +1420,10 @@ impl<'a, S: SchemaLike> CdagEngine<'a, S> {
         }
         // Nodes from which an end of b is reachable via b's edges.
         let mut back: FxHashSet<NodeIdx> = b.ends.keys().copied().collect();
-        let mut radj: FxHashMap<NodeIdx, Vec<NodeIdx>> = FxHashMap::default();
-        for &(f, t) in &b.edges {
-            radj.entry(t).or_default().push(f);
-        }
+        let radj = Preds::of(&b.edges);
         let mut stack: Vec<NodeIdx> = back.iter().copied().collect();
         while let Some(n) = stack.pop() {
-            for &p in radj.get(&n).map(Vec::as_slice).unwrap_or_default() {
+            for &p in radj.get(n) {
                 if back.insert(p) {
                     stack.push(p);
                 }

@@ -25,14 +25,15 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use xml_qui::core::engine::cdag::CdagEngine;
+use std::collections::{HashMap, HashSet};
+use xml_qui::core::engine::cdag::{CdagEngine, ChainDag, NodeIdx};
 use xml_qui::core::engine::explicit::ExplicitEngine;
 use xml_qui::core::{
     k_for_pair, AnalysisSession, AnalyzerConfig, ChainProjector, EngineKind, Jobs, SessionBuilder,
     Universe, Verdict,
 };
 use xml_qui::schema::{random_query, random_update, Corpus};
-use xml_qui::schema::{Chain, Dtd, SchemaLike};
+use xml_qui::schema::{Chain, Dtd, SchemaLike, Sym, TEXT_SYM};
 use xml_qui::xmlstore::parse_xml;
 use xml_qui::xquery::dynamic::snapshot_query;
 use xml_qui::xquery::{parse_query, parse_update, Axis, NodeTest, Query, Update};
@@ -512,6 +513,119 @@ proptest! {
         prop_assert_eq!(used_a, used_b, "used ends differ");
         prop_assert_eq!(sat_a, sat_b, "saturation flag differs");
     }
+
+    /// The shared ancestor sweep of `CdagEngine::step` is bit-identical to
+    /// the per-end walk it replaced (`step_ancestor_reference`) — result
+    /// ends, used ends, edges and the saturation flag — on random contexts
+    /// over the recursive hand pool and the corpus pool.
+    #[test]
+    fn ancestor_step_sweep_matches_per_end_walk(
+        schema_idx in 0usize..12,
+        k in 1usize..4,
+        prefix in prop::collection::vec((0usize..3, 0usize..24), 0..4),
+        or_self_pick in 0usize..2,
+        test_pick in 0usize..24,
+    ) {
+        let axis = [Axis::Ancestor, Axis::AncestorOrSelf][or_self_pick];
+        let schemas: Vec<Dtd> = schema_pool().into_iter().chain(corpus_pool()).collect();
+        let schema = &schemas[schema_idx % schemas.len()];
+        let labels = schema.labels();
+        let pick_test = |i: usize| -> NodeTest {
+            match i % (labels.len() + 3) {
+                0 => NodeTest::AnyNode,
+                1 => NodeTest::AnyElement,
+                2 => NodeTest::Text,
+                j => NodeTest::Tag(labels[j - 3].clone()),
+            }
+        };
+        let eng = CdagEngine::new(schema, k);
+        let mut ctx = eng.root_dag();
+        for &(axis_i, label_i) in &prefix {
+            let step_axis = [Axis::Child, Axis::Descendant, Axis::DescendantOrSelf][axis_i];
+            let (next, _) = eng.step(&ctx, step_axis, &pick_test(label_i));
+            if next.is_empty() {
+                break;
+            }
+            ctx = next;
+        }
+        let test = pick_test(test_pick);
+        eng.take_saturated(); // reset whatever the prefix steps recorded
+        let (res_a, used_a) = eng.step(&ctx, axis, &test);
+        let sat_a = eng.take_saturated();
+        let (res_b, used_b) = step_ancestor_reference(&eng, &ctx, axis, &test);
+        let sat_b = eng.take_saturated();
+        prop_assert_eq!(res_a, res_b, "result ends/edges differ");
+        prop_assert_eq!(used_a, used_b, "used ends differ");
+        prop_assert_eq!(sat_a, sat_b, "saturation flag differs");
+    }
+}
+
+/// The per-end ancestor walk `CdagEngine::step` ran before the shared
+/// sweep, kept verbatim from public API as the reference of
+/// `ancestor_step_sweep_matches_per_end_walk`: one depth-first walk up the
+/// context DAG per typed end, then the step's provenance trimming.
+fn step_ancestor_reference(
+    eng: &CdagEngine<'_, Dtd>,
+    ctx: &ChainDag,
+    axis: Axis,
+    test: &NodeTest,
+) -> (ChainDag, ChainDag) {
+    let schema = eng.schema();
+    let sym_passes = |s: Sym| match test {
+        NodeTest::AnyNode => true,
+        NodeTest::Text => s == TEXT_SYM,
+        NodeTest::AnyElement => s != TEXT_SYM,
+        NodeTest::Tag(t) => s != TEXT_SYM && schema.type_label(s) == t,
+    };
+    let mut result = ChainDag::empty();
+    let mut used = ChainDag::empty();
+    let mut preds: HashMap<NodeIdx, Vec<NodeIdx>> = HashMap::new();
+    for &(f, t) in &ctx.edges {
+        preds.entry(t).or_default().push(f);
+    }
+    for &end in ctx.ends.keys() {
+        let Some(end_sym) = eng.sym_of(end) else {
+            continue;
+        };
+        let mut produced = false;
+        if axis == Axis::AncestorOrSelf && sym_passes(end_sym) {
+            result.ends.insert(end, false);
+            produced = true;
+        }
+        let mut frontier = vec![end];
+        let mut visited: HashSet<NodeIdx> = HashSet::new();
+        while let Some(n) = frontier.pop() {
+            for &p in preds.get(&n).map(|v| v.as_slice()).unwrap_or(&[]) {
+                if let Some(ps) = eng.sym_of(p) {
+                    if sym_passes(ps) {
+                        result.ends.insert(p, false);
+                        produced = true;
+                    }
+                }
+                if visited.insert(p) {
+                    frontier.push(p);
+                }
+            }
+        }
+        if produced {
+            used.ends.insert(end, false);
+        }
+    }
+    // The step's tail: keep the context edges on paths to the producing
+    // ends, then trim those to the paths reaching the result ends.
+    used.edges = eng
+        .trim(&ChainDag {
+            edges: ctx.edges.clone(),
+            ends: used.ends.clone(),
+        })
+        .edges;
+    result.edges = eng
+        .trim(&ChainDag {
+            edges: used.edges.clone(),
+            ends: result.ends.clone(),
+        })
+        .edges;
+    (result, used)
 }
 
 // ---------------------------------------------------------------------------
