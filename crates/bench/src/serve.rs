@@ -7,7 +7,10 @@
 //!
 //! * **single-thread throughput** — one thread running ad-hoc `check()`
 //!   calls over a fixed pair set on a warm session (checks/sec, p50/p99
-//!   latency);
+//!   latency). Every pair was checked while warming, so this loop times
+//!   the session's verdict memo (one hash lookup and an equality test per
+//!   check); the cost of the conflict tests stays gated by the `session`
+//!   harness's warm `recompute`, which never reads the memo;
 //! * **multi-thread throughput** — N client threads hammering `check()` on
 //!   the *same shared session* (`&self`, no outer lock), same pair set,
 //!   checks/sec and tail latency again. With ≥ 4 hardware workers the

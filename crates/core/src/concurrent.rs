@@ -27,7 +27,7 @@ use crate::fxhash::FxHasher;
 use qui_schema::SchemaLike;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of shards. A small power of two: enough that a handful of worker
 /// threads rarely collide on a shard lock, small enough that iterating all
@@ -64,27 +64,59 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         &self.shards[(h.finish() as usize) % SHARDS]
     }
 
+    /// Read-locks the shard of `key`. Every write is one `HashMap` call or a
+    /// caller's closure over one value, so a thread that panicked while
+    /// holding the lock left the map itself valid: recover the guard instead
+    /// of propagating the poison (as [`EnginePool`] does). A value a
+    /// panicking closure left half-updated is the caller's to tolerate;
+    /// the session's values are idempotent cache entries.
+    fn read(&self, key: &K) -> RwLockReadGuard<'_, HashMap<K, V>> {
+        self.shard(key)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Write-locks the shard of `key`; see [`read`](Self::read).
+    fn write(&self, key: &K) -> RwLockWriteGuard<'_, HashMap<K, V>> {
+        self.shard(key)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Clones the value under `key`, if present.
     pub fn get(&self, key: &K) -> Option<V>
     where
         V: Clone,
     {
-        self.shard(key).read().unwrap().get(key).cloned()
+        self.read(key).get(key).cloned()
     }
 
     /// Whether `key` is present.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.shard(key).read().unwrap().contains_key(key)
+        self.read(key).contains_key(key)
     }
 
     /// Inserts `value` under `key` (replacing any previous value).
     pub fn insert(&self, key: K, value: V) {
-        self.shard(&key).write().unwrap().insert(key, value);
+        self.write(&key).insert(key, value);
+    }
+
+    /// Inserts `value` under `key`, first clearing the key's shard when it
+    /// already holds its share of `capacity` (`capacity / SHARDS`, rounded
+    /// up) in other keys. A map filled only through this method never holds
+    /// more than that share per shard.
+    pub fn insert_bounded(&self, key: K, value: V, capacity: usize) {
+        let per_shard = capacity.div_ceil(SHARDS);
+        let mut shard = self.write(&key);
+        if shard.len() >= per_shard && !shard.contains_key(&key) {
+            shard.clear();
+        }
+        shard.insert(key, value);
     }
 
     /// Applies `f` to the value under `key` (read lock), if present.
     pub fn read_with<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        self.shard(key).read().unwrap().get(key).map(f)
+        self.read(key).get(key).map(f)
     }
 
     /// Applies `f` to the value under `key`, inserting a default first if
@@ -93,13 +125,16 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     where
         V: Default,
     {
-        f(self.shard(&key).write().unwrap().entry(key).or_default())
+        f(self.write(&key).entry(key).or_default())
     }
 
     /// Total number of entries across all shards (not atomic with respect
     /// to concurrent writers; used for stats and tests only).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     /// Whether the map has no entries (same caveat as [`len`](Self::len)).
@@ -232,6 +267,42 @@ mod tests {
         assert_eq!(map.read_with(&"a", |v| v.clone()), Some(vec![1, 2]));
         assert_eq!(map.read_with(&"b", |v| v.clone()), None);
         assert!(!map.is_empty());
+    }
+
+    #[test]
+    fn sharded_map_insert_bounded_clears_a_full_shard() {
+        let map: ShardedMap<usize, usize> = ShardedMap::new();
+        let capacity = 4 * SHARDS;
+        for i in 0..1000 {
+            map.insert_bounded(i, i, capacity);
+        }
+        assert!(map.len() <= capacity, "{} entries", map.len());
+        // The last insert always survives, and re-inserting a present key
+        // into a full shard clears nothing.
+        assert_eq!(map.get(&999), Some(999));
+        let before = map.len();
+        map.insert_bounded(999, 7, capacity);
+        assert_eq!(map.len(), before);
+        assert_eq!(map.get(&999), Some(7));
+    }
+
+    #[test]
+    fn sharded_map_survives_a_panic_inside_write_with() {
+        let map: ShardedMap<&'static str, Vec<usize>> = ShardedMap::new();
+        map.insert("a", vec![1]);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| map.write_with("a", |_| panic!("poison the shard")))
+                .join()
+                .is_err()
+        });
+        assert!(panicked);
+        // The shard lock is poisoned now; reads and writes recover it.
+        assert_eq!(map.get(&"a"), Some(vec![1]));
+        assert!(map.contains_key(&"a"));
+        map.write_with("a", |v| v.push(2));
+        map.insert("b", vec![3]);
+        assert_eq!(map.read_with(&"a", |v| v.clone()), Some(vec![1, 2]));
+        assert_eq!(map.len(), 2);
     }
 
     #[test]

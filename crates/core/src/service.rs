@@ -40,7 +40,7 @@ use crate::session::{AnalysisSession, SessionBuilder};
 use qui_schema::{Dtd, SchemaLike};
 use qui_xquery::{parse_query, parse_update};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -523,33 +523,20 @@ struct HttpRequest {
     keep_alive: bool,
 }
 
-/// Reads one HTTP/1.1 request from the stream. `Ok(None)` means the client
-/// closed (or timed out) cleanly between requests.
-fn read_request(stream: &mut TcpStream) -> Result<Option<HttpRequest>, String> {
+/// Reads one HTTP/1.1 request from the connection's reader. `Ok(None)`
+/// means the client closed (or timed out) cleanly between requests.
+///
+/// The head is scanned in the reader's buffer and exactly its bytes are
+/// consumed; the body is read through the same reader. Bytes past this
+/// request (a pipelined next request) stay buffered for the next call.
+fn read_request(reader: &mut impl BufRead) -> Result<Option<HttpRequest>, String> {
     const MAX_HEAD: usize = 16 * 1024;
     const MAX_BODY: usize = 1024 * 1024;
+    const END: &[u8] = b"\r\n\r\n";
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    // Byte-at-a-time until the blank line; request heads are tiny and this
-    // keeps the parser trivially correct about not over-reading the body.
     loop {
-        match stream.read(&mut byte) {
-            Ok(0) => {
-                return if head.is_empty() {
-                    Ok(None)
-                } else {
-                    Err("connection closed mid-request".to_string())
-                }
-            }
-            Ok(_) => {
-                head.push(byte[0]);
-                if head.len() > MAX_HEAD {
-                    return Err("request head too large".to_string());
-                }
-                if head.ends_with(b"\r\n\r\n") {
-                    break;
-                }
-            }
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -563,6 +550,32 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<HttpRequest>, String> {
                 }
             }
             Err(e) => return Err(format!("read error: {e}")),
+        };
+        if buf.is_empty() {
+            return if head.is_empty() {
+                Ok(None)
+            } else {
+                Err("connection closed mid-request".to_string())
+            };
+        }
+        // The blank line may straddle two fills: rescan the last three
+        // bytes already taken.
+        let taken = head.len();
+        head.extend_from_slice(buf);
+        let from = taken.saturating_sub(END.len() - 1);
+        let end = head[from..]
+            .windows(END.len())
+            .position(|w| w == END)
+            .map(|at| from + at + END.len());
+        if let Some(end) = end {
+            head.truncate(end);
+        }
+        if head.len() > MAX_HEAD {
+            return Err("request head too large".to_string());
+        }
+        reader.consume(head.len() - taken);
+        if end.is_some() {
+            break;
         }
     }
     let head = String::from_utf8(head).map_err(|_| "non-UTF-8 request head".to_string())?;
@@ -593,7 +606,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<HttpRequest>, String> {
         return Err("request body too large".to_string());
     }
     let mut body = vec![0u8; content_length];
-    stream
+    reader
         .read_exact(&mut body)
         .map_err(|e| format!("cannot read body: {e}"))?;
     let body = String::from_utf8(body).map_err(|_| "non-UTF-8 request body".to_string())?;
@@ -609,7 +622,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<HttpRequest>, String> {
 /// a single write: two small segments would trip the Nagle + delayed-ACK
 /// interaction and add tens of milliseconds per keep-alive round trip.
 fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     reason: &str,
     body: &str,
@@ -626,9 +639,10 @@ fn write_response(
 }
 
 /// Serves one connection (keep-alive loop) until the client closes, an
-/// error occurs, or shutdown begins.
+/// error occurs, or shutdown begins. The connection is read through one
+/// buffer for its whole life, so pipelined requests are never lost.
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     registry: &SessionRegistry,
     shutdown: &AtomicBool,
     stats: &ServerStats,
@@ -636,8 +650,9 @@ fn handle_connection(
 ) {
     let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
     loop {
-        let request = match read_request(&mut stream) {
+        let request = match read_request(&mut reader) {
             Ok(Some(request)) => request,
             Ok(None) => return,
             Err(message) => {
@@ -646,7 +661,7 @@ fn handle_connection(
                     ("error".into(), Json::str(message)),
                 ])
                 .render();
-                let _ = write_response(&mut stream, 400, "Bad Request", &body, false);
+                let _ = write_response(reader.get_mut(), 400, "Bad Request", &body, false);
                 return;
             }
         };
@@ -654,7 +669,7 @@ fn handle_connection(
         let stopping = shutdown.load(Ordering::SeqCst);
         let keep_alive = request.keep_alive && !stopping;
         let (status, reason, body) = route(&request, registry, shutdown);
-        if write_response(&mut stream, status, reason, &body, keep_alive).is_err() {
+        if write_response(reader.get_mut(), status, reason, &body, keep_alive).is_err() {
             return;
         }
         if !keep_alive {
@@ -806,6 +821,7 @@ fn route(
 mod tests {
     use super::*;
     use qui_schema::Dtd;
+    use std::io::Read;
 
     const FIG1: &str = "doc -> (a|b)* ; a -> c ; b -> c";
 
@@ -1198,8 +1214,9 @@ mod tests {
         handle.join().unwrap();
     }
 
-    #[test]
-    fn http_keep_alive_serves_sequential_requests_on_one_connection() {
+    /// A one-worker daemon over Figure 1 on a free port: its address, its
+    /// shutdown flag and the thread running it.
+    fn serve_fig1() -> (SocketAddr, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
         let registry = Arc::new(SessionRegistry::new(
             AnalyzerConfig::default(),
             Jobs::Fixed(1),
@@ -1217,41 +1234,144 @@ mod tests {
         .unwrap();
         let addr = server.local_addr().unwrap();
         let shutdown = server.shutdown_handle();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        (
+            addr,
+            shutdown,
+            std::thread::spawn(move || server.run().unwrap()),
+        )
+    }
 
-        let mut stream = TcpStream::connect(addr).unwrap();
+    /// A client connection with a generous read timeout.
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let body = "{\"cmd\":\"check\",\"query\":\"//a//c\",\"update\":\"delete //b//c\"}";
+        stream
+    }
+
+    /// A keep-alive `check` request on Figure 1's session.
+    fn check_request(query: &str, update: &str) -> String {
+        let body = format!("{{\"cmd\":\"check\",\"query\":\"{query}\",\"update\":\"{update}\"}}");
+        format!(
+            "POST /sessions/fig1 HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    }
+
+    /// Reads exactly one response: head, then Content-Length bytes. Returns
+    /// the head and the JSON body.
+    fn read_response(stream: &mut TcpStream) -> (String, Json) {
+        let mut head = Vec::new();
+        let mut b = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") {
+            stream.read_exact(&mut b).unwrap();
+            head.push(b[0]);
+        }
+        let head = String::from_utf8(head).unwrap();
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap();
+        let mut payload = vec![0u8; length];
+        stream.read_exact(&mut payload).unwrap();
+        let body = Json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+        (head, body)
+    }
+
+    /// The `independent` flag of a `check` response.
+    fn independent(body: &Json) -> Option<bool> {
+        body.get("independent").and_then(Json::as_bool)
+    }
+
+    #[test]
+    fn http_keep_alive_serves_sequential_requests_on_one_connection() {
+        let (addr, shutdown, handle) = serve_fig1();
+        let mut stream = connect(addr);
         for _ in 0..3 {
-            let request = format!(
-                "POST /sessions/fig1 HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
+            let request = check_request("//a//c", "delete //b//c");
             stream.write_all(request.as_bytes()).unwrap();
-            // Read exactly one response: head then Content-Length bytes.
-            let mut head = Vec::new();
-            let mut b = [0u8; 1];
-            while !head.ends_with(b"\r\n\r\n") {
-                stream.read_exact(&mut b).unwrap();
-                head.push(b[0]);
-            }
-            let head = String::from_utf8(head).unwrap();
+            let (head, body) = read_response(&mut stream);
             assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-            let length: usize = head
-                .lines()
-                .find_map(|l| l.strip_prefix("Content-Length: "))
-                .unwrap()
-                .trim()
-                .parse()
-                .unwrap();
-            let mut payload = vec![0u8; length];
-            stream.read_exact(&mut payload).unwrap();
-            let v = Json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
-            assert_eq!(v.get("independent").unwrap().as_bool(), Some(true));
+            assert_eq!(independent(&body), Some(true));
         }
         drop(stream);
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn http_pipelined_requests_get_their_responses_in_order() {
+        let (addr, shutdown, handle) = serve_fig1();
+        let mut stream = connect(addr);
+        // Two requests in one write: the second must survive in the
+        // connection's buffer while the first is served.
+        let both =
+            check_request("//a//c", "delete //b//c") + &check_request("//c", "delete //b//c");
+        stream.write_all(both.as_bytes()).unwrap();
+        for expected in [true, false] {
+            let (head, body) = read_response(&mut stream);
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert_eq!(independent(&body), Some(expected));
+        }
+        drop(stream);
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn http_head_written_a_byte_at_a_time_still_parses() {
+        let (addr, shutdown, handle) = serve_fig1();
+        let mut stream = connect(addr);
+        stream.set_nodelay(true).unwrap();
+        let request = check_request("//a//c", "delete //b//c");
+        for byte in request.as_bytes() {
+            stream.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+        let (head, body) = read_response(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(independent(&body), Some(true));
+        drop(stream);
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn http_body_sent_after_the_head_is_read_whole() {
+        let (addr, shutdown, handle) = serve_fig1();
+        let mut stream = connect(addr);
+        stream.set_nodelay(true).unwrap();
+        let request = check_request("//c", "delete //b//c");
+        let (head, body) = request.split_at(request.find("\r\n\r\n").unwrap() + 4);
+        stream.write_all(head.as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        stream.write_all(body.as_bytes()).unwrap();
+        let (head, body) = read_response(&mut stream);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(independent(&body), Some(false));
+        drop(stream);
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn http_head_over_16_kib_gets_400_and_close() {
+        let (addr, shutdown, handle) = serve_fig1();
+        let mut stream = connect(addr);
+        // One byte over the limit and no blank line: the server reads every
+        // byte sent before it answers, so its close is clean.
+        let mut request = b"POST /sessions/fig1 HTTP/1.1\r\nX-Pad: ".to_vec();
+        request.resize(16 * 1024 + 1, b'a');
+        stream.write_all(&request).unwrap();
+        let mut response = String::new();
+        // Returns only once the server has closed the connection.
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert!(response.contains("Connection: close"), "{response}");
+        assert!(response.contains("request head too large"), "{response}");
         shutdown.store(true, Ordering::SeqCst);
         handle.join().unwrap();
     }

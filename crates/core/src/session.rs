@@ -20,7 +20,13 @@
 //!   any lock, and returns it. The conflict tests read no multiplicity
 //!   bound, so one free list serves every `k`;
 //! * compiled [`Projection`]s (path automata) per view for streamed
-//!   document projection.
+//!   document projection;
+//! * a memo of [`check`](AnalysisSession::check) verdicts per `(query,
+//!   update)` pair, so a repeated check is one lookup. Only `check` reads or
+//!   fills it: matrix cells and [`recompute`](AnalysisSession::recompute)
+//!   always run the conflict tests. It is bounded by a fixed number of
+//!   entries (a full shard is cleared before the next insert), and no edit
+//!   invalidates it, because no verdict depends on the registered workload.
 //!
 //! ## Concurrent reads, serialized edits
 //!
@@ -123,8 +129,9 @@ use crate::universe::Universe;
 use qui_schema::SchemaLike;
 use qui_xmlstore::Projection;
 use qui_xquery::{Query, Update};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -227,6 +234,8 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
             explicit: Tier::default(),
             engines: EnginePool::new(self.schema),
             projections: ShardedMap::new(),
+            memo: ShardedMap::new(),
+            memo_hasher: RandomState::new(),
             cells_computed: 0,
             edits: 0,
         }
@@ -437,6 +446,18 @@ fn bump(counter: &AtomicUsize, by: usize) {
     counter.fetch_add(by, Ordering::Relaxed);
 }
 
+/// Most [`check`](AnalysisSession::check) verdicts the memo keeps.
+const MEMO_CAPACITY: usize = 4096;
+
+/// One memoized [`check`](AnalysisSession::check): the pair itself, so a
+/// hit compares expressions and a hash collision never answers for another
+/// pair, and its verdict.
+struct Memoized {
+    query: Query,
+    update: Update,
+    verdict: Verdict,
+}
+
 /// A registered view: display name, expression and `k_q`.
 struct RegisteredView {
     name: String,
@@ -508,6 +529,12 @@ pub struct AnalysisSession<'a, S: SchemaLike> {
     explicit: Tier<Option<Arc<QueryChains>>, Option<Arc<UpdateChains>>>,
     engines: EnginePool<'a, S>,
     projections: ShardedMap<Query, Projection>,
+    /// `check` verdicts keyed by the pair's hash under `memo_hasher`. A map
+    /// key cannot borrow from two separate expressions, so the entry holds
+    /// the pair.
+    memo: ShardedMap<u64, Memoized>,
+    /// Expressions may come from clients: hash them with random keys.
+    memo_hasher: RandomState,
     cells_computed: usize,
     edits: usize,
 }
@@ -620,7 +647,8 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
 
     // -- ad-hoc checks ------------------------------------------------------
 
-    /// Checks independence of one query-update pair, warm: chain sets
+    /// Checks independence of one query-update pair, warm: a pair checked
+    /// before answers from the session's verdict memo; otherwise chain sets
     /// inferred by earlier checks or workload edits are reused, and fresh
     /// inference results enter the session caches. The verdict is
     /// bit-identical to the first check of a fresh session under the same
@@ -630,8 +658,22 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     /// This is `&self` and thread-safe: any number of threads may check
     /// against one session concurrently (see the [module docs](self)).
     pub fn check(&self, q: &Query, u: &Update) -> Verdict {
+        let key = self.memo_hasher.hash_one((q, u));
+        let hit = self.memo.read_with(&key, |m| {
+            (m.query == *q && m.update == *u).then(|| m.verdict.clone())
+        });
+        if let Some(verdict) = hit.flatten() {
+            return verdict;
+        }
         let cell = self.cell(q, k_of_query(q), u, k_of_update(u));
-        self.compute_cells(&[cell]).remove(0)
+        let verdict = self.compute_cells(&[cell]).remove(0);
+        let memoized = Memoized {
+            query: q.clone(),
+            update: u.clone(),
+            verdict: verdict.clone(),
+        };
+        self.memo.insert_bounded(key, memoized, MEMO_CAPACITY);
+        verdict
     }
 
     /// [`check`](Self::check) followed by a human-readable report, using the
@@ -1332,7 +1374,114 @@ mod tests {
             after_first.cdag_inferences, after_second.cdag_inferences,
             "the warm check must not re-infer"
         );
-        assert!(after_second.cdag_cache_hits > after_first.cdag_cache_hits);
+        assert_eq!(
+            after_second, after_first,
+            "a repeated check answers from the memo: no inference, no cache request"
+        );
+    }
+
+    /// Checks every pair twice on one session (the second answer comes from
+    /// the memo) and asserts both equal a fresh session's check.
+    fn assert_memoized_checks_match_fresh<S: SchemaLike>(
+        schema: &S,
+        queries: &[Query],
+        updates: &[Update],
+    ) {
+        let defaults = AnalyzerConfig::default();
+        let session = AnalysisSession::new(schema);
+        for u in updates {
+            for q in queries {
+                let fresh = fresh_check(schema, &defaults, q, u);
+                assert_eq!(session.check(q, u), fresh, "cold ({q}, {u})");
+                assert_eq!(session.check(q, u), fresh, "memoized ({q}, {u})");
+            }
+        }
+        assert!(session.memo.len() <= MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn memoized_checks_match_fresh_checks_on_xmark() {
+        let d = qui_workloads::xmark_dtd();
+        let views: Vec<Query> = qui_workloads::all_views()
+            .into_iter()
+            .map(|v| v.query)
+            .collect();
+        let updates: Vec<Update> = qui_workloads::all_updates()
+            .into_iter()
+            .map(|u| u.update)
+            .collect();
+        assert_eq!((views.len(), updates.len()), (36, 31));
+        assert_memoized_checks_match_fresh(&d, &views, &updates);
+    }
+
+    #[test]
+    fn memoized_checks_match_fresh_checks_on_the_corpus() {
+        use qui_schema::{random_query, random_update, Corpus};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        for (si, schema) in Corpus::seeded(1, 8).iter().enumerate() {
+            let d = schema.dtd();
+            let labels = schema.labels();
+            let mut rng = StdRng::seed_from_u64(0x3E30 ^ si as u64);
+            let queries: Vec<Query> = (0..8)
+                .map(|_| parse_query(&random_query(&labels, &mut rng)).unwrap())
+                .collect();
+            let updates: Vec<Update> = (0..8)
+                .map(|_| parse_update(&random_update(&schema.start, &labels, &mut rng)).unwrap())
+                .collect();
+            assert_memoized_checks_match_fresh(&d, &queries, &updates);
+        }
+    }
+
+    #[test]
+    fn a_memo_entry_under_another_pairs_hash_never_answers() {
+        // Plant an independent pair's entry under the hash of a dependent
+        // pair, as a hash collision would: the check must compare the
+        // stored pair and compute its own verdict.
+        let d = figure1();
+        let session = AnalysisSession::new(&d);
+        let (q, u) = (
+            parse_query("//c").unwrap(),
+            parse_update("delete //b//c").unwrap(),
+        );
+        let other = parse_query("//a//c").unwrap();
+        let planted = session.check(&other, &u);
+        assert!(planted.is_independent());
+        let key = session.memo_hasher.hash_one((&q, &u));
+        let entry = Memoized {
+            query: other,
+            update: u.clone(),
+            verdict: planted,
+        };
+        session.memo.insert(key, entry);
+        let verdict = session.check(&q, &u);
+        assert!(!verdict.is_independent());
+        assert_eq!(verdict, fresh_check(&d, &AnalyzerConfig::default(), &q, &u));
+    }
+
+    #[test]
+    fn memo_stays_within_its_capacity() {
+        // More distinct pairs than the memo keeps: `for $x in //a return
+        // insert <t_i/> into $x` for MEMO_CAPACITY + 500 tags `t_i`.
+        let d = figure1();
+        let session = AnalysisSession::new(&d);
+        let q = parse_query("//a//c").unwrap();
+        let defaults = AnalyzerConfig::default();
+        let n = MEMO_CAPACITY + 500;
+        let updates: Vec<Update> = (0..n)
+            .map(|i| parse_update(&format!("for $x in //a return insert <t{i}/> into $x")).unwrap())
+            .collect();
+        for u in &updates {
+            session.check(&q, u);
+            assert!(session.memo.len() <= MEMO_CAPACITY);
+        }
+        // Every verdict, evicted or not, still equals a fresh session's.
+        for u in updates.iter().step_by(97).chain(updates.last()) {
+            let fresh = fresh_check(&d, &defaults, &q, u);
+            assert_eq!(session.check(&q, u), fresh, "({q}, {u})");
+            assert_eq!(session.check(&q, u), fresh, "({q}, {u})");
+        }
+        assert!(session.memo.len() <= MEMO_CAPACITY);
     }
 
     /// Pins the CDAG cache's reuse on the XMark 36 × 31 matrix: 268

@@ -10,7 +10,7 @@ use crate::store::Store;
 
 /// Returns `true` iff `(σ1, l1) ≅ (σ2, l2)`.
 pub fn value_equiv(s1: &Store, l1: NodeId, s2: &Store, l2: NodeId) -> bool {
-    match (s1.text_cow(l1), s2.text_cow(l2)) {
+    match (s1.text_value(l1), s2.text_value(l2)) {
         (Some(a), Some(b)) => a == b,
         (None, None) => {
             s1.tag(l1) == s2.tag(l2) && {

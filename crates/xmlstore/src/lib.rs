@@ -13,8 +13,6 @@
 //!   out-of-line text arena, supporting the primitive mutations needed by
 //!   the XQuery Update Facility semantics (insert, delete, rename, replace)
 //!   plus O(1) copy-on-write [`Store::freeze`]/[`Store::snapshot`] sharing.
-//!   With the `cold-text` feature, frozen text payloads can spill to a
-//!   file-backed cold tier.
 //! * [`sink`] — the [`ResultSink`] delivery trait (collect / count /
 //!   serialize) that query evaluation and streamed projection write matches
 //!   into instead of materializing result sequences.

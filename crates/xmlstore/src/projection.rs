@@ -47,8 +47,8 @@ pub fn project(tree: &Tree, keep: &HashSet<NodeId>) -> Tree {
 }
 
 fn copy_projected(src: &Store, node: NodeId, keep: &HashSet<NodeId>, dst: &mut Store) -> NodeId {
-    if let Some(text) = src.text_cow(node) {
-        return dst.new_text(text.as_ref());
+    if let Some(text) = src.text_value(node) {
+        return dst.new_text(text);
     }
     let kids: Vec<NodeId> = src
         .children_iter(node)

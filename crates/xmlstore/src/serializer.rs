@@ -37,8 +37,8 @@ pub fn serialize_tree_with_attributes(tree: &Tree) -> String {
 }
 
 fn write_node(store: &Store, node: NodeId, out: &mut String, attrs: bool) {
-    if let Some(text) = store.text_cow(node) {
-        out.push_str(&escape_text(&text));
+    if let Some(text) = store.text_value(node) {
+        out.push_str(&escape_text(text));
         return;
     }
     let tag = store.tag(node).expect("non-text nodes are elements");
@@ -55,7 +55,7 @@ fn write_node(store: &Store, node: NodeId, out: &mut String, attrs: bool) {
         let name = store.tag(a).expect("attribute children are elements");
         let value: String = store
             .children_iter(a)
-            .filter_map(|c| store.text_cow(c).map(|s| s.into_owned()))
+            .filter_map(|c| store.text_value(c))
             .collect();
         out.push(' ');
         out.push_str(name.trim_start_matches('@'));

@@ -20,10 +20,7 @@
 //!
 //! Text payloads live out-of-line in an append-only arena (a span table
 //! plus one byte blob). Text is immutable once written, so copies share
-//! spans and snapshots share the whole arena. With the `cold-text` feature
-//! the frozen base's blob can be spilled to an unlinked temp file
-//! (`Store::spill_cold_text`) and paged back per read through
-//! [`Store::text_cow`].
+//! spans and snapshots share the whole arena.
 //!
 //! Tag names are interned into the store's [`SymbolTable`]; `tag()` resolves
 //! labels back to names, and the table is shared copy-on-write across
@@ -31,7 +28,6 @@
 
 use crate::node::NodeId;
 use crate::symbols::{Sym, SymbolTable, TEXT_SYM};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -158,121 +154,15 @@ impl TextArena {
     }
 }
 
-/// The frozen snapshot base: immutable columns plus text arena, optionally
-/// with its blob spilled to the cold file tier.
+/// The frozen snapshot base: immutable columns plus text arena.
 #[derive(Debug)]
 struct Base {
     cols: Columns,
     text: TextArena,
-    #[cfg(feature = "cold-text")]
-    cold: Option<cold::ColdText>,
-}
-
-impl Base {
-    fn new(cols: Columns, text: TextArena) -> Self {
-        Base {
-            cols,
-            text,
-            #[cfg(feature = "cold-text")]
-            cold: None,
-        }
-    }
-
-    /// Hot text bytes, reading the cold tier back in if spilled.
-    fn hot_text(&self) -> TextArena {
-        #[cfg(feature = "cold-text")]
-        if let Some(cold) = &self.cold {
-            return TextArena {
-                spans: self.text.spans.clone(),
-                bytes: cold.read_all().expect("cold tier read"),
-            };
-        }
-        self.text.clone()
-    }
-
-    /// Consumes the base into hot columns + hot text.
-    fn into_parts(self) -> (Columns, TextArena) {
-        #[cfg(feature = "cold-text")]
-        if let Some(cold) = self.cold {
-            return (
-                self.cols,
-                TextArena {
-                    spans: self.text.spans,
-                    bytes: cold.read_all().expect("cold tier read"),
-                },
-            );
-        }
-        (self.cols, self.text)
-    }
-}
-
-#[cfg(feature = "cold-text")]
-mod cold {
-    //! The feature-gated cold tier: the frozen base's text blob lives in an
-    //! unlinked temp file (the fd keeps the bytes alive; the path is gone,
-    //! so nothing leaks past process exit) and is paged in per read with
-    //! positioned reads — no `mmap` crate required.
-
-    use std::fs::File;
-    use std::io::Write;
-    use std::os::unix::fs::FileExt;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-
-    /// A file-backed text blob.
-    #[derive(Debug)]
-    pub(super) struct ColdText {
-        file: File,
-        len: u64,
-    }
-
-    impl ColdText {
-        /// Writes `bytes` to a fresh unlinked temp file.
-        pub fn write(bytes: &[u8]) -> std::io::Result<ColdText> {
-            let path = std::env::temp_dir().join(format!(
-                "qui-cold-{}-{}.bin",
-                std::process::id(),
-                SPILL_SEQ.fetch_add(1, Ordering::Relaxed),
-            ));
-            let mut file = std::fs::OpenOptions::new()
-                .create_new(true)
-                .read(true)
-                .write(true)
-                .open(&path)?;
-            let _ = std::fs::remove_file(&path);
-            file.write_all(bytes)?;
-            Ok(ColdText {
-                file,
-                len: bytes.len() as u64,
-            })
-        }
-
-        /// Reads one span back.
-        pub fn read(&self, off: u32, len: u32) -> std::io::Result<Vec<u8>> {
-            let mut buf = vec![0u8; len as usize];
-            self.file.read_exact_at(&mut buf, off as u64)?;
-            Ok(buf)
-        }
-
-        /// Reads the whole blob back (rehydration on re-freeze).
-        pub fn read_all(&self) -> std::io::Result<Vec<u8>> {
-            let mut buf = vec![0u8; self.len as usize];
-            self.file.read_exact_at(&mut buf, 0)?;
-            Ok(buf)
-        }
-
-        /// Bytes held on disk.
-        pub fn len(&self) -> usize {
-            self.len as usize
-        }
-    }
 }
 
 /// Exact per-column heap accounting for a [`Store`] (see
-/// [`Store::column_bytes`]). All figures are resident bytes by capacity;
-/// [`cold_text`](StoreBytes::cold_text) counts bytes spilled to disk and is
-/// *excluded* from [`total`](StoreBytes::total).
+/// [`Store::column_bytes`]). All figures are resident bytes by capacity.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreBytes {
     /// The `label` column (base + tail).
@@ -289,8 +179,6 @@ pub struct StoreBytes {
     pub text_spans: usize,
     /// The resident text blob bytes.
     pub text_bytes: usize,
-    /// Text blob bytes spilled to the cold file tier (not resident).
-    pub cold_text: usize,
     /// Copy-on-write bookkeeping (overlay map + dirty bitmap).
     pub overlay: usize,
     /// The symbol interner.
@@ -298,7 +186,7 @@ pub struct StoreBytes {
 }
 
 impl StoreBytes {
-    /// Total resident heap bytes (excludes [`cold_text`](Self::cold_text)).
+    /// Total resident heap bytes.
     pub fn total(&self) -> usize {
         self.label
             + self.parent
@@ -476,10 +364,6 @@ impl Store {
         };
         let b = self.base.as_deref();
         let span_size = std::mem::size_of::<(u32, u32)>();
-        #[cfg(feature = "cold-text")]
-        let cold_text = b.and_then(|b| b.cold.as_ref()).map_or(0, |c| c.len());
-        #[cfg(not(feature = "cold-text"))]
-        let cold_text = 0;
         StoreBytes {
             label: col(b.map(|b| &b.cols.label), &self.tail.label),
             parent: col(b.map(|b| &b.cols.parent), &self.tail.parent),
@@ -490,7 +374,6 @@ impl Store {
                 + self.tail_text.spans.capacity())
                 * span_size,
             text_bytes: b.map_or(0, |b| b.text.bytes.capacity()) + self.tail_text.bytes.capacity(),
-            cold_text,
             overlay: self.overlay.capacity()
                 * (std::mem::size_of::<(u32, Cells)>() + std::mem::size_of::<u64>())
                 + self.dirty.capacity() * std::mem::size_of::<u64>(),
@@ -597,19 +480,13 @@ impl Store {
     }
 
     /// The span text for a global span index.
-    fn span_text(&self, span: u32) -> Cow<'_, str> {
+    fn span_text(&self, span: u32) -> &str {
         let base_spans = self.base_spans();
         if span < base_spans {
             let b = self.base.as_deref().expect("base present");
-            #[cfg(feature = "cold-text")]
-            if let Some(cold) = &b.cold {
-                let (off, len) = b.text.spans[span as usize];
-                let bytes = cold.read(off, len).expect("cold tier read");
-                return Cow::Owned(String::from_utf8(bytes).expect("cold tier holds UTF-8"));
-            }
-            Cow::Borrowed(b.text.get(span))
+            b.text.get(span)
         } else {
-            Cow::Borrowed(self.tail_text.get(span - base_spans))
+            self.tail_text.get(span - base_spans)
         }
     }
 
@@ -625,25 +502,8 @@ impl Store {
         (c.text == NIL).then_some(Sym(c.label as u16))
     }
 
-    /// The text value of `id` if it is a text node whose bytes are resident.
-    ///
-    /// When the `cold-text` tier has spilled the frozen base's blob this
-    /// returns `None` for base spans — use [`text_cow`](Self::text_cow),
-    /// which pages spilled bytes back in.
+    /// The text value of `id` if it is a text node.
     pub fn text_value(&self, id: NodeId) -> Option<&str> {
-        let c = self.cells(id.index());
-        if c.text == NIL {
-            return None;
-        }
-        match self.span_text(c.text) {
-            Cow::Borrowed(s) => Some(s),
-            Cow::Owned(_) => None,
-        }
-    }
-
-    /// The text value of `id` if it is a text node, paging in cold bytes if
-    /// the store's base blob was spilled.
-    pub fn text_cow(&self, id: NodeId) -> Option<Cow<'_, str>> {
         let c = self.cells(id.index());
         (c.text != NIL).then(|| self.span_text(c.text))
     }
@@ -752,8 +612,8 @@ impl Store {
     /// This is the "copy semantics" of XQuery element construction and of the
     /// insert/replace source lists: inserted trees are fresh copies.
     pub fn deep_copy_from(&mut self, src_store: &Store, src: NodeId) -> NodeId {
-        if let Some(text) = src_store.text_cow(src) {
-            return self.new_text(text.as_ref());
+        if let Some(text) = src_store.text_value(src) {
+            return self.new_text(text);
         }
         let copied: Vec<NodeId> = src_store
             .children_iter(src)
@@ -911,9 +771,7 @@ impl Store {
 
     /// Flattens this store into an immutable shared base, after which
     /// [`snapshot`](Self::snapshot) is O(1). A no-op when the store is
-    /// already a clean frozen base. If the base's text blob had been spilled
-    /// to the cold tier it is read back (re-freezing implies new hot data to
-    /// merge).
+    /// already a clean frozen base.
     pub fn freeze(&mut self) {
         if self.base.is_some() && self.overlay.is_empty() && self.tail.len() == 0 {
             return;
@@ -925,8 +783,8 @@ impl Store {
             ),
             Some(b) => {
                 let (mut cols, mut text) = match Arc::try_unwrap(b) {
-                    Ok(b) => b.into_parts(),
-                    Err(b) => (b.cols.clone(), b.hot_text()),
+                    Ok(b) => (b.cols, b.text),
+                    Err(b) => (b.cols.clone(), b.text.clone()),
                 };
                 for (idx, cells) in self.overlay.drain() {
                     cols.set(idx as usize, cells);
@@ -949,41 +807,7 @@ impl Store {
         self.dirty.clear();
         self.tail = Columns::default();
         self.tail_text = TextArena::default();
-        self.base = Some(Arc::new(Base::new(cols, text)));
-    }
-
-    /// Spills the frozen base's text blob to the cold file tier (an unlinked
-    /// temp file), freezing first if needed. Returns the number of bytes
-    /// moved out of resident memory (0 if there was nothing to spill or the
-    /// blob is already cold). Reads go through [`text_cow`](Self::text_cow)
-    /// afterwards; [`text_value`](Self::text_value) reports `None` for
-    /// spilled spans.
-    #[cfg(feature = "cold-text")]
-    pub fn spill_cold_text(&mut self) -> std::io::Result<usize> {
-        self.freeze();
-        let Some(base) = self.base.take() else {
-            return Ok(0);
-        };
-        if base.cold.is_some() {
-            self.base = Some(base);
-            return Ok(0);
-        }
-        let base = Arc::try_unwrap(base).unwrap_or_else(|b| Base {
-            cols: b.cols.clone(),
-            text: b.text.clone(),
-            cold: None,
-        });
-        let spilled = base.text.bytes.len();
-        let cold = cold::ColdText::write(&base.text.bytes)?;
-        self.base = Some(Arc::new(Base {
-            cols: base.cols,
-            text: TextArena {
-                spans: base.text.spans,
-                bytes: Vec::new(),
-            },
-            cold: Some(cold),
-        }));
-        Ok(spilled)
+        self.base = Some(Arc::new(Base { cols, text }));
     }
 
     /// A copy-on-write snapshot of this store: observationally identical to
@@ -1132,10 +956,10 @@ impl<'s> NodeRef<'s> {
         self.store.sym(self.id)
     }
 
-    /// The text value if this is a text node (pages in cold bytes).
+    /// The text value if this is a text node.
     #[inline]
-    pub fn text(self) -> Option<Cow<'s, str>> {
-        self.store.text_cow(self.id)
+    pub fn text(self) -> Option<&'s str> {
+        self.store.text_value(self.id)
     }
 
     /// The parent location, if any.
@@ -1244,7 +1068,7 @@ mod tests {
         let texts: Vec<String> = root
             .children()
             .flat_map(|c| c.children())
-            .filter_map(|c| c.text().map(|t| t.into_owned()))
+            .filter_map(|c| c.text().map(str::to_owned))
             .collect();
         assert_eq!(texts, vec!["text".to_string()]);
         assert_eq!(root.sym(), s.symbols().lookup("doc"));
@@ -1461,29 +1285,5 @@ mod tests {
         assert!(node.parent().is_none());
         assert_eq!(s.children(doc), vec![a, b]);
         assert!(node.is_element());
-    }
-
-    #[cfg(feature = "cold-text")]
-    #[test]
-    fn cold_spill_pages_text_back_in() {
-        let (mut s, doc, _a, b, _c) = sample();
-        let spilled = s.spill_cold_text().expect("spill");
-        assert_eq!(spilled, "text".len());
-        assert_eq!(s.column_bytes().text_bytes, 0);
-        assert_eq!(s.column_bytes().cold_text, spilled);
-        let t = s.children(b)[0];
-        // Hot borrow is gone; the cow pages it back in.
-        assert_eq!(s.text_value(t), None);
-        assert_eq!(s.text_cow(t).as_deref(), Some("text"));
-        // Snapshots share the cold file; new text in the tail stays hot.
-        let mut snap = s.snapshot();
-        let fresh = snap.new_text("hot tail");
-        snap.append_children(b, &[fresh]);
-        assert_eq!(snap.text_cow(t).as_deref(), Some("text"));
-        assert_eq!(snap.text_value(fresh), Some("hot tail"));
-        // Re-freezing rehydrates the blob.
-        snap.freeze();
-        assert_eq!(snap.text_value(t), Some("text"));
-        assert!(crate::value_equiv(&snap, doc, &snap, doc));
     }
 }

@@ -1253,7 +1253,7 @@ fn copy_filtered(
                 Keep::Skip => false,
                 Keep::Filter => spec.keeps_text_child(path),
             };
-            keep.then(|| dst.new_text(tree.store.text_cow(node).unwrap_or_default()))
+            keep.then(|| dst.new_text(tree.store.text_value(node).unwrap_or_default()))
         }
         Some(tag) => {
             let tag = tag.to_string();

@@ -167,11 +167,15 @@ fn assert_untorn_matrix(response: &Response) {
     }
 }
 
+/// Pairs at the head of each schema's pool that every reader re-checks.
+const HOT_PAIRS: usize = 3;
+
 /// Readers spread over a multi-schema registry send seeded checks, batches
 /// and matrix reads while the main thread edits every schema's workload:
 /// no request errors, every check verdict equals a fresh single-schema
-/// check, no matrix snapshot is torn, and each schema's final matrix
-/// matches a from-scratch analysis of its surviving workload.
+/// check (repeated checks, answered from the session's memo, included), no
+/// matrix snapshot is torn, and each schema's final matrix matches a
+/// from-scratch analysis of its surviving workload.
 #[test]
 fn interleaved_edits_and_readers_match_from_scratch_matrix() {
     let config = AnalyzerConfig::default();
@@ -218,18 +222,31 @@ fn interleaved_edits_and_readers_match_from_scratch_matrix() {
                     let shared = registry.get(&schemas[si].name).unwrap();
                     let pairs = &expected[si];
                     let (check, answer) = &pairs[rng.random_range(0..pairs.len())];
+                    // A few hot pairs every reader repeats, so memoized
+                    // verdicts are read between (and racing with) edits.
+                    let (hot, hot_answer) = &pairs[round % HOT_PAIRS];
                     if round % 2 == 0 {
                         assert_eq!(&shared.handle(check), answer, "{check:?}");
+                        assert_eq!(&shared.handle(check), answer, "repeated {check:?}");
+                        assert_eq!(&shared.handle(hot), hot_answer, "{hot:?}");
                         continue;
                     }
                     let (other, other_answer) = &pairs[rng.random_range(0..pairs.len())];
-                    let batch = Request::Batch(vec![check.clone(), Request::Matrix, other.clone()]);
+                    let batch = Request::Batch(vec![
+                        check.clone(),
+                        Request::Matrix,
+                        other.clone(),
+                        check.clone(),
+                        hot.clone(),
+                    ]);
                     match shared.handle(&batch) {
                         Response::Batch(results) => {
-                            assert_eq!(results.len(), 3);
+                            assert_eq!(results.len(), 5);
                             assert_eq!(&results[0], answer, "{check:?}");
                             assert_untorn_matrix(&results[1]);
                             assert_eq!(&results[2], other_answer, "{other:?}");
+                            assert_eq!(&results[3], answer, "repeated {check:?}");
+                            assert_eq!(&results[4], hot_answer, "{hot:?}");
                         }
                         response => panic!("unexpected {response:?}"),
                     }
