@@ -40,7 +40,7 @@ use qui_schema::Dtd;
 use qui_workloads::{all_updates, all_views, xmark_dtd};
 use qui_xquery::{Query, Update};
 use std::fmt::Write as _;
-use std::io::{Read as _, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -261,13 +261,41 @@ pub fn run_checks(
     (wall_ms, latencies, mismatches)
 }
 
-/// One keep-alive HTTP client: `requests` POSTed checks on one connection,
-/// asserting 200s all the way. Returns the number of responses read.
-fn http_client(addr: std::net::SocketAddr, requests: usize) -> usize {
-    let mut stream = TcpStream::connect(addr).expect("connect to serve harness");
+/// Opens one keep-alive connection to the serve harness, read through one
+/// buffer for its whole life.
+fn connect(addr: std::net::SocketAddr) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect to serve harness");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
+    BufReader::new(stream)
+}
+
+/// Reads one response from `reader`: its head, which must carry status 200,
+/// then exactly `Content-Length` bytes of body, which it returns.
+fn read_response(reader: &mut BufReader<TcpStream>) -> Vec<u8> {
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        let read = reader.read_line(&mut head).expect("response head");
+        assert!(read > 0, "connection closed inside a response head: {head}");
+    }
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .unwrap()
+        .trim()
+        .parse()
+        .unwrap();
+    let mut payload = vec![0u8; length];
+    reader.read_exact(&mut payload).unwrap();
+    payload
+}
+
+/// One keep-alive HTTP client: `requests` POSTed checks on one connection,
+/// asserting 200s all the way. Returns the number of responses read.
+fn http_client(addr: std::net::SocketAddr, requests: usize) -> usize {
+    let mut stream = connect(addr);
     let body = "{\"cmd\":\"check\",\"query\":\"//a//c\",\"update\":\"delete //b//c\"}";
     let request = format!(
         "POST /sessions/bench HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
@@ -275,24 +303,8 @@ fn http_client(addr: std::net::SocketAddr, requests: usize) -> usize {
     );
     let mut served = 0;
     for _ in 0..requests {
-        stream.write_all(request.as_bytes()).unwrap();
-        let mut head = Vec::new();
-        let mut b = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            stream.read_exact(&mut b).expect("response head");
-            head.push(b[0]);
-        }
-        let head = String::from_utf8(head).unwrap();
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let length: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        let mut payload = vec![0u8; length];
-        stream.read_exact(&mut payload).unwrap();
+        stream.get_mut().write_all(request.as_bytes()).unwrap();
+        read_response(&mut stream);
         served += 1;
     }
     served
@@ -302,10 +314,7 @@ fn http_client(addr: std::net::SocketAddr, requests: usize) -> usize {
 /// endpoint, each carrying `ops` check operations. Returns the number of
 /// per-op results acknowledged across all responses.
 fn http_batch_client(addr: std::net::SocketAddr, requests: usize, ops: usize) -> usize {
-    let mut stream = TcpStream::connect(addr).expect("connect to serve harness");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
+    let mut stream = connect(addr);
     let op = "{\"cmd\":\"check\",\"query\":\"//a//c\",\"update\":\"delete //b//c\"}";
     let body = format!("{{\"ops\":[{}]}}", vec![op; ops].join(","));
     let request = format!(
@@ -314,24 +323,8 @@ fn http_batch_client(addr: std::net::SocketAddr, requests: usize, ops: usize) ->
     );
     let mut acknowledged = 0;
     for _ in 0..requests {
-        stream.write_all(request.as_bytes()).unwrap();
-        let mut head = Vec::new();
-        let mut b = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            stream.read_exact(&mut b).expect("response head");
-            head.push(b[0]);
-        }
-        let head = String::from_utf8(head).unwrap();
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let length: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap();
-        let mut payload = vec![0u8; length];
-        stream.read_exact(&mut payload).unwrap();
+        stream.get_mut().write_all(request.as_bytes()).unwrap();
+        let payload = read_response(&mut stream);
         let v = qui_core::Json::parse(std::str::from_utf8(&payload).unwrap())
             .expect("batch response JSON");
         let results = v

@@ -34,14 +34,15 @@ pub fn is_name_byte(b: u8) -> bool {
 /// `@name` element). Values are expected to be entity-decoded already.
 ///
 /// Returns an empty list when `keep_attributes` is off, so parsers can call
-/// it unconditionally.
+/// it unconditionally, and `None` when an `@name` would overflow the
+/// store's symbol table.
 pub fn attribute_children(
     store: &mut Store,
     attrs: Vec<(String, String)>,
     keep_attributes: bool,
-) -> Vec<NodeId> {
+) -> Option<Vec<NodeId>> {
     if !keep_attributes {
-        return Vec::new();
+        return Some(Vec::new());
     }
     attrs
         .into_iter()
@@ -51,7 +52,8 @@ pub fn attribute_children(
             } else {
                 vec![store.new_text(value)]
             };
-            store.new_element(format!("@{name}"), content)
+            let sym = store.try_intern(&format!("@{name}"))?;
+            Some(store.new_element_sym(sym, content))
         })
         .collect()
 }
@@ -86,8 +88,10 @@ mod tests {
             ("id".to_string(), "7".to_string()),
             ("flag".to_string(), String::new()),
         ];
-        assert!(attribute_children(&mut s, attrs.clone(), false).is_empty());
-        let kids = attribute_children(&mut s, attrs, true);
+        assert!(attribute_children(&mut s, attrs.clone(), false)
+            .unwrap()
+            .is_empty());
+        let kids = attribute_children(&mut s, attrs, true).unwrap();
         assert_eq!(kids.len(), 2);
         assert_eq!(s.tag(kids[0]), Some("@id"));
         assert_eq!(s.text_value(s.children(kids[0])[0]), Some("7"));

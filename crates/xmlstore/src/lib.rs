@@ -58,5 +58,5 @@ pub use streaming::{
     parse_xml_reader, parse_xml_stream, parse_xml_stream_sink, project_paths, project_spec,
     AutomatonCursor, PathAutomaton, PathSpec, Projection, StreamConfig, StreamOutcome, StreamStats,
 };
-pub use symbols::{Sym, SymbolTable, TEXT_NAME, TEXT_SYM};
+pub use symbols::{Sym, SymbolTable, MAX_SYMBOLS, TEXT_NAME, TEXT_SYM};
 pub use tree::{Tree, TreeBuilder};

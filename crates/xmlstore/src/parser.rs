@@ -8,6 +8,7 @@
 //! standard entities are decoded.
 
 use crate::decode::{attribute_children, is_name_byte};
+use crate::node::NodeId;
 use crate::store::Store;
 use crate::tree::Tree;
 use std::fmt;
@@ -34,6 +35,10 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The error message of a document with more distinct tag names (attribute
+/// names included, when kept) than a [`crate::SymbolTable`] can hold.
+pub(crate) const TOO_MANY_NAMES: &str = "more than 65535 distinct tag names";
 
 /// Parses an XML document into a [`Tree`], ignoring attributes (the paper's
 /// core data model has no attributes).
@@ -203,7 +208,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_element(&mut self) -> Result<crate::NodeId, ParseError> {
+    fn parse_element(&mut self) -> Result<NodeId, ParseError> {
         self.skip_ws();
         if self.peek() != Some(b'<') {
             return Err(self.error("expected '<'"));
@@ -219,12 +224,12 @@ impl<'a> Parser<'a> {
                     return Err(self.error("expected '>' after '/'"));
                 }
                 self.pos += 1;
-                let children = attribute_children(&mut self.store, attrs, self.keep_attributes);
-                Ok(self.store.new_element(tag, children))
+                let children = self.attribute_children(attrs)?;
+                self.element(&tag, children)
             }
             Some(b'>') => {
                 self.pos += 1;
-                let mut children = attribute_children(&mut self.store, attrs, self.keep_attributes);
+                let mut children = self.attribute_children(attrs)?;
                 loop {
                     if self.starts_with("</") {
                         self.pos += 2;
@@ -264,10 +269,28 @@ impl<'a> Parser<'a> {
                         }
                     }
                 }
-                Ok(self.store.new_element(tag, children))
+                self.element(&tag, children)
             }
             _ => Err(self.error("expected '>' or '/>'")),
         }
+    }
+
+    /// Allocates the element `tag[children]`, or fails when `tag` would
+    /// be one distinct name too many for the symbol table.
+    fn element(&mut self, tag: &str, children: Vec<NodeId>) -> Result<NodeId, ParseError> {
+        match self.store.try_intern(tag) {
+            Some(sym) => Ok(self.store.new_element_sym(sym, children)),
+            None => Err(self.error(TOO_MANY_NAMES)),
+        }
+    }
+
+    /// [`attribute_children`], failing like [`element`](Self::element).
+    fn attribute_children(
+        &mut self,
+        attrs: Vec<(String, String)>,
+    ) -> Result<Vec<NodeId>, ParseError> {
+        attribute_children(&mut self.store, attrs, self.keep_attributes)
+            .ok_or_else(|| self.error(TOO_MANY_NAMES))
     }
 
     fn parse_text(&mut self) -> String {
@@ -290,7 +313,7 @@ fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -373,6 +396,33 @@ mod tests {
         let title_kids = t.store.children(kids[0]).to_vec();
         assert_eq!(t.store.text_value(title_kids[0]), Some("x & y"));
         assert!(t.store.children(kids[1]).is_empty());
+    }
+
+    /// A document of `names` distinct empty elements under one root.
+    pub(crate) fn many_names_document(names: usize) -> String {
+        let mut xml = String::from("<root>");
+        for i in 0..names {
+            xml.push_str(&format!("<tag{i}/>"));
+        }
+        xml.push_str("</root>");
+        xml
+    }
+
+    #[test]
+    fn too_many_distinct_names_is_a_parse_error() {
+        let err = parse_xml(&many_names_document(70_000)).unwrap_err();
+        assert_eq!(err.message, TOO_MANY_NAMES);
+        // A full table minus the text symbol and `root` still parses.
+        let t = parse_xml(&many_names_document(crate::MAX_SYMBOLS - 2)).unwrap();
+        assert_eq!(t.store.symbols().len(), crate::MAX_SYMBOLS);
+        let attrs = format!(
+            "<a{}/>",
+            (0..70_000)
+                .map(|i| format!(" n{i}=\"\""))
+                .collect::<String>()
+        );
+        let err = parse_xml_keep_attributes(&attrs).unwrap_err();
+        assert_eq!(err.message, TOO_MANY_NAMES);
     }
 
     #[test]

@@ -25,6 +25,38 @@
 //! Tag names are interned into the store's [`SymbolTable`]; `tag()` resolves
 //! labels back to names, and the table is shared copy-on-write across
 //! snapshots (`Arc` + make_mut).
+//!
+//! ## Label-reach summary
+//!
+//! A frozen store also carries a label-reach summary: one bit row per
+//! label, where row `a` holds every label, text included, that occurs
+//! strictly below some node labelled `a`. It is a strong DataGuide cut to
+//! one label level, taken from the data. [`Store::may_have_below`] reads
+//! it so that descendant walks skip the subtrees that cannot hold what
+//! they look for.
+//!
+//! * **Build.** [`freeze`](Store::freeze) builds it, exactly, in one
+//!   post-order pass when the store has none: on the first freeze, and on
+//!   the first freeze of a store rebuilt by copying into a fresh one. Later
+//!   freezes keep it. Snapshots share it behind an `Arc`.
+//! * **Watermark.** The summary records the store's length when built.
+//!   Only elements below that location are ever pruned; nodes allocated
+//!   later (inserted content, constructed elements) are always entered.
+//!   Element construction (`new_element*`, `deep_copy*`) therefore does no
+//!   summary work at all.
+//! * **Upkeep.** The two sites that link existing trees keep the rows a
+//!   superset. [`insert_children_at`](Store::insert_children_at) (which
+//!   the other inserts and `replace` go through) ORs the labels of the
+//!   inserted subtrees into the row of every ancestor-or-self of the
+//!   parent. [`rename`](Store::rename) ORs the old label's row into the
+//!   new label's, and sets the new label in every ancestor's row. When an
+//!   insert or rename brings a label interned after the build (it has no
+//!   column), the summary is dropped and the next freeze rebuilds it.
+//! * **Staleness.** Deletes leave rows as they were. A stale row only
+//!   makes a walk visit more; it never makes one miss a node.
+//! * **Cap.** No summary is built for more than [`MAX_REACH_LABELS`]
+//!   labels (rows of `labels × labels` bits, at most 128 KiB); such a store
+//!   prunes nothing.
 
 use crate::node::NodeId;
 use crate::symbols::{Sym, SymbolTable, TEXT_SYM};
@@ -154,6 +186,118 @@ impl TextArena {
     }
 }
 
+/// Most labels a label-reach summary (see the [module docs](self)) is
+/// built for: its rows are `labels × labels` bits, so the cap bounds it at
+/// 128 KiB. A store whose symbol table holds more (at most
+/// [`crate::MAX_SYMBOLS`]) has no summary, and its descendant walks prune
+/// nothing.
+pub const MAX_REACH_LABELS: usize = 1_024;
+
+/// The label-reach summary of a store (see the [module docs](self)): row
+/// `a` holds every label, text included, that occurs strictly below some
+/// node labelled `a`. Exact when built; kept a superset since.
+#[derive(Clone, Debug)]
+struct LabelReach {
+    /// Labels with a row and a column: the symbols interned at build time.
+    labels: usize,
+    /// `u64` words per row.
+    words: usize,
+    /// `labels` rows of `words` words each.
+    rows: Vec<u64>,
+    /// The store's length at build time. Only nodes below it are pruned:
+    /// the summary tracks what is linked under them, not what is built.
+    watermark: usize,
+}
+
+impl LabelReach {
+    /// Builds the exact summary of the nodes `cols` holds, labelled from
+    /// `labels` symbols, in one post-order pass, or `None` past
+    /// [`MAX_REACH_LABELS`].
+    fn build(cols: &Columns, labels: usize) -> Option<LabelReach> {
+        if labels > MAX_REACH_LABELS {
+            return None;
+        }
+        let words = labels.div_ceil(WORD_BITS);
+        let mut reach = LabelReach {
+            labels,
+            words,
+            rows: vec![0; labels * words],
+            watermark: cols.len(),
+        };
+        // Every node sits in the child chain of the node that links it
+        // (`first_child` / `next_sibling`); walk each chain that no node
+        // links, so every tree is covered, detached and built ones too.
+        let n = cols.len();
+        let mut linked = vec![0u64; n.div_ceil(WORD_BITS)];
+        for &to in cols.first_child.iter().chain(&cols.next_sibling) {
+            if to != NIL {
+                linked[to as usize / WORD_BITS] |= 1 << (to as usize % WORD_BITS);
+            }
+        }
+        // `below` stacks one set per open node: the labels under it so far.
+        let mut open: Vec<u32> = Vec::new();
+        let mut below: Vec<u64> = Vec::new();
+        for start in 0..n {
+            if linked[start / WORD_BITS] & (1 << (start % WORD_BITS)) != 0 {
+                continue;
+            }
+            let mut next = Some(start as u32);
+            while let Some(mut node) = next {
+                // Descend to the leftmost leaf, opening every node passed.
+                loop {
+                    open.push(node);
+                    below.resize(below.len() + words, 0);
+                    match cols.first_child[node as usize] {
+                        NIL => break,
+                        child => node = child,
+                    }
+                }
+                // Close nodes until one has a next sibling to descend into.
+                next = None;
+                while let Some(node) = open.pop() {
+                    let top = below.len() - words;
+                    let label = cols.label[node as usize] as usize;
+                    let row = label * words;
+                    for w in 0..words {
+                        reach.rows[row + w] |= below[top + w];
+                    }
+                    if !open.is_empty() {
+                        // Fold this node's set and label into its parent's.
+                        for w in 0..words {
+                            below[top - words + w] |= below[top + w];
+                        }
+                        below[top - words + label / WORD_BITS] |= 1 << (label % WORD_BITS);
+                    }
+                    below.truncate(top);
+                    let sibling = cols.next_sibling[node as usize];
+                    if sibling != NIL {
+                        next = Some(sibling);
+                        break;
+                    }
+                }
+            }
+        }
+        Some(reach)
+    }
+
+    /// Whether row `of` may hold `label`: `true` for a label without a row
+    /// or column.
+    #[inline]
+    fn may_hold(&self, of: usize, label: usize) -> bool {
+        of >= self.labels
+            || label >= self.labels
+            || self.rows[of * self.words + label / WORD_BITS] & (1 << (label % WORD_BITS)) != 0
+    }
+
+    /// ORs the set `labels` (`words` words) into row `of`.
+    fn or_into(&mut self, of: usize, labels: &[u64]) {
+        let row = of * self.words;
+        for (w, &bits) in labels.iter().enumerate() {
+            self.rows[row + w] |= bits;
+        }
+    }
+}
+
 /// The frozen snapshot base: immutable columns plus text arena.
 #[derive(Debug)]
 struct Base {
@@ -183,6 +327,8 @@ pub struct StoreBytes {
     pub overlay: usize,
     /// The symbol interner.
     pub symbols: usize,
+    /// The label-reach summary's rows (0 without one).
+    pub reach: usize,
 }
 
 impl StoreBytes {
@@ -197,6 +343,7 @@ impl StoreBytes {
             + self.text_bytes
             + self.overlay
             + self.symbols
+            + self.reach
     }
 }
 
@@ -237,6 +384,9 @@ pub struct Store {
     tail_text: TextArena,
     /// The tag interner, shared copy-on-write across snapshots.
     symbols: Arc<SymbolTable>,
+    /// The label-reach summary, built by the first [`freeze`](Self::freeze)
+    /// and shared copy-on-write across snapshots.
+    reach: Option<Arc<LabelReach>>,
 }
 
 impl Store {
@@ -354,7 +504,8 @@ impl Store {
     // ----- byte accounting -----
 
     /// Exact per-column heap accounting: every column, the text arena, the
-    /// copy-on-write bookkeeping and the symbol interner, by capacity.
+    /// copy-on-write bookkeeping, the symbol interner and the label-reach
+    /// summary, by capacity.
     /// Shared base columns are counted as if owned (matching the previous
     /// estimator's convention so reports stay comparable).
     pub fn column_bytes(&self) -> StoreBytes {
@@ -378,6 +529,10 @@ impl Store {
                 * (std::mem::size_of::<(u32, Cells)>() + std::mem::size_of::<u64>())
                 + self.dirty.capacity() * std::mem::size_of::<u64>(),
             symbols: self.symbols.heap_bytes(),
+            reach: self
+                .reach
+                .as_ref()
+                .map_or(0, |r| r.rows.capacity() * std::mem::size_of::<u64>()),
         }
     }
 
@@ -406,6 +561,15 @@ impl Store {
             return s;
         }
         Arc::make_mut(&mut self.symbols).intern(name)
+    }
+
+    /// Interns `name` like [`intern`](Self::intern), or returns `None` when
+    /// the symbol table is full (see [`SymbolTable::try_intern`]).
+    pub fn try_intern(&mut self, name: &str) -> Option<Sym> {
+        if let Some(s) = self.symbols.lookup(name) {
+            return Some(s);
+        }
+        Arc::make_mut(&mut self.symbols).try_intern(name)
     }
 
     /// This store's symbol table.
@@ -695,6 +859,7 @@ impl Store {
     /// Inserts `new_children` into `parent`'s child list at position `pos`
     /// (clamped to the list length), fixing parent pointers.
     pub fn insert_children_at(&mut self, parent: NodeId, pos: usize, new_children: &[NodeId]) {
+        self.reach_link(parent, new_children);
         for &c in new_children {
             self.set_parent_raw(c.index(), parent.0);
         }
@@ -763,16 +928,119 @@ impl Store {
     pub fn rename(&mut self, target: NodeId, new_tag: &str) {
         if self.is_element(target) {
             let sym = self.intern(new_tag);
+            self.reach_rename(target, sym);
             self.update_cells(target.index(), |c| c.label = sym.0 as u32);
         }
+    }
+
+    // ----- label-reach summary upkeep -----
+
+    /// The labels of `id`'s element ancestors, `id` included.
+    fn ancestor_labels(&self, id: NodeId) -> Vec<usize> {
+        let mut labels = Vec::new();
+        let mut cur = Some(id);
+        while let Some(n) = cur {
+            let c = self.cells(n.index());
+            if c.text == NIL {
+                labels.push(c.label as usize);
+            }
+            cur = opt(c.parent);
+        }
+        labels
+    }
+
+    /// Keeps the summary a superset when the trees `kids` are linked under
+    /// `parent`: their labels join the rows of `parent` and its ancestors.
+    /// Drops the summary when one of those labels has no column.
+    fn reach_link(&mut self, parent: NodeId, kids: &[NodeId]) {
+        let Some(reach) = self.reach.as_deref() else {
+            return;
+        };
+        let mut labels = vec![0u64; reach.words];
+        let mut fits = true;
+        for n in kids.iter().flat_map(|&k| self.subtree_iter(k)) {
+            let label = self.cells(n.index()).label as usize;
+            fits &= label < reach.labels;
+            if fits {
+                labels[label / WORD_BITS] |= 1 << (label % WORD_BITS);
+            }
+        }
+        if !fits {
+            self.reach = None;
+            return;
+        }
+        let rows = self.ancestor_labels(parent);
+        let reach = Arc::make_mut(self.reach.as_mut().expect("summary present"));
+        for row in rows {
+            reach.or_into(row, &labels);
+        }
+    }
+
+    /// Keeps the summary a superset when `target` is renamed to `sym`:
+    /// what lay below the old label now lies below the new one, and the
+    /// new label lies below every ancestor. Drops the summary when `sym`
+    /// has no column.
+    fn reach_rename(&mut self, target: NodeId, sym: Sym) {
+        let Some(reach) = self.reach.as_deref() else {
+            return;
+        };
+        let (old, new) = (self.cells(target.index()).label as usize, sym.index());
+        if new >= reach.labels {
+            self.reach = None;
+            return;
+        }
+        if old == new {
+            return;
+        }
+        let rows = self.ancestor_labels(target);
+        let reach = Arc::make_mut(self.reach.as_mut().expect("summary present"));
+        let below_old = reach.rows[old * reach.words..(old + 1) * reach.words].to_vec();
+        reach.or_into(new, &below_old);
+        let mut bit = vec![0u64; reach.words];
+        bit[new / WORD_BITS] |= 1 << (new % WORD_BITS);
+        // `rows[0]` is `target`'s own (old) label: only its ancestors gain.
+        for &row in &rows[1..] {
+            reach.or_into(row, &bit);
+        }
+    }
+
+    /// Whether a node labelled `label` may lie strictly below `id`.
+    ///
+    /// `false` is a proof that none does: `id` is an element below the
+    /// summary's watermark whose label's row lacks `label`. Without a
+    /// summary, for text nodes, and for nodes allocated after the summary
+    /// was built, the answer is `true`.
+    #[inline]
+    pub fn may_have_below(&self, id: NodeId, label: Sym) -> bool {
+        let Some(reach) = self.reach.as_deref() else {
+            return true;
+        };
+        let idx = id.index();
+        if idx >= reach.watermark {
+            return true;
+        }
+        let c = self.cells(idx);
+        c.text != NIL || reach.may_hold(c.label as usize, label.index())
     }
 
     // ----- freeze / snapshot -----
 
     /// Flattens this store into an immutable shared base, after which
-    /// [`snapshot`](Self::snapshot) is O(1). A no-op when the store is
-    /// already a clean frozen base.
+    /// [`snapshot`](Self::snapshot) is O(1), and builds the label-reach
+    /// summary if the store has none. Flattening is a no-op when the store
+    /// is already a clean frozen base.
     pub fn freeze(&mut self) {
+        self.flatten();
+        if self.reach.is_none() {
+            // Flattened: the base holds every node.
+            let cols = self.base.as_ref().map(|b| &b.cols);
+            self.reach = cols
+                .and_then(|cols| LabelReach::build(cols, self.symbols.len()))
+                .map(Arc::new);
+        }
+    }
+
+    fn flatten(&mut self) {
         if self.base.is_some() && self.overlay.is_empty() && self.tail.len() == 0 {
             return;
         }
@@ -823,6 +1091,7 @@ impl Store {
                 tail: Columns::default(),
                 tail_text: TextArena::default(),
                 symbols: Arc::clone(&self.symbols),
+                reach: self.reach.clone(),
             }
         } else {
             self.clone()
@@ -1275,6 +1544,151 @@ mod tests {
         let frozen = s.column_bytes();
         assert_eq!(frozen.label, s.len() * std::mem::size_of::<u32>());
         assert_eq!(frozen.overlay, 0);
+    }
+
+    /// Builds `<doc><a><b><x/></b></a><c>text</c></doc>`, frozen.
+    fn summarized() -> (Store, [NodeId; 5]) {
+        let mut s = Store::new();
+        let x = s.new_element("x", vec![]);
+        let b = s.new_element("b", vec![x]);
+        let a = s.new_element("a", vec![b]);
+        let t = s.new_text("text");
+        let c = s.new_element("c", vec![t]);
+        let doc = s.new_element("doc", vec![a, c]);
+        s.freeze();
+        (s, [doc, a, b, x, c])
+    }
+
+    /// Whether some node labelled `label` lies strictly below `n`.
+    fn occurs_below(s: &Store, n: NodeId, label: Sym) -> bool {
+        s.subtree_iter(n)
+            .skip(1)
+            .any(|d| Sym(s.cells(d.index()).label as u16) == label)
+    }
+
+    /// The summary's soundness: no node reachable from `root` is denied a
+    /// label that occurs below it.
+    fn assert_sound(s: &Store, root: NodeId) {
+        for n in s.subtree_iter(root) {
+            for label in s.symbols().all() {
+                if occurs_below(s, n, label) {
+                    assert!(
+                        s.may_have_below(n, label),
+                        "{n:?} below-set lacks {label:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn summary_is_exact_when_built() {
+        let (s, [doc, ..]) = summarized();
+        assert!(s.column_bytes().reach > 0);
+        let sym = |name| s.symbols().lookup(name).unwrap();
+        for n in s.subtree_iter(doc) {
+            for label in s.symbols().all() {
+                // Every node has a distinct label here, so row = node.
+                let expected = s.is_text(n) || occurs_below(&s, n, label);
+                assert_eq!(s.may_have_below(n, label), expected, "{n:?} {label:?}");
+            }
+        }
+        assert!(s.may_have_below(doc, TEXT_SYM));
+        assert!(!s.may_have_below(doc, sym("doc")));
+        // Snapshots share the summary.
+        assert_eq!(s.snapshot().column_bytes().reach, s.column_bytes().reach);
+    }
+
+    #[test]
+    fn summary_stays_sound_through_inserts_and_renames() {
+        let (mut s, [doc, a, b, x, c]) = summarized();
+        let sym = |s: &Store, name| s.symbols().lookup(name).unwrap();
+        // Insert a `c` (with text) under `x`: `x`, `b`, `a` and `doc` gain
+        // `c` and text.
+        let t = s.new_text("t");
+        let new_c = s.new_element("c", vec![t]);
+        s.append_children(x, &[new_c]);
+        assert!(s.may_have_below(a, sym(&s, "c")));
+        assert!(s.may_have_below(b, TEXT_SYM));
+        assert_sound(&s, doc);
+        // Rename `b` (which has `x` below) to `c`: row `c` gains `x`, and
+        // `a` gains `c` (it already had it through the insert; rename `x`
+        // instead to check the ancestor bit on its own).
+        s.rename(b, "c");
+        assert!(s.may_have_below(c, sym(&s, "x")), "row(c) |= row(b)");
+        assert_sound(&s, doc);
+        s.rename(x, "doc");
+        assert!(
+            s.may_have_below(a, sym(&s, "doc")),
+            "ancestors gain the new label"
+        );
+        assert_sound(&s, doc);
+        // Deletes leave rows stale, never short.
+        s.detach(a);
+        assert!(s.may_have_below(doc, sym(&s, "x")));
+        assert_sound(&s, doc);
+        assert!(
+            s.column_bytes().reach > 0,
+            "no new label: the summary is kept"
+        );
+        // Replacing through `insert_children_at` is covered too.
+        let y = s.new_element("x", vec![]);
+        assert!(s.replace(c, &[y]));
+        assert_sound(&s, doc);
+    }
+
+    #[test]
+    fn a_label_without_a_column_drops_the_summary_until_the_next_freeze() {
+        let (mut s, [doc, a, ..]) = summarized();
+        let fresh = s.new_element("fresh", vec![]);
+        assert!(
+            s.column_bytes().reach > 0,
+            "construction does no summary work"
+        );
+        s.append_children(a, &[fresh]);
+        assert_eq!(s.column_bytes().reach, 0);
+        assert!(s.may_have_below(doc, s.symbols().lookup("fresh").unwrap()));
+        s.freeze();
+        assert!(
+            s.column_bytes().reach > 0,
+            "rebuilt with a column for `fresh`"
+        );
+        assert_sound(&s, doc);
+        s.rename(a, "newer");
+        assert_eq!(s.column_bytes().reach, 0);
+        s.freeze();
+        assert_sound(&s, doc);
+    }
+
+    #[test]
+    fn nodes_above_the_watermark_are_always_entered() {
+        let (mut s, [_, a, ..]) = summarized();
+        let x = s.symbols().lookup("x").unwrap();
+        let copy = s.deep_copy(a);
+        let built = s.new_element("c", vec![]);
+        assert!(s.may_have_below(copy, x));
+        assert!(s.may_have_below(built, x), "built after the summary");
+        s.freeze();
+        assert!(
+            s.may_have_below(built, x),
+            "the watermark survives a freeze"
+        );
+    }
+
+    #[test]
+    fn past_the_label_cap_no_summary_is_built_and_every_answer_is_yes() {
+        let mut s = Store::new();
+        let kids: Vec<NodeId> = (0..MAX_REACH_LABELS)
+            .map(|i| s.new_element(format!("t{i}"), vec![]))
+            .collect();
+        let doc = s.new_element("doc", kids);
+        assert!(s.symbols().len() > MAX_REACH_LABELS);
+        s.freeze();
+        assert_eq!(s.column_bytes().reach, 0);
+        let t0 = s.symbols().lookup("t0").unwrap();
+        let first = s.first_child(doc).unwrap();
+        assert!(s.may_have_below(first, t0));
+        assert!(s.may_have_below(doc, TEXT_SYM));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use crate::decode::{attribute_children, decode_entities, is_name_byte};
 use crate::node::NodeId;
-use crate::parser::ParseError;
+use crate::parser::{ParseError, TOO_MANY_NAMES};
 use crate::sink::ResultSink;
 use crate::store::Store;
 use crate::symbols::Sym;
@@ -1010,9 +1010,9 @@ impl<R: Read> StreamParser<'_, R> {
         // The projection switched from filtering to whole-subtree keeping
         // here: this element is one of the nodes the projection asked for.
         let match_root = keep == Keep::All && parent == Keep::Filter;
-        let sym = {
-            let name = std::str::from_utf8(&self.scratch).expect("name bytes are ASCII");
-            self.store.intern(name)
+        let name = std::str::from_utf8(&self.scratch).expect("name bytes are ASCII");
+        let Some(sym) = self.store.try_intern(name) else {
+            return Err(self.error(TOO_MANY_NAMES));
         };
         let wanted = keep != Keep::Skip;
         let attrs = self.parse_attributes(wanted && self.keep_attributes)?;
@@ -1025,7 +1025,7 @@ impl<R: Read> StreamParser<'_, R> {
                 self.bs.pos += 1;
                 self.exit_element();
                 if wanted {
-                    let children = attribute_children(&mut self.store, attrs, self.keep_attributes);
+                    let children = self.attribute_children(attrs)?;
                     self.stats.nodes_kept += 1;
                     let node = self.store.new_element_sym(sym, children);
                     if match_root {
@@ -1042,7 +1042,7 @@ impl<R: Read> StreamParser<'_, R> {
             Some(b'>') => {
                 self.bs.pos += 1;
                 let children = if wanted {
-                    attribute_children(&mut self.store, attrs, self.keep_attributes)
+                    self.attribute_children(attrs)?
                 } else {
                     Vec::new()
                 };
@@ -1056,6 +1056,16 @@ impl<R: Read> StreamParser<'_, R> {
             }
             _ => Err(self.error("expected '>' or '/>'")),
         }
+    }
+
+    /// [`attribute_children`], failing when an `@name` overflows the symbol
+    /// table.
+    fn attribute_children(
+        &mut self,
+        attrs: Vec<(String, String)>,
+    ) -> Result<Vec<NodeId>, ParseError> {
+        attribute_children(&mut self.store, attrs, self.keep_attributes)
+            .ok_or_else(|| self.error(TOO_MANY_NAMES))
     }
 
     /// Parses one closing tag (the leading `</` already consumed), pops the
@@ -1304,6 +1314,16 @@ mod tests {
             self.pos += 1;
             Ok(1)
         }
+    }
+
+    #[test]
+    fn too_many_distinct_names_is_a_parse_error() {
+        let xml = crate::parser::tests::many_names_document(70_000);
+        let err =
+            parse_xml_stream(Cursor::new(xml.into_bytes()), &StreamConfig::default()).unwrap_err();
+        assert_eq!(err.message, TOO_MANY_NAMES);
+        let ok = crate::parser::tests::many_names_document(crate::MAX_SYMBOLS - 2);
+        assert!(stream(&ok).is_ok());
     }
 
     #[test]

@@ -17,6 +17,10 @@ pub struct Sym(pub u16);
 /// The reserved symbol standing for the paper's string type `S` (text nodes).
 pub const TEXT_SYM: Sym = Sym(0);
 
+/// How many symbols a [`SymbolTable`] holds at most (every [`Sym`] value,
+/// [`TEXT_SYM`] included).
+pub const MAX_SYMBOLS: usize = u16::MAX as usize + 1;
+
 /// The display name used for [`TEXT_SYM`].
 pub const TEXT_NAME: &str = "#text";
 
@@ -66,14 +70,26 @@ impl SymbolTable {
     }
 
     /// Interns `name`, returning its symbol (existing or fresh).
+    ///
+    /// # Panics
+    ///
+    /// When the table is full ([`MAX_SYMBOLS`]); input parsers use
+    /// [`try_intern`](Self::try_intern) and report an error instead.
     pub fn intern(&mut self, name: &str) -> Sym {
+        self.try_intern(name)
+            .expect("symbol table overflow (max 65535)")
+    }
+
+    /// Interns `name` like [`intern`](Self::intern), or returns `None` when
+    /// `name` is new and the table already holds [`MAX_SYMBOLS`] symbols.
+    pub fn try_intern(&mut self, name: &str) -> Option<Sym> {
         if let Some(&s) = self.map.get(name) {
-            return s;
+            return Some(s);
         }
-        let s = Sym(u16::try_from(self.names.len()).expect("symbol table overflow (max 65535)"));
+        let s = Sym(u16::try_from(self.names.len()).ok()?);
         self.names.push(name.to_string());
         self.map.insert(name.to_string(), s);
-        s
+        Some(s)
     }
 
     /// Looks up an already-interned name.
@@ -152,6 +168,22 @@ mod tests {
         assert_eq!(elems.len(), 2);
         assert!(!elems.contains(&TEXT_SYM));
         assert_eq!(t.all().count(), 3);
+    }
+
+    #[test]
+    fn try_intern_refuses_a_new_name_once_the_table_is_full() {
+        let mut t = SymbolTable::new();
+        for i in 1..MAX_SYMBOLS {
+            assert!(t.try_intern(&format!("t{i}")).is_some());
+        }
+        assert_eq!(t.len(), MAX_SYMBOLS);
+        assert_eq!(t.try_intern("one-too-many"), None);
+        assert_eq!(
+            t.try_intern("t7"),
+            t.lookup("t7"),
+            "known names still resolve"
+        );
+        assert_eq!(t.len(), MAX_SYMBOLS);
     }
 
     #[test]

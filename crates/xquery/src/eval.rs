@@ -27,9 +27,29 @@
 //! order, no dedup across them. So `for` order, not document order, decides
 //! the overall sequence when source nodes nest (recursive `listitem` /
 //! `parlist`).
+//!
+//! ## Descendant walks
+//!
+//! A desugared `//t` is `for $v in C return $v/child::t`, where `C` is
+//! `$x/descendant-or-self::node()` or `for $p in S return
+//! $p/descendant-or-self::node()`. It runs as one preorder walk per subtree
+//! root (`$x`, or each node of `S`) that emits each visited node's `t`
+//! children as it goes, so the intermediate sequence of every node below
+//! is never built, and the output is the generic path's, order and
+//! duplicates included. A `$x` bound to several nodes (a `let`-bound
+//! sequence) is not fused: its `descendant-or-self` step sorts and dedups
+//! the subtrees first, as above. Named `descendant` and
+//! `descendant-or-self` steps use the same walk.
+//!
+//! A walk looking for a tag or for `text()` skips every subtree whose root
+//! [`Store::may_have_below`] proves free of that label, which the store's
+//! label-reach summary answers for frozen stores (see
+//! [`qui_xmlstore::store`]). Stores that were never frozen, nodes built or inserted
+//! after the summary, `node()` and `*` tests are walked in full. A tag that
+//! was never interned selects nothing without a walk.
 
 use crate::ast::{Axis, NodeTest, Query, Update, UpdatePos};
-use qui_xmlstore::{value_equiv, NodeId, Store, Sym, Tree};
+use qui_xmlstore::{value_equiv, NodeId, Store, Sym, Tree, TEXT_SYM};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -283,6 +303,23 @@ impl ResolvedTest {
             ResolvedTest::Tag(sym) => sym.is_some() && store.sym(n) == sym,
         }
     }
+
+    /// The label every node passing the test carries, if there is one: a
+    /// descendant walk skips the subtrees where it cannot occur.
+    #[inline]
+    fn label(self) -> Option<Sym> {
+        match self {
+            ResolvedTest::Text => Some(TEXT_SYM),
+            ResolvedTest::Tag(sym) => sym,
+            ResolvedTest::AnyNode | ResolvedTest::AnyElement => None,
+        }
+    }
+
+    /// `true` for a tag that was never interned: no node can pass.
+    #[inline]
+    fn matches_nothing(self) -> bool {
+        matches!(self, ResolvedTest::Tag(None))
+    }
 }
 
 /// Binds `var` to `value`, returning the binding it shadows.
@@ -362,6 +399,28 @@ impl<'a> Evaluator<'a> {
                 }
             }
             Query::For { var, source, ret } => {
+                // A desugared `//t`, `for $v in C return $v/child::t` where
+                // `C` is every node of some subtrees in preorder: one walk
+                // per subtree root emits each visited node's `t` children.
+                if let Query::Step {
+                    var: ctx,
+                    axis: Axis::Child,
+                    test,
+                } = &**ret
+                {
+                    if ctx == var {
+                        if let Some(roots) = self.subtree_roots(source, env)? {
+                            let store = &*self.store;
+                            let test = ResolvedTest::resolve(store, test);
+                            if !test.matches_nothing() {
+                                for r in roots {
+                                    children_of_descendants(store, r, test, out);
+                                }
+                            }
+                            return Ok(());
+                        }
+                    }
+                }
                 let seq = self.eval(source, env)?;
                 match &**ret {
                     // A desugared path step, `for $v in q return
@@ -493,6 +552,42 @@ impl<'a> Evaluator<'a> {
         }
     }
 
+    /// When `source` enumerates whole subtrees in preorder, their roots:
+    /// `$x/descendant-or-self::node()` with `$x` bound to at most one node,
+    /// or `for $p in S return $p/descendant-or-self::node()` (`S`
+    /// evaluated here). `None` for any other shape, with nothing evaluated;
+    /// a `$x` of several nodes is one, since that step sorts and dedups.
+    fn subtree_roots(
+        &mut self,
+        source: &Query,
+        env: &mut Env,
+    ) -> Result<Option<Vec<NodeId>>, EvalError> {
+        const fn is_dos_node(axis: Axis, test: &NodeTest) -> bool {
+            matches!((axis, test), (Axis::DescendantOrSelf, NodeTest::AnyNode))
+        }
+        match source {
+            Query::Step { var, axis, test } if is_dos_node(*axis, test) => {
+                let ctx = env
+                    .get(var)
+                    .ok_or_else(|| EvalError::UnboundVariable(var.clone()))?;
+                Ok((ctx.len() <= 1).then(|| ctx.clone()))
+            }
+            Query::For {
+                var,
+                source: inner,
+                ret,
+            } => match &**ret {
+                Query::Step {
+                    var: ctx,
+                    axis,
+                    test,
+                } if ctx == var && is_dos_node(*axis, test) => Ok(Some(self.eval(inner, env)?)),
+                _ => Ok(None),
+            },
+            _ => Ok(None),
+        }
+    }
+
     fn single_target(
         &mut self,
         target: &Query,
@@ -521,8 +616,15 @@ fn step_into(store: &Store, l: NodeId, axis: Axis, test: ResolvedTest, out: &mut
     match axis {
         Axis::SelfAxis => push(l),
         Axis::Child => store.children_iter(l).for_each(push),
-        Axis::Descendant => store.subtree_iter(l).skip(1).for_each(push),
-        Axis::DescendantOrSelf => store.subtree_iter(l).for_each(push),
+        Axis::Descendant | Axis::DescendantOrSelf => {
+            if !test.matches_nothing() {
+                pruned_preorder(store, l, test.label(), |n, _| {
+                    if n != l || axis == Axis::DescendantOrSelf {
+                        push(n);
+                    }
+                });
+            }
+        }
         Axis::Parent => store.parent(l).into_iter().for_each(push),
         Axis::Ancestor | Axis::AncestorOrSelf => {
             // Climbing yields the ancestors nearest-first; reverse them.
@@ -556,6 +658,51 @@ fn step_into(store: &Store, l: NodeId, axis: Axis, test: ResolvedTest, out: &mut
             }
         }
     }
+}
+
+/// Walks `root`'s subtree in preorder, calling `visit(n, entered)` on each
+/// node reached. The walk enters a node (goes on to its children) unless
+/// `below` is a label that [`Store::may_have_below`] proves absent under
+/// it; `root` is always reached.
+fn pruned_preorder(
+    store: &Store,
+    root: NodeId,
+    below: Option<Sym>,
+    mut visit: impl FnMut(NodeId, bool),
+) {
+    let mut cur = root;
+    loop {
+        let entered = below.is_none_or(|label| store.may_have_below(cur, label));
+        visit(cur, entered);
+        if let Some(child) = store.first_child(cur).filter(|_| entered) {
+            cur = child;
+            continue;
+        }
+        // Climb until a next sibling exists, stopping at the root (whose
+        // own siblings are outside the subtree).
+        loop {
+            if cur == root {
+                return;
+            }
+            if let Some(s) = store.next_sibling(cur) {
+                cur = s;
+                break;
+            }
+            cur = store.parent(cur).expect("walk stays inside the subtree");
+        }
+    }
+}
+
+/// Appends, for each node of `root`'s subtree in preorder, its children
+/// that pass `test`: `$v/child::t` over every `$v` of
+/// `root/descendant-or-self::node()`, without building that sequence.
+/// A node without a `test` label below it is skipped with its subtree.
+fn children_of_descendants(store: &Store, root: NodeId, test: ResolvedTest, out: &mut Vec<NodeId>) {
+    pruned_preorder(store, root, test.label(), |n, entered| {
+        if entered {
+            out.extend(store.children_iter(n).filter(|&c| test.matches(store, c)));
+        }
+    });
 }
 
 #[cfg(test)]
