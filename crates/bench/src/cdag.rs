@@ -8,10 +8,10 @@
 //!   analysis (CDAG first, explicit confirmation of the dependent cells) at
 //!   `jobs = 1`, with its independent-cell count as a determinism check;
 //! * **CDAG-backed projection** — a descendant-axis view over the XMark
-//!   `parlist`/`listitem` recursive clique whose explicit chain spec
-//!   overflows any budget: the compiled `PathAutomaton` must still prune a
-//!   non-trivial share of a streamed XMark document (the keep-everything
-//!   fallback it replaces pruned 0%).
+//!   `parlist`/`listitem` recursive clique whose explicit chain sets
+//!   overflow the explicit engine's budget ([`EXPLICIT_BUDGET`]): the
+//!   compiled `PathAutomaton` must still prune a non-trivial share of a
+//!   streamed XMark document.
 //!
 //! The JSON artifact (`BENCH_cdag.json`, committed reference in
 //! `ci/BENCH_cdag.json`) feeds the `perf-cdag` CI job. Thresholds are
@@ -21,21 +21,27 @@
 //! `--out ci/BENCH_cdag.json` when the engine legitimately changes cost.
 
 use crate::baseline::calibrate;
+use qui_core::engine::explicit::ExplicitEngine;
 use qui_core::parallel::machine_parallelism;
-use qui_core::{AnalysisSession, ChainProjector, Jobs, SessionBuilder};
+use qui_core::{k_of_query, AnalysisSession, ChainProjector, Jobs, SessionBuilder, Universe};
 use qui_schema::Dtd;
 use qui_workloads::{all_updates, all_views, xmark_document, xmark_dtd, XmarkScale};
-use qui_xmlstore::{parse_xml_stream, Projection, StreamConfig};
+use qui_xmlstore::{parse_xml_stream, StreamConfig};
 use qui_xquery::{parse_query, Query, Update};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The descendant-axis view over the recursive clique used by the projection
-/// measurement (its explicit chain spec overflows the default budget).
+/// measurement (its explicit chain sets overflow [`EXPLICIT_BUDGET`]).
 pub const AUTOMATON_VIEW: &str = "//parlist//keyword";
 
 /// The seed of the streamed XMark document the projection measurement uses.
 pub const CDAG_SEED: u64 = 7;
+
+/// Chain budget of the explicit engine in the vacuity check: the
+/// automaton view must overflow it for the projection measurement to show
+/// anything the explicit chain sets could not.
+pub const EXPLICIT_BUDGET: usize = 20_000;
 
 /// The full harness report (all times in milliseconds; minima over reps).
 #[derive(Clone, Debug)]
@@ -58,8 +64,9 @@ pub struct CdagReport {
     pub independent_cells: usize,
     /// The view the projection measurement used.
     pub automaton_view: String,
-    /// Whether its explicit chain spec overflowed the default budget (it
-    /// must, or the measurement is not exercising the new path).
+    /// Whether its explicit chain sets overflow [`EXPLICIT_BUDGET`] (they
+    /// must, or the measurement shows nothing the explicit chains could
+    /// not).
     pub explicit_spec_overflows: bool,
     /// States of the compiled path automaton.
     pub automaton_states: usize,
@@ -181,17 +188,18 @@ fn measure_automaton_projection() -> AutomatonMeasurement {
     let dtd = xmark_dtd();
     let projector = ChainProjector::new(&dtd);
     let view = parse_query(AUTOMATON_VIEW).expect("the automaton view parses");
-    let explicit_overflows = projector.spec_for_query(&view).is_none();
-    let projection = projector.streaming_projection_for_query(&view);
-    let states = match &projection {
-        Projection::Automaton(a) => a.len(),
-        Projection::Paths(_) => 0,
-    };
+    let universe = Universe::with_k(&dtd, k_of_query(&view).max(1) + 1);
+    let explicit = ExplicitEngine::new(&universe, EXPLICIT_BUDGET);
+    let explicit_overflows = explicit
+        .infer_query(&explicit.root_gamma(view.free_vars()), &view)
+        .is_err();
+    let projection = projector.automaton_for_query(&view);
+    let states = projection.len();
     let doc = xmark_document(XmarkScale::Small.target_nodes(), CDAG_SEED);
     let xml = doc.to_xml();
     let outcome = parse_xml_stream(
         std::io::Cursor::new(xml.into_bytes()),
-        &StreamConfig::with_projection_spec(projection),
+        &StreamConfig::with_projection(projection),
     )
     .expect("the streamed projection parses");
     AutomatonMeasurement {

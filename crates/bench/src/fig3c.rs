@@ -11,7 +11,7 @@
 //!   (`parse_xml_reader`), recording wall times and the streaming parser's
 //!   peak input-window size (which stays `O(chunk)` however large the file);
 //! * **streamed projection** — parsing the same file with a chain-derived
-//!   [`qui_xmlstore::PathSpec`] for a selective view, recording how many
+//!   [`qui_xmlstore::PathAutomaton`] for a selective view, recording how many
 //!   nodes never got allocated and the resident-tree byte savings;
 //! * **maintenance** — `maintenance_simulation_jobs` over the views ×
 //!   updates workload: naive re-evaluation vs independence-pruned
@@ -320,13 +320,10 @@ fn run_scale(
     let gen_stream_ms = ms_f64(start.elapsed());
     let xml_bytes = fs::metadata(&path)?.len() as usize;
 
-    // The chain-derived projection for the streamed projection measurement
-    // (total: explicit spec when it fits the budget, CDAG-compiled automaton
-    // otherwise — never keep-everything).
+    // The chain-derived projection for the streamed projection measurement.
     let dtd = qui_workloads::xmark_dtd();
-    let projector = ChainProjector::new(&dtd);
     let projection_query = parse_query(PROJECTION_VIEW).expect("the projection view parses");
-    let path_spec = projector.streaming_projection_for_query(&projection_query);
+    let projection = ChainProjector::new(&dtd).automaton_for_query(&projection_query);
 
     let mut ingest_mem = f64::MAX;
     let mut ingest_stream = f64::MAX;
@@ -363,7 +360,7 @@ fn run_scale(
         // Streamed projection: pruned subtrees are never allocated.
         let projected = parse_xml_stream(
             fs::File::open(&path)?,
-            &StreamConfig::with_projection_spec(path_spec.clone()),
+            &StreamConfig::with_projection(projection.clone()),
         )
         .expect("the projected parse succeeds");
         projected_tree_bytes = projected.tree.store.heap_bytes();

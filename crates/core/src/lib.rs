@@ -54,7 +54,6 @@
 //! the CDAG engines' mutable scratch), so the whole read side —
 //! [`check`](session::AnalysisSession::check),
 //! [`explain`](session::AnalysisSession::explain),
-//! [`streaming_projection`](session::AnalysisSession::streaming_projection),
 //! [`verdict`](session::AnalysisSession::verdict),
 //! [`reports`](session::AnalysisSession::reports) — takes `&self`:
 //! an [`AnalysisSession`] is `Sync`, and any number of threads may share
@@ -93,7 +92,7 @@ pub use explain::{explain_verdict, ExplainOptions, MatrixReport};
 pub use json::Json;
 pub use kbound::{k_for_pair, k_of_query, k_of_update};
 pub use parallel::Jobs;
-pub use projector::{ChainProjector, ProjectionSpec};
+pub use projector::ChainProjector;
 pub use protocol::{Request, Response};
 pub use service::{ServeConfig, Server, SessionHandler, SessionRegistry, SharedSession};
 pub use session::{AnalysisSession, SessionBuilder, SessionStats};

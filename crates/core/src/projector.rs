@@ -6,220 +6,104 @@
 //! construction available as a feature in its own right — the same idea the
 //! type-based projection line of work (Marian & Siméon; Benzaken et al.,
 //! cited in §8) uses to evaluate queries on documents that do not fit in
-//! memory, here driven by chains instead of plain types:
+//! memory, here driven by chains instead of plain types.
 //!
-//! * [`ChainProjector::spec_for_query`] materializes the inferred chains into
-//!   a [`ProjectionSpec`]: the set of chains whose *prefixes* must be kept
-//!   (paths leading to needed nodes) and the set of chains whose whole
-//!   *subtrees* must be kept (returned elements embody their descendants);
-//! * [`ChainProjector::project_for_query`] applies a spec to a document,
-//!   producing a smaller document on which the query evaluates to the same
-//!   result (asserted by the integration property tests);
-//! * [`ChainProjector::streaming_projection_for_query`] never falls back to
-//!   keep-everything: when materializing the chains overflows the budget
-//!   (descendant-axis views over recursive schema cliques), the query's
-//!   chain-DAGs are compiled into a [`PathAutomaton`] that makes the same
-//!   keep / descend / drop decisions implicitly.
+//! There is one projection compiler. [`ChainProjector::automaton_for_query`]
+//! infers the query's chains with the CDAG engine and folds the chain-DAGs
+//! into a [`PathAutomaton`] with **one state per schema type** (see
+//! [`ChainProjector::compile_automaton`] for why folding is sound). Its size
+//! is bounded by the schema, not by the number of chains, so descendant
+//! views over recursive schema cliques project like any other view, and
+//! documents deeper than the engine's `k·|d|` grid keep every node their
+//! query needs. The same automaton drives the streaming parser
+//! (`qui_xmlstore::StreamConfig::with_projection`, pruned subtrees are never
+//! allocated) and the in-memory [`ChainProjector::project_for_query`]
+//! (`qui_xmlstore::project_spec`), which make identical decisions.
 //!
-//! Projection is computed against a DTD, where a node's chain is simply its
-//! root-to-node label path; labels that do not belong to the schema are kept
-//! conservatively, so projecting a document that is not actually valid can
-//! only keep too much, never too little.
+//! Projection is claimed for documents **valid** against the schema, where a
+//! node's chain is simply its root-to-node label path. Labels the schema
+//! does not know are kept with their whole subtree when their parent is
+//! kept; one nested inside a pruned region is pruned with it.
 
-use crate::engine::cdag::{CdagEngine, ChainDag, NodeIdx};
-use crate::engine::explicit::ExplicitEngine;
+use crate::engine::cdag::{CdagEngine, ChainDag};
 use crate::kbound::k_of_query;
-use crate::types::QueryChains;
-use crate::universe::Universe;
-use qui_schema::{Chain, SchemaLike, Sym, TEXT_NAME, TEXT_SYM};
-use qui_xmlstore::{project, upward_closure, NodeId, PathAutomaton, PathSpec, Projection, Tree};
+use qui_schema::{SchemaLike, Sym, TEXT_NAME, TEXT_SYM};
+use qui_xmlstore::{project_spec, PathAutomaton, Tree};
 use qui_xquery::Query;
-use std::collections::{BTreeSet, HashMap, HashSet};
-
-/// The materialized shape of a query projection.
-#[derive(Clone, Debug, Default)]
-pub struct ProjectionSpec {
-    /// Chains of nodes the query may need on the way to (or as) its results:
-    /// every node whose chain is a **prefix** of one of these is kept.
-    pub keep_paths: BTreeSet<Chain>,
-    /// Chains whose entire **subtree** is kept (returned elements, and used
-    /// nodes marked extensible by the return-to-used conversion).
-    pub keep_subtrees: BTreeSet<Chain>,
-}
-
-impl ProjectionSpec {
-    /// Returns `true` when a node typed by `chain` must be kept.
-    pub fn keeps(&self, chain: &Chain) -> bool {
-        self.keep_paths.iter().any(|c| chain.is_prefix_of(c))
-            || self.keep_subtrees.iter().any(|c| c.is_prefix_of(chain))
-    }
-
-    /// Total number of chains in the spec (size indicator for reports).
-    pub fn len(&self) -> usize {
-        self.keep_paths.len() + self.keep_subtrees.len()
-    }
-
-    /// Returns `true` when the spec keeps nothing beyond the root path.
-    pub fn is_empty(&self) -> bool {
-        self.keep_paths.is_empty() && self.keep_subtrees.is_empty()
-    }
-}
+use std::collections::{BTreeSet, HashSet};
 
 /// Builds chain-based projections for queries over a schema.
 pub struct ChainProjector<'a, S: SchemaLike> {
     schema: &'a S,
-    /// Materialization budget of the underlying explicit engine.
-    budget: usize,
 }
 
 impl<'a, S: SchemaLike> ChainProjector<'a, S> {
-    /// Creates a projector with the default materialization budget.
+    /// Creates a projector for a schema.
     pub fn new(schema: &'a S) -> Self {
-        ChainProjector {
-            schema,
-            budget: 20_000,
-        }
-    }
-
-    /// Overrides the chain materialization budget.
-    pub fn with_budget(mut self, budget: usize) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Infers the projection spec for a query, or `None` when the chain sets
-    /// could not be materialized within the budget (callers should then fall
-    /// back to evaluating on the full document).
-    pub fn spec_for_query(&self, q: &Query) -> Option<ProjectionSpec> {
-        let k = k_of_query(q).max(1) + 1;
-        let universe = Universe::with_k(self.schema, k);
-        let engine = ExplicitEngine::new(&universe, self.budget);
-        let chains: QueryChains = engine
-            .infer_query(&engine.root_gamma(q.free_vars()), q)
-            .ok()?;
-        let mut spec = ProjectionSpec::default();
-        for c in &chains.returns {
-            spec.keep_paths.insert(c.clone());
-            spec.keep_subtrees.insert(c.clone());
-        }
-        for item in &chains.used {
-            spec.keep_paths.insert(item.chain.clone());
-            if item.extensible {
-                spec.keep_subtrees.insert(item.chain.clone());
-            }
-        }
-        Some(spec)
+        ChainProjector { schema }
     }
 
     /// Projects a document for a query: the result contains every node the
     /// query may visit or return, so evaluating the query on it gives the
-    /// same answer as on the full document.
-    pub fn project_for_query(&self, tree: &Tree, q: &Query) -> Option<Tree> {
-        let spec = self.spec_for_query(q)?;
-        Some(self.apply(tree, &spec))
+    /// same answer as on the full (valid) document.
+    pub fn project_for_query(&self, tree: &Tree, q: &Query) -> Tree {
+        project_spec(tree, &self.automaton_for_query(q))
     }
 
-    /// Materializes a chain spec as a label-path spec consumable by the
-    /// streaming parser (`qui_xmlstore::parse_xml_stream`): chains become
-    /// root-to-node label paths and the schema's labels become the known
-    /// set, so unknown regions are kept conservatively. Subtrees outside the
-    /// spec are then pruned *during* the parse — the projection never
-    /// allocates them, which is what makes projection savings measurable as
-    /// peak memory on paper-scale documents.
-    pub fn path_spec(&self, spec: &ProjectionSpec) -> PathSpec {
-        let labels = |c: &Chain| -> Vec<String> {
-            c.symbols()
-                .iter()
-                .map(|&s| {
-                    if s == TEXT_SYM {
-                        TEXT_NAME.to_string()
-                    } else {
-                        self.schema.type_label(s).to_string()
-                    }
-                })
-                .collect()
-        };
-        let mut known: HashSet<String> = self
-            .schema
-            .element_types()
-            .into_iter()
-            .map(|t| self.schema.type_label(t).to_string())
-            .collect();
-        known.insert(TEXT_NAME.to_string());
-        PathSpec {
-            keep_paths: spec.keep_paths.iter().map(&labels).collect(),
-            keep_subtrees: spec.keep_subtrees.iter().map(&labels).collect(),
-            known_labels: known,
-        }
-    }
-
-    /// Infers the streaming path spec for a query, or `None` when the chain
-    /// sets could not be materialized within the budget.
-    pub fn path_spec_for_query(&self, q: &Query) -> Option<PathSpec> {
-        Some(self.path_spec(&self.spec_for_query(q)?))
-    }
-
-    /// Infers a streaming projection for a query, **never** falling back to
-    /// keep-everything: the explicit chain spec is used when it fits the
-    /// materialization budget, and otherwise the query's chain-DAGs are
-    /// compiled into a [`PathAutomaton`] — covering exactly the
-    /// descendant-axis views over recursive schema cliques where the
-    /// enumerated spec overflows.
-    pub fn streaming_projection_for_query(&self, q: &Query) -> Projection {
-        match self.path_spec_for_query(q) {
-            Some(spec) => Projection::Paths(spec),
-            None => Projection::Automaton(self.path_automaton_for_query(q)),
-        }
-    }
-
-    /// Compiles the query's CDAG chain sets into a [`PathAutomaton`]
-    /// (implicit keep decisions; polynomial in the schema whatever the chain
-    /// count).
-    pub fn path_automaton_for_query(&self, q: &Query) -> PathAutomaton {
+    /// Compiles the query's CDAG chain sets (inferred at bound
+    /// `k_of_query(q).max(1) + 1`) into a [`PathAutomaton`].
+    pub fn automaton_for_query(&self, q: &Query) -> PathAutomaton {
         let k = k_of_query(q).max(1) + 1;
         let eng = CdagEngine::new(self.schema, k);
         let chains = eng.infer_query(&eng.root_gamma(q.free_vars()), q);
         self.compile_automaton(&eng, &chains.returns, &chains.used)
     }
 
-    /// Compiles a pair of CDAG chain sets (return chains keep their whole
-    /// subtrees, used chains keep their paths, extensible used chains their
-    /// subtrees — the same classes as [`Self::spec_for_query`]) into a
-    /// [`PathAutomaton`]. States are the CDAG nodes of either DAG;
-    /// transitions carry the child node's label. Nodes on the `k·|d|` grid
-    /// horizon are flagged subtree-keep so document paths deeper than the
-    /// grid stay conservatively kept — the compiled automaton thus
-    /// over-approximates chain inference over the *unrestricted* universe,
-    /// which is what Theorem 3.2's projection soundness needs.
+    /// Compiles a pair of CDAG chain sets into a [`PathAutomaton`]: return
+    /// chains keep their whole subtrees, used chains keep their paths, and
+    /// extensible used chains their subtrees.
+    ///
+    /// **States are schema types**, not CDAG `(type, depth)` nodes: every
+    /// DAG edge `(s, i) → (t, i + 1)` becomes the transition `s → t` on
+    /// `t`'s label, and a type is an end (or keeps its subtree) when any of
+    /// its nodes is. Edges into the unknown-label sentinel make their source
+    /// keep its subtree, since such chains cannot be matched against
+    /// document labels.
+    ///
+    /// *Soundness.* Mapping each node to its type maps every root-to-end
+    /// path of the DAGs to an accepted path of the automaton, so it keeps
+    /// every chain the engine inferred inside its `k·|d|` grid. Chains of a
+    /// valid document deeper than the grid come from descendant and
+    /// ancestor steps walking recursive cycles. Pumping such a chain down
+    /// (dropping cycle repetitions inside those steps' segments, away from
+    /// any one chosen edge) gives a chain of the same step sequence that
+    /// fits the grid and still contains that edge, its root and its end. So
+    /// each consecutive type pair of the deep chain is a DAG edge, its first
+    /// type is the root and its last an end: the automaton accepts it. The
+    /// folded language thus contains what Theorem 3.2's projection needs at
+    /// any depth, which a per-node automaton cannot: there, a path deeper
+    /// than the grid dies at a node with no deeper edge. Folding only adds
+    /// accepted paths, so it never keeps fewer nodes than per-node states
+    /// did within the grid. `tests/projection_properties.rs` checks the
+    /// argument on documents far deeper than the grid and across the
+    /// schema corpus.
     pub fn compile_automaton(
         &self,
         eng: &CdagEngine<'_, S>,
         returns: &ChainDag,
         used: &ChainDag,
     ) -> PathAutomaton {
-        let mut index: HashMap<NodeIdx, u32> = HashMap::new();
-        let mut order: Vec<NodeIdx> = Vec::new();
-        let mut intern = |n: NodeIdx, order: &mut Vec<NodeIdx>| -> u32 {
-            *index.entry(n).or_insert_with(|| {
-                order.push(n);
-                (order.len() - 1) as u32
-            })
-        };
         let root = eng.root_node();
-        intern(root, &mut order);
-        for dag in [returns, used] {
-            for &(f, t) in &dag.edges {
-                intern(f, &mut order);
-                intern(t, &mut order);
-            }
-            for &e in dag.ends.keys() {
-                intern(e, &mut order);
-            }
-        }
-        let n = order.len();
-        let mut transitions: Vec<Vec<(String, u32)>> = vec![Vec::new(); n];
-        let mut reaches_end = vec![false; n];
-        let mut subtree = vec![false; n];
+        let dags = [(returns, true), (used, false)];
+        let types: BTreeSet<Sym> = std::iter::once(root)
+            .chain(dags.iter().flat_map(|(dag, _)| {
+                let edges = dag.edges.iter().flat_map(|&(f, t)| [f, t]);
+                edges.chain(dag.ends.keys().copied())
+            }))
+            .filter_map(|n| eng.sym_of(n))
+            .collect();
+        let types: Vec<Sym> = types.into_iter().collect();
+        let state = |s: Sym| types.binary_search(&s).expect("interned type") as u32;
         let label_of = |s: Sym| -> String {
             if s == TEXT_SYM {
                 TEXT_NAME.to_string()
@@ -227,41 +111,32 @@ impl<'a, S: SchemaLike> ChainProjector<'a, S> {
                 self.schema.type_label(s).to_string()
             }
         };
-        // Return ends embody whole subtrees; used ends keep their paths,
-        // extensible ones their subtrees (mirroring `spec_for_query`).
-        for (dag, subtree_at_end) in [(returns, true), (used, false)] {
+        let n = types.len();
+        let mut transitions: Vec<Vec<(String, u32)>> = vec![Vec::new(); n];
+        let mut reaches_end = vec![false; n];
+        let mut subtree = vec![false; n];
+        for (dag, subtree_at_end) in dags {
             for (&end, &ext) in &dag.ends {
-                let si = index[&end] as usize;
-                reaches_end[si] = true;
-                if subtree_at_end || ext {
-                    subtree[si] = true;
+                if let Some(s) = eng.sym_of(end) {
+                    reaches_end[state(s) as usize] = true;
+                    subtree[state(s) as usize] |= subtree_at_end || ext;
                 }
             }
             for &(f, t) in &dag.edges {
-                let fi = index[&f] as usize;
+                let Some(fs) = eng.sym_of(f) else { continue };
+                let fi = state(fs) as usize;
                 match eng.sym_of(t) {
-                    Some(s) => {
-                        let entry = (label_of(s), index[&t]);
+                    Some(ts) => {
+                        let entry = (label_of(ts), state(ts));
                         if !transitions[fi].contains(&entry) {
                             transitions[fi].push(entry);
                         }
                     }
                     None => {
-                        // Chains running through the unknown-label sentinel
-                        // cannot be matched against document labels; keep
-                        // everything below the last known node.
                         subtree[fi] = true;
                         reaches_end[fi] = true;
                     }
                 }
-            }
-        }
-        // Grid-horizon nodes: anything deeper than the grid is invisible to
-        // the engine, so it must be kept conservatively.
-        for (si, &node) in order.iter().enumerate() {
-            if eng.depth_of(node) + 1 >= eng.grid_depth() {
-                subtree[si] = true;
-                reaches_end[si] = true;
             }
         }
         // Propagate `reaches_end` backward so every ancestor of a kept
@@ -294,7 +169,7 @@ impl<'a, S: SchemaLike> ChainProjector<'a, S> {
             .collect();
         known.insert(TEXT_NAME.to_string());
         let starts = match eng.sym_of(root) {
-            Some(s) => vec![(label_of(s), index[&root])],
+            Some(s) => vec![(label_of(s), state(s))],
             None => Vec::new(),
         };
         PathAutomaton {
@@ -305,72 +180,13 @@ impl<'a, S: SchemaLike> ChainProjector<'a, S> {
             known_labels: known,
         }
     }
-
-    /// Applies a projection spec to a document.
-    pub fn apply(&self, tree: &Tree, spec: &ProjectionSpec) -> Tree {
-        let mut keep: HashSet<NodeId> = HashSet::new();
-        self.walk(tree, tree.root, Chain::empty(), spec, &mut keep);
-        // The root is always kept so the result remains a document, and the
-        // kept set is closed upwards so it denotes a projection (t|_L).
-        keep.insert(tree.root);
-        let keep = upward_closure(&tree.store, &keep);
-        project(tree, &keep)
-    }
-
-    fn walk(
-        &self,
-        tree: &Tree,
-        node: NodeId,
-        parent_chain: Chain,
-        spec: &ProjectionSpec,
-        keep: &mut HashSet<NodeId>,
-    ) {
-        let chain = match self.node_symbol(tree, node) {
-            // Unknown labels are kept conservatively, together with their
-            // whole subtree: the schema says nothing about them.
-            None => {
-                self.keep_subtree(tree, node, keep);
-                return;
-            }
-            Some(sym) => parent_chain.push(sym),
-        };
-        if spec.keep_subtrees.iter().any(|c| c.is_prefix_of(&chain)) {
-            self.keep_subtree(tree, node, keep);
-            return;
-        }
-        if spec.keep_paths.iter().any(|c| chain.is_prefix_of(c)) {
-            keep.insert(node);
-        }
-        for child in tree.store.children(node) {
-            self.walk(tree, child, chain.clone(), spec, keep);
-        }
-    }
-
-    fn keep_subtree(&self, tree: &Tree, node: NodeId, keep: &mut HashSet<NodeId>) {
-        keep.insert(node);
-        for d in tree.store.descendants(node) {
-            keep.insert(d);
-        }
-    }
-
-    fn node_symbol(&self, tree: &Tree, node: NodeId) -> Option<Sym> {
-        match tree.store.tag(node) {
-            Some(tag) => {
-                let types = self.schema.types_with_label(tag);
-                // With a DTD labels identify types; with an EDTD several
-                // types may share the label — being conservative we use the
-                // first (projection only needs an over-approximation and the
-                // spec chains are label-compatible by construction).
-                types.first().copied()
-            }
-            None => Some(TEXT_SYM),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::explicit::ExplicitEngine;
+    use crate::universe::Universe;
     use qui_schema::Dtd;
     use qui_xmlstore::parse_xml;
     use qui_xquery::dynamic::snapshot_query;
@@ -408,7 +224,7 @@ mod tests {
             "//first/parent::author",
         ] {
             let q = parse_query(src).unwrap();
-            let projected = projector.project_for_query(&doc, &q).unwrap();
+            let projected = projector.project_for_query(&doc, &q);
             assert_eq!(
                 snapshot_query(&doc, &q).unwrap(),
                 snapshot_query(&projected, &q).unwrap(),
@@ -423,7 +239,7 @@ mod tests {
         let projector = ChainProjector::new(&dtd);
         let doc = sample();
         let q = parse_query("//title").unwrap();
-        let projected = projector.project_for_query(&doc, &q).unwrap();
+        let projected = projector.project_for_query(&doc, &q);
         assert!(projected.size() < doc.size());
         let xml = projected.to_xml();
         assert!(xml.contains("<title>t1</title>"), "{xml}");
@@ -437,7 +253,7 @@ mod tests {
         let projector = ChainProjector::new(&dtd);
         let doc = sample();
         let q = parse_query("//book").unwrap();
-        let projected = projector.project_for_query(&doc, &q).unwrap();
+        let projected = projector.project_for_query(&doc, &q);
         // Returning whole books means nothing below book may be pruned.
         assert_eq!(projected.size(), doc.size());
     }
@@ -446,17 +262,18 @@ mod tests {
     fn selective_query_keeps_ancestor_paths() {
         let dtd = bib();
         let projector = ChainProjector::new(&dtd);
-        let spec = projector
-            .spec_for_query(&parse_query("//author/last").unwrap())
-            .unwrap();
-        let last = dtd
-            .chain_of_names(&["bib", "book", "author", "last"])
-            .unwrap();
-        let book = dtd.chain_of_names(&["bib", "book"]).unwrap();
-        let price = dtd.chain_of_names(&["bib", "book", "price"]).unwrap();
-        assert!(spec.keeps(&book), "ancestors of results must be kept");
-        assert!(spec.keeps(&last));
-        assert!(!spec.keeps(&price), "unrelated siblings must be pruned");
+        let auto = projector.automaton_for_query(&parse_query("//author/last").unwrap());
+        let keeps = |path: &[&str]| {
+            let path: Vec<String> = path.iter().map(|l| l.to_string()).collect();
+            let (on_path, in_subtree) = auto.classify_path(&path);
+            on_path || in_subtree
+        };
+        let last = ["bib", "book", "author", "last"];
+        let book = ["bib", "book"];
+        let price = ["bib", "book", "price"];
+        assert!(keeps(&book), "ancestors of results must be kept");
+        assert!(keeps(&last));
+        assert!(!keeps(&price), "unrelated siblings must be pruned");
     }
 
     #[test]
@@ -467,7 +284,7 @@ mod tests {
             parse_xml("<bib><book><title>t</title></book><extra><blob>x</blob></extra></bib>")
                 .unwrap();
         let q = parse_query("//title").unwrap();
-        let projected = projector.project_for_query(&doc, &q).unwrap();
+        let projected = projector.project_for_query(&doc, &q);
         assert!(
             projected.to_xml().contains("<blob>"),
             "unknown regions stay"
@@ -486,10 +303,9 @@ mod tests {
         let xml = doc.to_xml();
         for src in ["//title", "//author/last", "//book/price", "//book"] {
             let q = parse_query(src).unwrap();
-            let spec = projector.path_spec_for_query(&q).unwrap();
             let outcome = qui_xmlstore::parse_xml_stream(
                 std::io::Cursor::new(xml.as_bytes().to_vec()),
-                &qui_xmlstore::StreamConfig::with_projection(spec),
+                &qui_xmlstore::StreamConfig::with_projection(projector.automaton_for_query(&q)),
             )
             .unwrap();
             assert_eq!(
@@ -501,10 +317,9 @@ mod tests {
         }
         // A selective query prunes during the parse.
         let q = parse_query("//title").unwrap();
-        let spec = projector.path_spec_for_query(&q).unwrap();
         let outcome = qui_xmlstore::parse_xml_stream(
             std::io::Cursor::new(xml.as_bytes().to_vec()),
-            &qui_xmlstore::StreamConfig::with_projection(spec),
+            &qui_xmlstore::StreamConfig::with_projection(projector.automaton_for_query(&q)),
         )
         .unwrap();
         assert!(outcome.stats.nodes_pruned > 0);
@@ -520,22 +335,21 @@ mod tests {
             "a",
         )
         .unwrap();
-        let projector = ChainProjector::new(&dtd).with_budget(50);
+        let projector = ChainProjector::new(&dtd);
         let doc =
             parse_xml("<a><b><c><b><c/></b></c><b/></b><c><b><b><c/></b></b></c><d/><d/><d/></a>")
                 .unwrap();
         for src in ["//b//c", "//c//b", "//b"] {
             let q = parse_query(src).unwrap();
+            let universe = Universe::with_k(&dtd, k_of_query(&q).max(1) + 1);
+            let explicit = ExplicitEngine::new(&universe, 50);
             assert!(
-                projector.spec_for_query(&q).is_none(),
-                "{src}: the explicit spec must overflow for this test to bite"
+                explicit
+                    .infer_query(&explicit.root_gamma(q.free_vars()), &q)
+                    .is_err(),
+                "{src}: the explicit chain sets must overflow for this test to bite"
             );
-            let projection = projector.streaming_projection_for_query(&q);
-            assert!(
-                matches!(projection, qui_xmlstore::Projection::Automaton(_)),
-                "{src}: overflow must fall back to the automaton"
-            );
-            let projected = qui_xmlstore::project_spec(&doc, &projection);
+            let projected = projector.project_for_query(&doc, &q);
             assert_eq!(
                 snapshot_query(&doc, &q).unwrap(),
                 snapshot_query(&projected, &q).unwrap(),
@@ -552,19 +366,19 @@ mod tests {
     #[test]
     fn automaton_projection_agrees_with_streamed_parse() {
         let dtd = Dtd::parse_compact("a -> (b|c)* ; b -> (b|c)* ; c -> (b|c)*", "a").unwrap();
-        let projector = ChainProjector::new(&dtd).with_budget(50);
+        let projector = ChainProjector::new(&dtd);
         let q = parse_query("//b//c").unwrap();
-        let projection = projector.streaming_projection_for_query(&q);
+        let auto = projector.automaton_for_query(&q);
         let doc = parse_xml("<a><b><c><b/></c></b><c><c><c/></c></c></a>").unwrap();
         let xml = doc.to_xml();
         let outcome = qui_xmlstore::parse_xml_stream(
             std::io::Cursor::new(xml.as_bytes().to_vec()),
-            &qui_xmlstore::StreamConfig::with_projection_spec(projection.clone()),
+            &qui_xmlstore::StreamConfig::with_projection(auto.clone()),
         )
         .unwrap();
         assert!(outcome
             .tree
-            .value_equiv(&qui_xmlstore::project_spec(&doc, &projection)));
+            .value_equiv(&qui_xmlstore::project_spec(&doc, &auto)));
         assert_eq!(
             snapshot_query(&doc, &q).unwrap(),
             snapshot_query(&outcome.tree, &q).unwrap()
@@ -572,24 +386,14 @@ mod tests {
     }
 
     #[test]
-    fn streaming_projection_prefers_the_explicit_spec() {
-        let dtd = bib();
-        let projector = ChainProjector::new(&dtd);
-        let q = parse_query("//title").unwrap();
-        assert!(matches!(
-            projector.streaming_projection_for_query(&q),
-            qui_xmlstore::Projection::Paths(_)
-        ));
-    }
-
-    #[test]
     fn empty_spec_projects_to_the_root() {
         let dtd = bib();
         let projector = ChainProjector::new(&dtd);
         let doc = sample();
-        let spec = ProjectionSpec::default();
-        assert!(spec.is_empty());
-        let projected = projector.apply(&doc, &spec);
+        // No chain reaches a `journal`: the automaton keeps only the root.
+        let q = parse_query("//journal").unwrap();
+        assert!(projector.automaton_for_query(&q).is_empty());
+        let projected = projector.project_for_query(&doc, &q);
         assert_eq!(projected.size(), 1);
         assert_eq!(projected.root_tag(), Some("bib"));
     }

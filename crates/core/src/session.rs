@@ -19,8 +19,6 @@
 //!   matrix cells: each worker checks an engine out, runs without holding
 //!   any lock, and returns it. The conflict tests read no multiplicity
 //!   bound, so one free list serves every `k`;
-//! * compiled [`Projection`]s (path automata) per view for streamed
-//!   document projection;
 //! * a memo of [`check`](AnalysisSession::check) verdicts per `(query,
 //!   update)` pair, so a repeated check is one lookup. Only `check` reads or
 //!   fills it: matrix cells and [`recompute`](AnalysisSession::recompute)
@@ -33,9 +31,8 @@
 //! The read path is `&self` and thread-safe: every cache lives behind
 //! [`crate::concurrent::ShardedMap`] (sharded `RwLock`s) or the
 //! [`crate::concurrent::EnginePool`], so **any number of threads may call
-//! [`check`](AnalysisSession::check), [`explain`](AnalysisSession::explain),
-//! [`streaming_projection`](AnalysisSession::streaming_projection) and the
-//! matrix accessors ([`verdict`](AnalysisSession::verdict),
+//! [`check`](AnalysisSession::check), [`explain`](AnalysisSession::explain)
+//! and the matrix accessors ([`verdict`](AnalysisSession::verdict),
 //! [`reports`](AnalysisSession::reports), …) on one shared session
 //! concurrently** — warm checks take uncontended read locks and scale with
 //! the core count. Verdicts are bit-identical to the single-threaded
@@ -123,11 +120,9 @@ use crate::explain::{explain_verdict, ExplainOptions, MatrixReport};
 use crate::fxhash::FxHashMap;
 use crate::kbound::{k_for_pair, k_of_query, k_of_update};
 use crate::parallel::{run_indexed, Jobs};
-use crate::projector::ChainProjector;
 use crate::types::{QueryChains, UpdateChains};
 use crate::universe::Universe;
 use qui_schema::SchemaLike;
-use qui_xmlstore::Projection;
 use qui_xquery::{Query, Update};
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
@@ -233,7 +228,6 @@ impl<'a, S: SchemaLike> SessionBuilder<'a, S> {
             cdag: Tier::default(),
             explicit: Tier::default(),
             engines: EnginePool::new(self.schema),
-            projections: ShardedMap::new(),
             memo: ShardedMap::new(),
             memo_hasher: RandomState::new(),
             cells_computed: 0,
@@ -528,7 +522,6 @@ pub struct AnalysisSession<'a, S: SchemaLike> {
     cdag: Tier<Arc<DagQueryChains>, Arc<ChainDag>>,
     explicit: Tier<Option<Arc<QueryChains>>, Option<Arc<UpdateChains>>>,
     engines: EnginePool<'a, S>,
-    projections: ShardedMap<Query, Projection>,
     /// `check` verdicts keyed by the pair's hash under `memo_hasher`. A map
     /// key cannot borrow from two separate expressions, so the entry holds
     /// the pair.
@@ -697,18 +690,6 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     pub fn explicit_update_chains(&self, u: &Update, k: usize) -> Option<Arc<UpdateChains>> {
         self.fill_explicit([], [(u, k)]);
         self.explicit.update(u, k).flatten()
-    }
-
-    /// The streamed projection for a query (an enumerated path spec when
-    /// the explicit chains fit the budget, a compiled [`Projection`]
-    /// automaton otherwise), cached per query across the session.
-    pub fn streaming_projection(&self, q: &Query) -> Projection {
-        if let Some(p) = self.projections.get(q) {
-            return p;
-        }
-        let p = ChainProjector::new(self.schema).streaming_projection_for_query(q);
-        self.projections.insert(q.clone(), p.clone());
-        p
     }
 
     // -- the pipeline (all `&self`, all idempotent under races) -------------
@@ -1758,16 +1739,5 @@ mod tests {
         assert!(tight.explicit_query_chains(&q, k).is_none());
         assert!(tight.explicit_query_chains(&q, k).is_none());
         assert_eq!(tight.stats().explicit_inferences, 1);
-    }
-
-    #[test]
-    fn streaming_projection_is_cached() {
-        let d = figure1();
-        let session = AnalysisSession::new(&d);
-        let q = parse_query("//a//c").unwrap();
-        let p1 = session.streaming_projection(&q);
-        let p2 = session.streaming_projection(&q);
-        assert_eq!(p1.len(), p2.len());
-        assert!(!p1.is_empty());
     }
 }

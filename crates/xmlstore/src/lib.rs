@@ -23,10 +23,10 @@
 //!   library is used anywhere in the workspace).
 //! * [`streaming`] — a pull parser over any [`std::io::Read`] source that
 //!   builds the tree incrementally without materializing the input, plus
-//!   streamed label-path projection ([`PathSpec`]) that drops pruned
-//!   subtrees during the parse (peak-memory savings, not just node counts).
-//! * [`projection`] — XML projections `t|_L` used in the soundness statements
-//!   of §3.4 and in the projection-based tests.
+//!   streamed projection (paper §3.4, `t|_L`): a [`PathAutomaton`] over
+//!   root-to-node label paths drops pruned subtrees during the parse
+//!   (peak-memory savings, not just node counts), and [`project_spec`]
+//!   makes the same decisions on an already-parsed tree.
 //! * [`generator`] — generic random-tree generation used by property tests
 //!   (schema-driven generation lives in `qui-schema`).
 
@@ -35,7 +35,6 @@ pub mod equiv;
 pub mod generator;
 pub mod node;
 pub mod parser;
-pub mod projection;
 pub mod serializer;
 pub mod sink;
 pub mod store;
@@ -47,7 +46,6 @@ pub use decode::decode_entities;
 pub use equiv::{sequence_equiv, value_equiv};
 pub use node::NodeId;
 pub use parser::{parse_xml, parse_xml_keep_attributes, ParseError};
-pub use projection::{project, upward_closure};
 pub use serializer::{
     serialize_node, serialize_node_into, serialize_node_with_attributes, serialize_tree,
     serialize_tree_with_attributes,
@@ -55,8 +53,8 @@ pub use serializer::{
 pub use sink::{CollectSink, CountSink, ResultSink, SerializeSink};
 pub use store::{ChildIds, NodeRef, Store, StoreBytes};
 pub use streaming::{
-    parse_xml_reader, parse_xml_stream, parse_xml_stream_sink, project_paths, project_spec,
-    AutomatonCursor, PathAutomaton, PathSpec, Projection, StreamConfig, StreamOutcome, StreamStats,
+    parse_xml_reader, parse_xml_stream, parse_xml_stream_sink, project_spec, AutomatonCursor,
+    PathAutomaton, StreamConfig, StreamOutcome, StreamStats,
 };
 pub use symbols::{Sym, SymbolTable, MAX_SYMBOLS, TEXT_NAME, TEXT_SYM};
 pub use tree::{Tree, TreeBuilder};

@@ -9,15 +9,14 @@
 //! materialized and memory stays `O(tree + chunk)`.
 //!
 //! On top of plain parsing, the streaming path supports **streamed
-//! projection** (paper §3.4): a [`PathSpec`] describes, as root-to-node label
-//! paths, which regions of the document a query may need; subtrees outside
-//! the spec are recognized *during* the parse and dropped before a single
-//! node is allocated for them. This turns projection savings into *peak
-//! memory* savings, not just node-count savings — the pruned subtrees never
-//! exist. [`project_paths`] applies the identical top-down semantics to an
-//! already-parsed tree and is the reference the property tests compare
-//! against; `qui-core`'s `ChainProjector::path_spec` converts its
-//! chain-based `ProjectionSpec` into a [`PathSpec`].
+//! projection** (paper §3.4): a [`PathAutomaton`] describes, over
+//! root-to-node label paths, which regions of the document a query may
+//! need; subtrees outside it are recognized *during* the parse and dropped
+//! before a single node is allocated for them. This turns projection
+//! savings into *peak memory* savings, not just node-count savings — the
+//! pruned subtrees never exist. [`project_spec`] applies the identical
+//! top-down decisions to an already-parsed tree; `qui-core`'s
+//! `ChainProjector` compiles a query's chain-DAGs into the automaton.
 //!
 //! Both parsers accept the same documents, produce value-equivalent trees,
 //! and reject malformed input with the same error message at the same byte
@@ -30,10 +29,10 @@ use crate::sink::ResultSink;
 use crate::store::Store;
 use crate::symbols::Sym;
 use crate::tree::Tree;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 use std::io::Read;
 
-/// The label under which text nodes participate in path specs (mirrors
+/// The label under which text nodes participate in label paths (mirrors
 /// `qui-schema`'s `TEXT_NAME`, which this crate cannot depend on).
 pub const TEXT_LABEL: &str = "#text";
 
@@ -41,117 +40,34 @@ pub const TEXT_LABEL: &str = "#text";
 pub const DEFAULT_CHUNK_SIZE: usize = 8 * 1024;
 
 // ---------------------------------------------------------------------------
-// Path specs — label-path projections
-// ---------------------------------------------------------------------------
-
-/// A projection described by root-to-node **label paths**.
-///
-/// A node at label path `p` (the tags from the root down to the node, text
-/// nodes contributing [`TEXT_LABEL`]) is kept iff
-///
-/// * `p` is a prefix of some chain in `keep_paths ∪ keep_subtrees` (the node
-///   lies *on the way* to needed nodes), or
-/// * some chain in `keep_subtrees` is a prefix of `p` (the node lies *inside*
-///   a region that is kept whole), or
-/// * its own label is not in `known_labels` (the schema says nothing about
-///   it, so it is kept conservatively, together with its whole subtree).
-///
-/// Everything else is pruned with its entire subtree. The prefix conditions
-/// are monotone along root-to-leaf paths, which is exactly what lets a
-/// streaming parser decide *keep / descend / drop whole subtree* the moment
-/// it sees a start tag. Unknown labels nested strictly inside pruned regions
-/// are pruned with them (the stream never looks inside a dropped subtree);
-/// valid documents have no unknown labels, so this only matters for
-/// documents that do not conform to the schema the spec came from.
-#[derive(Clone, Debug, Default)]
-pub struct PathSpec {
-    /// Chains whose prefixes must be kept (paths leading to needed nodes).
-    pub keep_paths: BTreeSet<Vec<String>>,
-    /// Chains whose entire subtrees must be kept.
-    pub keep_subtrees: BTreeSet<Vec<String>>,
-    /// The labels the schema knows; anything else is kept conservatively.
-    /// [`TEXT_LABEL`] is always treated as known.
-    pub known_labels: HashSet<String>,
-}
-
-fn is_prefix(a: &[String], b: &[String]) -> bool {
-    a.len() <= b.len() && b[..a.len()] == *a
-}
-
-impl PathSpec {
-    /// Returns `true` when `path` is a prefix of some kept chain, i.e. the
-    /// node may lead to needed nodes and the stream must descend into it.
-    pub fn on_path(&self, path: &[String]) -> bool {
-        self.keep_paths
-            .iter()
-            .chain(self.keep_subtrees.iter())
-            .any(|c| is_prefix(path, c))
-    }
-
-    /// Returns `true` when `path` lies inside a subtree that is kept whole.
-    pub fn in_subtree(&self, path: &[String]) -> bool {
-        self.keep_subtrees.iter().any(|c| is_prefix(c, path))
-    }
-
-    /// Returns `true` when the label is known to the schema the spec was
-    /// derived from.
-    pub fn is_known(&self, label: &str) -> bool {
-        label == TEXT_LABEL || self.known_labels.contains(label)
-    }
-
-    /// Returns `true` when a text child of an element at `parent_path` is
-    /// kept — equivalent to checking `parent_path + [TEXT_LABEL]` with
-    /// [`Self::in_subtree`]`/`[`Self::on_path`], but without materializing
-    /// the extended path (this runs once per text run of a streaming parse).
-    pub fn keeps_text_child(&self, parent_path: &[String]) -> bool {
-        self.in_subtree(parent_path)
-            || self
-                .keep_paths
-                .iter()
-                .chain(self.keep_subtrees.iter())
-                .any(|c| {
-                    c.len() > parent_path.len()
-                        && c[..parent_path.len()] == *parent_path
-                        && c[parent_path.len()] == TEXT_LABEL
-                })
-    }
-
-    /// Total number of chains (size indicator for reports).
-    pub fn len(&self) -> usize {
-        self.keep_paths.len() + self.keep_subtrees.len()
-    }
-
-    /// Returns `true` when the spec keeps nothing beyond the root.
-    pub fn is_empty(&self) -> bool {
-        self.keep_paths.is_empty() && self.keep_subtrees.is_empty()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Path automata — implicit label-path projections
 // ---------------------------------------------------------------------------
 
-/// A projection whose kept label paths are described *implicitly* by a small
-/// automaton instead of an enumerated [`PathSpec`].
+/// A projection whose kept root-to-node label paths are described by a
+/// small automaton.
 ///
-/// On recursive schemas the set of kept root-to-node paths can be huge or
-/// infinite (a descendant-axis view over a recursive clique keeps `a.b.a.b…`
-/// to any depth), so enumerating chains is hopeless — but the *decision*
-/// "may this path lead to a needed node?" only needs the automaton:
-/// `qui-core` compiles its chain-DAGs (one state per reachable (type, depth)
-/// pair, transitions labeled with the child's label) into this type. The
-/// keep semantics mirror [`PathSpec`] exactly:
+/// On recursive schemas the set of kept paths can be huge or infinite (a
+/// descendant-axis view over a recursive clique keeps `a.b.a.b…` to any
+/// depth), so enumerating them is hopeless — but the *decision* "may this
+/// path lead to a needed node?" only needs the automaton: `qui-core`
+/// compiles its chain-DAGs (one state per schema type, transitions labeled
+/// with the child's label) into this type. A node at label path `p` (text
+/// nodes contributing [`TEXT_LABEL`]) is kept iff
 ///
-/// * a path is *on-path* when the automaton can still reach an end state
-///   after consuming it (the node may lead to needed nodes — descend),
-/// * a path is *in-subtree* once any consumed prefix lands on a state
-///   flagged subtree-keep (returned elements embody their descendants),
-/// * labels outside `known_labels` are kept conservatively, as in
-///   [`PathSpec`].
+/// * `p` is *in-subtree*: some prefix of `p` lands on a state flagged
+///   subtree-keep (returned elements embody their descendants), or
+/// * `p` is *on-path*: the automaton can still reach an end state after
+///   consuming `p` (the node may lead to needed nodes — descend), or
+/// * its own label is not in `known_labels` (the schema says nothing about
+///   it, so it is kept, together with its whole subtree).
 ///
-/// Both properties are monotone along root-to-leaf paths, so the streaming
-/// parser can make the same keep / descend / drop decision at a start tag as
-/// it does for an explicit spec.
+/// Everything else is pruned with its entire subtree. Both flags are
+/// monotone along root-to-leaf paths, which is exactly what lets a
+/// streaming parser decide *keep / descend / drop whole subtree* the moment
+/// it sees a start tag. Unknown labels nested strictly inside pruned regions
+/// are pruned with them (nothing looks inside a dropped subtree); valid
+/// documents have no unknown labels, so this only matters for documents
+/// that do not conform to the schema the automaton came from.
 #[derive(Clone, Debug, Default)]
 pub struct PathAutomaton {
     /// Start states with their labels: the document element's label must
@@ -170,9 +86,9 @@ pub struct PathAutomaton {
 }
 
 impl PathAutomaton {
-    /// Runs the automaton over `path`, returning `(on_path, in_subtree)` in
-    /// a single simulation — the streaming hot path uses this so each start
-    /// tag pays one pass, not one per flag.
+    /// Runs the automaton over `path` from the root, returning `(on_path,
+    /// in_subtree)` — the reference that [`AutomatonCursor`]'s incremental
+    /// steps are checked against.
     pub fn classify_path(&self, path: &[String]) -> (bool, bool) {
         self.classify(path, None)
     }
@@ -215,17 +131,6 @@ impl PathAutomaton {
         )
     }
 
-    /// Returns `true` when the automaton can still reach an end after
-    /// consuming `path` — the node may lead to needed nodes.
-    pub fn on_path(&self, path: &[String]) -> bool {
-        self.classify(path, None).0
-    }
-
-    /// Returns `true` when `path` lies inside a subtree that is kept whole.
-    pub fn in_subtree(&self, path: &[String]) -> bool {
-        self.classify(path, None).1
-    }
-
     /// Returns `true` when the label is known to the schema the automaton
     /// was compiled from.
     pub fn is_known(&self, label: &str) -> bool {
@@ -233,7 +138,7 @@ impl PathAutomaton {
     }
 
     /// Returns `true` when a text child of an element at `parent_path` is
-    /// kept.
+    /// kept (a full re-simulation; see [`AutomatonCursor::text_child_kept`]).
     pub fn keeps_text_child(&self, parent_path: &[String]) -> bool {
         let (on_path, in_subtree) = self.classify(parent_path, Some(TEXT_LABEL));
         on_path || in_subtree
@@ -387,90 +292,6 @@ impl AutomatonCursor {
     }
 }
 
-/// Either way of describing a streamed projection: explicit label paths
-/// (materialized chain sets) or the compact automaton (chain-DAGs over
-/// recursive schemas, where enumeration would overflow any budget). The
-/// streaming parser and [`project_spec`] treat both uniformly.
-#[derive(Clone, Debug)]
-pub enum Projection {
-    /// Enumerated label paths.
-    Paths(PathSpec),
-    /// Automaton-described label paths.
-    Automaton(PathAutomaton),
-}
-
-impl From<PathSpec> for Projection {
-    fn from(spec: PathSpec) -> Projection {
-        Projection::Paths(spec)
-    }
-}
-
-impl From<PathAutomaton> for Projection {
-    fn from(auto: PathAutomaton) -> Projection {
-        Projection::Automaton(auto)
-    }
-}
-
-impl Projection {
-    /// See [`PathSpec::on_path`] / [`PathAutomaton::on_path`].
-    pub fn on_path(&self, path: &[String]) -> bool {
-        match self {
-            Projection::Paths(s) => s.on_path(path),
-            Projection::Automaton(a) => a.on_path(path),
-        }
-    }
-
-    /// See [`PathSpec::in_subtree`] / [`PathAutomaton::in_subtree`].
-    pub fn in_subtree(&self, path: &[String]) -> bool {
-        match self {
-            Projection::Paths(s) => s.in_subtree(path),
-            Projection::Automaton(a) => a.in_subtree(path),
-        }
-    }
-
-    /// Both keep flags — `(on_path, in_subtree)` — in one pass; for the
-    /// automaton this runs a single simulation instead of one per flag.
-    pub fn classify(&self, path: &[String]) -> (bool, bool) {
-        match self {
-            Projection::Paths(s) => (s.on_path(path), s.in_subtree(path)),
-            Projection::Automaton(a) => a.classify_path(path),
-        }
-    }
-
-    /// See [`PathSpec::is_known`] / [`PathAutomaton::is_known`].
-    pub fn is_known(&self, label: &str) -> bool {
-        match self {
-            Projection::Paths(s) => s.is_known(label),
-            Projection::Automaton(a) => a.is_known(label),
-        }
-    }
-
-    /// See [`PathSpec::keeps_text_child`] /
-    /// [`PathAutomaton::keeps_text_child`].
-    pub fn keeps_text_child(&self, parent_path: &[String]) -> bool {
-        match self {
-            Projection::Paths(s) => s.keeps_text_child(parent_path),
-            Projection::Automaton(a) => a.keeps_text_child(parent_path),
-        }
-    }
-
-    /// Size indicator for reports (chains or automaton states).
-    pub fn len(&self) -> usize {
-        match self {
-            Projection::Paths(s) => s.len(),
-            Projection::Automaton(a) => a.len(),
-        }
-    }
-
-    /// Returns `true` when the projection keeps nothing beyond the root.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            Projection::Paths(s) => s.is_empty(),
-            Projection::Automaton(a) => a.is_empty(),
-        }
-    }
-}
-
 /// The keep decision for one element and, implicitly, its subtree.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Keep {
@@ -482,25 +303,40 @@ enum Keep {
     Skip,
 }
 
-/// Decides the keep state of an element with label `tag` at `path` (its own
-/// label included), given its parent's state.
-fn decide(spec: &Projection, parent: Keep, path: &[String], tag: &str) -> Keep {
+/// Steps `cursor` down into an element labeled `tag` whose parent is in
+/// state `parent`, and decides the element's keep state. Regions whose
+/// decision is already final (`All` / `Skip`, and below schema-unknown
+/// labels) push a dead frame without simulating. The document element
+/// (`is_root`) is never skipped.
+fn enter(
+    auto: &PathAutomaton,
+    cursor: &mut AutomatonCursor,
+    parent: Keep,
+    tag: &str,
+    is_root: bool,
+) -> Keep {
+    if parent != Keep::Filter {
+        cursor.push_dead();
+        return parent;
+    }
+    if !auto.is_known(tag) {
+        cursor.push_dead();
+        return Keep::All;
+    }
+    match cursor.push(auto, tag) {
+        (_, true) => Keep::All,
+        (true, false) => Keep::Filter,
+        (false, false) if is_root => Keep::Filter,
+        (false, false) => Keep::Skip,
+    }
+}
+
+/// Whether a text child of an element in state `parent` is kept.
+fn text_kept(auto: &PathAutomaton, cursor: &AutomatonCursor, parent: Keep) -> bool {
     match parent {
-        Keep::All => Keep::All,
-        Keep::Skip => Keep::Skip,
-        Keep::Filter => {
-            if !spec.is_known(tag) {
-                return Keep::All;
-            }
-            let (on_path, in_subtree) = spec.classify(path);
-            if in_subtree {
-                Keep::All
-            } else if on_path {
-                Keep::Filter
-            } else {
-                Keep::Skip
-            }
-        }
+        Keep::All => true,
+        Keep::Skip => false,
+        Keep::Filter => cursor.text_child_kept(auto),
     }
 }
 
@@ -516,7 +352,7 @@ pub struct StreamConfig {
     pub keep_attributes: bool,
     /// When set, subtrees outside the projection are dropped during the
     /// parse.
-    pub projection: Option<Projection>,
+    pub projection: Option<PathAutomaton>,
     /// Refill granularity of the sliding input window.
     pub chunk_size: usize,
 }
@@ -532,20 +368,11 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// A config that projects the stream onto an explicit path spec while
+    /// A config that projects the stream onto a compiled automaton while
     /// parsing.
-    pub fn with_projection(spec: PathSpec) -> Self {
+    pub fn with_projection(auto: PathAutomaton) -> Self {
         StreamConfig {
-            projection: Some(Projection::Paths(spec)),
-            ..Default::default()
-        }
-    }
-
-    /// A config that projects the stream onto any [`Projection`] (explicit
-    /// paths or a compiled automaton) while parsing.
-    pub fn with_projection_spec(spec: Projection) -> Self {
-        StreamConfig {
-            projection: Some(spec),
+            projection: Some(auto),
             ..Default::default()
         }
     }
@@ -742,13 +569,10 @@ struct StreamParser<'s, R: Read> {
     bs: ByteStream<R>,
     store: Store,
     keep_attributes: bool,
-    projection: Option<Projection>,
-    /// Root-to-current label path; maintained only for explicit
-    /// [`Projection::Paths`] specs.
-    path: Vec<String>,
-    /// Incremental automaton state-set stack; maintained only for
-    /// [`Projection::Automaton`] specs, so each start tag costs `O(states)`
-    /// instead of re-simulating the whole root-to-node path.
+    projection: Option<PathAutomaton>,
+    /// Incremental automaton state-set stack; maintained only under a
+    /// projection, so each start tag costs `O(states)` instead of
+    /// re-simulating the whole root-to-node path.
     cursor: AutomatonCursor,
     stack: Vec<Frame>,
     stats: StreamStats,
@@ -799,7 +623,6 @@ fn stream_impl<R: Read>(
         store: Store::new(),
         keep_attributes: config.keep_attributes,
         projection: config.projection.clone(),
-        path: Vec::new(),
         cursor: AutomatonCursor::new(),
         stack: Vec::new(),
         stats: StreamStats::default(),
@@ -933,68 +756,28 @@ impl<R: Read> StreamParser<'_, R> {
     }
 
     /// The keep state of the enclosing element ([`Keep::Filter`] at the
-    /// document root so the root is always kept, as in [`crate::project`]).
+    /// document root, which is always kept).
     fn parent_keep(&self) -> Keep {
         self.stack.last().map(|f| f.keep).unwrap_or(Keep::Filter)
     }
 
-    /// Pushes the tag in the scratch buffer onto the projection tracking
-    /// state and decides the keep state of the element about to start.
-    /// Explicit path specs re-classify the materialized label path; the
-    /// automaton steps its incremental state-set stack one label
-    /// (`O(states)` instead of re-simulating the whole root-to-node path).
-    /// The document element is never skipped.
+    /// Steps the projection cursor into the tag in the scratch buffer and
+    /// decides the keep state of the element about to start.
     fn enter_element(&mut self) -> Keep {
         let parent = self.parent_keep();
-        let keep = match &self.projection {
+        match &self.projection {
             None => Keep::Filter,
-            Some(spec @ Projection::Paths(_)) => {
-                self.path.push(
-                    std::str::from_utf8(&self.scratch)
-                        .expect("ASCII")
-                        .to_string(),
-                );
-                let tag = self.path.last().expect("just pushed");
-                decide(spec, parent, &self.path, tag)
+            Some(auto) => {
+                let tag = std::str::from_utf8(&self.scratch).expect("ASCII");
+                enter(auto, &mut self.cursor, parent, tag, self.stack.is_empty())
             }
-            Some(Projection::Automaton(auto)) => match parent {
-                Keep::All | Keep::Skip => {
-                    self.cursor.push_dead();
-                    parent
-                }
-                Keep::Filter => {
-                    let tag = std::str::from_utf8(&self.scratch).expect("ASCII");
-                    if !auto.is_known(tag) {
-                        self.cursor.push_dead();
-                        Keep::All
-                    } else {
-                        let (on_path, in_subtree) = self.cursor.push(auto, tag);
-                        if in_subtree {
-                            Keep::All
-                        } else if on_path {
-                            Keep::Filter
-                        } else {
-                            Keep::Skip
-                        }
-                    }
-                }
-            },
-        };
-        if self.stack.is_empty() && keep == Keep::Skip {
-            Keep::Filter
-        } else {
-            keep
         }
     }
 
-    /// Pops the projection tracking state when an element closes.
+    /// Pops the projection cursor when an element closes.
     fn exit_element(&mut self) {
-        match &self.projection {
-            None => {}
-            Some(Projection::Paths(_)) => {
-                self.path.pop();
-            }
-            Some(Projection::Automaton(_)) => self.cursor.pop(),
+        if self.projection.is_some() {
+            self.cursor.pop();
         }
     }
 
@@ -1114,14 +897,9 @@ impl<R: Read> StreamParser<'_, R> {
 
     /// Whether a text node in the current position would be kept.
     fn text_wanted(&self) -> bool {
-        match self.parent_keep() {
-            Keep::All => true,
-            Keep::Skip => false,
-            Keep::Filter => match &self.projection {
-                None => true,
-                Some(spec @ Projection::Paths(_)) => spec.keeps_text_child(&self.path),
-                Some(Projection::Automaton(auto)) => self.cursor.text_child_kept(auto),
-            },
+        match &self.projection {
+            None => true,
+            Some(auto) => text_kept(auto, &self.cursor, self.parent_keep()),
         }
     }
 
@@ -1220,72 +998,40 @@ impl<R: Read> StreamParser<'_, R> {
 // The in-memory reference for streamed projection
 // ---------------------------------------------------------------------------
 
-/// Applies a [`PathSpec`] to an already-parsed tree with exactly the
-/// top-down semantics of the streaming parser — the reference the
-/// streamed-projection property tests compare against.
-pub fn project_paths(tree: &Tree, spec: &PathSpec) -> Tree {
-    project_spec(tree, &Projection::Paths(spec.clone()))
-}
-
-/// Applies any [`Projection`] (explicit paths or a compiled automaton) to an
-/// already-parsed tree with exactly the top-down semantics of the streaming
-/// parser.
-pub fn project_spec(tree: &Tree, spec: &Projection) -> Tree {
+/// Applies a [`PathAutomaton`] to an already-parsed tree with exactly the
+/// top-down decisions of the streaming parser.
+pub fn project_spec(tree: &Tree, auto: &PathAutomaton) -> Tree {
     let mut store = Store::new();
-    let mut path: Vec<String> = Vec::new();
-    let root = copy_filtered(
-        tree,
-        tree.root,
-        spec,
-        Keep::Filter,
-        true,
-        &mut path,
-        &mut store,
-    )
-    .expect("the root is always kept");
+    let mut cursor = AutomatonCursor::new();
+    let root = copy_filtered(tree, tree.root, auto, Keep::Filter, &mut cursor, &mut store)
+        .expect("the root is always kept");
     Tree::new(store, root)
 }
 
 fn copy_filtered(
     tree: &Tree,
     node: NodeId,
-    spec: &Projection,
+    auto: &PathAutomaton,
     parent: Keep,
-    is_root: bool,
-    path: &mut Vec<String>,
+    cursor: &mut AutomatonCursor,
     dst: &mut Store,
 ) -> Option<NodeId> {
-    match tree.store.tag(node) {
-        None => {
-            // A text node.
-            let keep = match parent {
-                Keep::All => true,
-                Keep::Skip => false,
-                Keep::Filter => spec.keeps_text_child(path),
-            };
-            keep.then(|| dst.new_text(tree.store.text_value(node).unwrap_or_default()))
-        }
-        Some(tag) => {
-            let tag = tag.to_string();
-            path.push(tag.clone());
-            let mut keep = decide(spec, parent, path, &tag);
-            if is_root && keep == Keep::Skip {
-                keep = Keep::Filter;
-            }
-            let out = if keep == Keep::Skip {
-                None
-            } else {
-                let children: Vec<NodeId> = tree
-                    .store
-                    .children_iter(node)
-                    .filter_map(|c| copy_filtered(tree, c, spec, keep, false, path, dst))
-                    .collect();
-                Some(dst.new_element(tag, children))
-            };
-            path.pop();
-            out
-        }
-    }
+    let Some(tag) = tree.store.tag(node) else {
+        return text_kept(auto, cursor, parent)
+            .then(|| dst.new_text(tree.store.text_value(node).unwrap_or_default()));
+    };
+    let is_root = cursor.depth() == 0;
+    let keep = enter(auto, cursor, parent, tag, is_root);
+    let out = (keep != Keep::Skip).then(|| {
+        let children: Vec<NodeId> = tree
+            .store
+            .children_iter(node)
+            .filter_map(|c| copy_filtered(tree, c, auto, keep, cursor, dst))
+            .collect();
+        dst.new_element(tag, children)
+    });
+    cursor.pop();
+    out
 }
 
 #[cfg(test)]
@@ -1420,13 +1166,43 @@ mod tests {
         assert_eq!(outcome.stats.bytes_read, input.len());
     }
 
-    fn spec(paths: &[&[&str]], subtrees: &[&[&str]], known: &[&str]) -> PathSpec {
-        let to_chain = |c: &&[&str]| c.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        PathSpec {
-            keep_paths: paths.iter().map(to_chain).collect(),
-            keep_subtrees: subtrees.iter().map(to_chain).collect(),
+    /// The automaton keeping the prefixes of `paths` and `subtrees` and
+    /// the whole subtrees below `subtrees`: a trie with one state per
+    /// distinct prefix.
+    fn spec(paths: &[&[&str]], subtrees: &[&[&str]], known: &[&str]) -> PathAutomaton {
+        let mut a = PathAutomaton {
             known_labels: known.iter().map(|s| s.to_string()).collect(),
+            ..Default::default()
+        };
+        let chains = paths.iter().map(|c| (c, false));
+        for (chain, whole) in chains.chain(subtrees.iter().map(|c| (c, true))) {
+            let mut at: Option<u32> = None;
+            for &label in chain.iter() {
+                let edges = match at {
+                    None => &a.starts,
+                    Some(st) => &a.transitions[st as usize],
+                };
+                let next = match edges.iter().find(|(l, _)| l == label) {
+                    Some(&(_, t)) => t,
+                    None => {
+                        let t = a.transitions.len() as u32;
+                        a.transitions.push(Vec::new());
+                        a.reaches_end.push(true);
+                        a.subtree.push(false);
+                        match at {
+                            None => a.starts.push((label.to_string(), t)),
+                            Some(st) => a.transitions[st as usize].push((label.to_string(), t)),
+                        }
+                        t
+                    }
+                };
+                at = Some(next);
+            }
+            if let Some(end) = at {
+                a.subtree[end as usize] |= whole;
+            }
         }
+        a
     }
 
     #[test]
@@ -1443,7 +1219,7 @@ mod tests {
             &StreamConfig::with_projection(s.clone()),
         )
         .unwrap();
-        let expected = project_paths(&parse_xml(input).unwrap(), &s);
+        let expected = project_spec(&parse_xml(input).unwrap(), &s);
         assert!(outcome.tree.value_equiv(&expected));
         let xml = outcome.tree.to_xml();
         assert!(xml.contains("<title>t1</title>"), "{xml}");
@@ -1469,7 +1245,7 @@ mod tests {
             &StreamConfig::with_projection(s.clone()),
         )
         .unwrap();
-        let expected = project_paths(&parse_xml(input).unwrap(), &s);
+        let expected = project_spec(&parse_xml(input).unwrap(), &s);
         assert!(outcome.tree.value_equiv(&expected));
         let xml = outcome.tree.to_xml();
         // The whole book subtree survives, and the unknown extra region is
@@ -1491,11 +1267,11 @@ mod tests {
         assert_eq!(outcome.tree.root_tag(), Some("doc"));
         assert!(outcome
             .tree
-            .value_equiv(&project_paths(&parse_xml(input).unwrap(), &s)));
+            .value_equiv(&project_spec(&parse_xml(input).unwrap(), &s)));
     }
 
-    /// A tiny automaton equivalent to the spec
-    /// `keep_paths = {bib.book.title.#text}, keep_subtrees = {bib.extra}`:
+    /// A tiny automaton equivalent to `spec` with paths
+    /// `{bib.book.title.#text}` and subtrees `{bib.extra}`:
     /// states 0=bib, 1=book, 2=title, 3=#text-end, 4=extra (subtree).
     fn small_automaton() -> PathAutomaton {
         PathAutomaton {
@@ -1520,13 +1296,15 @@ mod tests {
     fn automaton_classification_mirrors_spec_semantics() {
         let a = small_automaton();
         let p = |v: &[&str]| v.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert!(a.on_path(&p(&["bib"])));
-        assert!(a.on_path(&p(&["bib", "book", "title"])));
-        assert!(!a.on_path(&p(&["bib", "book", "price"])), "dead branch");
-        assert!(!a.on_path(&p(&["book"])), "wrong root label");
-        assert!(a.in_subtree(&p(&["bib", "extra"])));
-        assert!(a.in_subtree(&p(&["bib", "extra", "anything"])));
-        assert!(!a.in_subtree(&p(&["bib", "book"])));
+        let on_path = |v: &[&str]| a.classify_path(&p(v)).0;
+        let in_subtree = |v: &[&str]| a.classify_path(&p(v)).1;
+        assert!(on_path(&["bib"]));
+        assert!(on_path(&["bib", "book", "title"]));
+        assert!(!on_path(&["bib", "book", "price"]), "dead branch");
+        assert!(!on_path(&["book"]), "wrong root label");
+        assert!(in_subtree(&["bib", "extra"]));
+        assert!(in_subtree(&["bib", "extra", "anything"]));
+        assert!(!in_subtree(&["bib", "book"]));
         assert!(a.keeps_text_child(&p(&["bib", "book", "title"])));
         assert!(!a.keeps_text_child(&p(&["bib", "book"])));
         assert!(a.keeps_text_child(&p(&["bib", "extra", "x"])), "in subtree");
@@ -1547,16 +1325,17 @@ mod tests {
         );
         let outcome = parse_xml_stream(
             Cursor::new(input.as_bytes().to_vec()),
-            &StreamConfig::with_projection_spec(Projection::Automaton(auto.clone())),
+            &StreamConfig::with_projection(auto.clone()),
         )
         .unwrap();
         let tree = parse_xml(input).unwrap();
         // Streaming ≡ in-memory reference for the automaton...
-        let reference = project_spec(&tree, &Projection::Automaton(auto));
+        let reference = project_spec(&tree, &auto);
         assert!(outcome.tree.value_equiv(&reference));
-        // ... and the automaton ≡ the enumerated spec it encodes. The blob
-        // label is unknown to both, kept conservatively inside the subtree.
-        let via_spec = project_paths(&tree, &equivalent_spec);
+        // ... and the automaton ≡ the trie of the chains it encodes. The
+        // blob label is unknown to both, kept conservatively inside the
+        // subtree.
+        let via_spec = project_spec(&tree, &equivalent_spec);
         assert!(outcome.tree.value_equiv(&via_spec));
         let xml = outcome.tree.to_xml();
         assert!(xml.contains("<title>t1</title>"), "{xml}");
@@ -1567,7 +1346,7 @@ mod tests {
 
     #[test]
     fn recursive_automaton_keeps_unbounded_paths() {
-        // keep a.b.a.b… — impossible to enumerate as a PathSpec.
+        // keep a.b.a.b… — impossible to enumerate as a set of chains.
         let auto = PathAutomaton {
             starts: vec![("a".to_string(), 0)],
             transitions: vec![vec![("b".to_string(), 1)], vec![("a".to_string(), 0)]],
@@ -1578,7 +1357,7 @@ mod tests {
         let input = "<a><b><a><b><a/></b></a></b><c/></a>";
         let outcome = parse_xml_stream(
             Cursor::new(input.as_bytes().to_vec()),
-            &StreamConfig::with_projection_spec(Projection::Automaton(auto)),
+            &StreamConfig::with_projection(auto),
         )
         .unwrap();
         let xml = outcome.tree.to_xml();
@@ -1591,7 +1370,7 @@ mod tests {
         use crate::sink::{CollectSink, CountSink, ResultSink, SerializeSink};
         let input = "<bib><book><title>t1</title><price>9</price></book>\
                      <extra><blob>x</blob></extra><book><title>t2</title></book></bib>";
-        let config = StreamConfig::with_projection_spec(Projection::Automaton(small_automaton()));
+        let config = StreamConfig::with_projection(small_automaton());
         // The automaton keeps bib.book.title.#text (matched text) and the
         // bib.extra subtree (match root).
         let mut collect = CollectSink::new();
@@ -1635,21 +1414,27 @@ mod tests {
     }
 
     #[test]
-    fn path_spec_prefix_logic() {
+    fn chain_automaton_prefix_logic() {
         let s = spec(
             &[&["a", "b", "c"]],
             &[&["a", "d"]],
             &["a", "b", "c", "d", "e"],
         );
         let p = |v: &[&str]| v.iter().map(|x| x.to_string()).collect::<Vec<_>>();
-        assert!(s.on_path(&p(&["a"])));
-        assert!(s.on_path(&p(&["a", "b"])));
-        assert!(s.on_path(&p(&["a", "d"])));
-        assert!(!s.on_path(&p(&["a", "e"])));
-        assert!(s.in_subtree(&p(&["a", "d", "e"])));
-        assert!(!s.in_subtree(&p(&["a", "b", "c"])));
+        let on_path = |v: &[&str]| s.classify_path(&p(v)).0;
+        let in_subtree = |v: &[&str]| s.classify_path(&p(v)).1;
+        assert!(on_path(&["a"]));
+        assert!(on_path(&["a", "b"]));
+        assert!(on_path(&["a", "d"]));
+        assert!(!on_path(&["a", "e"]));
+        assert!(in_subtree(&["a", "d", "e"]));
+        assert!(!in_subtree(&["a", "b", "c"]));
         assert!(s.is_known("#text") && !s.is_known("zzz"));
-        assert_eq!(s.len(), 2);
+        assert_eq!(
+            s.len(),
+            4,
+            "one state per distinct prefix a, a.b, a.b.c, a.d"
+        );
         assert!(!s.is_empty());
     }
 }

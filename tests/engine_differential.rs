@@ -388,9 +388,9 @@ proptest! {
         }
     }
 
-    /// On the recursive cliques (schema #3 of the pool) the explicit
-    /// projection spec overflows, and the compiled automaton must still
-    /// preserve query results on concrete documents.
+    /// On the recursive cliques (schema #3 of the pool) the explicit chain
+    /// sets overflow, and the compiled automaton must still preserve query
+    /// results on concrete documents.
     #[test]
     fn automaton_projection_preserves_results_on_recursive_schemas(
         q_shape in 0usize..4,
@@ -403,8 +403,7 @@ proptest! {
             "r",
         )
         .unwrap();
-        // Descendant-heavy shapes over the clique labels so the explicit
-        // spec overflows its (reduced) budget.
+        // Descendant-heavy shapes over the clique labels.
         let clique = ["a", "b", "c", "y"];
         let (a, b) = (clique[l1 % 4], clique[l2 % 4]);
         let src = match q_shape {
@@ -422,9 +421,7 @@ proptest! {
             "<r><a><b><b><b><c/></b></b></b><c><c/></c></a></r>",
         ];
         let doc = parse_xml(docs[doc_i]).unwrap();
-        let projector = ChainProjector::new(&schema).with_budget(64);
-        let projection = projector.streaming_projection_for_query(&q);
-        let projected = xml_qui::xmlstore::project_spec(&doc, &projection);
+        let projected = ChainProjector::new(&schema).project_for_query(&doc, &q);
         prop_assert_eq!(
             snapshot_query(&doc, &q).unwrap(),
             snapshot_query(&projected, &q).unwrap(),

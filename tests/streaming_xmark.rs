@@ -3,8 +3,8 @@
 //! * streaming parse ≡ in-memory `parse_xml` (same tree, via `equiv`) over
 //!   generated XMark documents and adversarial entity/attribute inputs,
 //!   including identical rejections at identical byte offsets;
-//! * streamed projection ≡ parse-then-project (`project_paths`), and both
-//!   preserve query results under chain-derived specs;
+//! * streamed projection ≡ parse-then-project (`project_spec`), and both
+//!   preserve query results under chain-derived automata;
 //! * parallel ≡ sequential `maintenance_simulation` for jobs ∈ {1, 2, 8};
 //! * a million-node XMark document streams through the parser from an
 //!   `io::Read` source without the input ever being materialized.
@@ -17,8 +17,8 @@ use xml_qui::workloads::{
     xmark_dtd, NamedUpdate, NamedView,
 };
 use xml_qui::xmlstore::{
-    parse_xml, parse_xml_keep_attributes, parse_xml_reader, parse_xml_stream, project_paths,
-    project_spec, AutomatonCursor, PathAutomaton, Projection, StreamConfig,
+    parse_xml, parse_xml_keep_attributes, parse_xml_reader, parse_xml_stream, project_spec,
+    AutomatonCursor, PathAutomaton, StreamConfig,
 };
 use xml_qui::xquery::dynamic::snapshot_query;
 use xml_qui::xquery::parse_query;
@@ -131,10 +131,10 @@ proptest! {
         assert_parsers_agree(&input, keep_attributes);
     }
 
-    /// Streamed projection ≡ parse-then-project for chain-derived specs,
+    /// Streamed projection ≡ parse-then-project for chain-derived automata,
     /// and the projected document still answers the query.
     #[test]
-    fn streamed_projection_equals_project_paths(
+    fn streamed_projection_equals_project_spec(
         nodes in 300usize..2_000,
         seed in 0u64..500,
         query_idx in 0usize..3,
@@ -147,15 +147,15 @@ proptest! {
         let dtd = xmark_dtd();
         let projector = ChainProjector::new(&dtd);
         let q = parse_query(query_src).unwrap();
-        let spec = projector.path_spec_for_query(&q).expect("spec within budget");
+        let auto = projector.automaton_for_query(&q);
         let doc = xmark_document(nodes, seed);
         let xml = doc.to_xml();
-        // Reference: parse everything, then apply the same path semantics.
+        // Reference: parse everything, then apply the same decisions.
         let full = parse_xml(&xml).unwrap();
-        let expected = project_paths(&full, &spec);
+        let expected = project_spec(&full, &auto);
         let outcome = parse_xml_stream(
             Cursor::new(xml.as_bytes().to_vec()),
-            &StreamConfig::with_projection(spec),
+            &StreamConfig::with_projection(auto),
         )
         .unwrap();
         prop_assert!(expected.value_equiv(&outcome.tree), "{query_src}");
@@ -206,15 +206,12 @@ proptest! {
 }
 
 /// The compiled CDAG path automaton for the recursive descendant view the
-/// perf harness uses (`//parlist//keyword`): its explicit chain spec
-/// overflows any budget, so the automaton is the only description.
+/// perf harness uses (`//parlist//keyword`), whose explicit chain sets
+/// overflow the explicit engine's budget.
 fn parlist_automaton() -> PathAutomaton {
     let dtd = xmark_dtd();
     let q = parse_query("//parlist//keyword").unwrap();
-    match ChainProjector::new(&dtd).streaming_projection_for_query(&q) {
-        Projection::Automaton(a) => a,
-        Projection::Paths(_) => panic!("expected the compiled automaton"),
-    }
+    ChainProjector::new(&dtd).automaton_for_query(&q)
 }
 
 /// Labels used for random automaton walks: the recursive clique plus its
@@ -293,15 +290,14 @@ proptest! {
     ) {
         let dtd = xmark_dtd();
         let q = parse_query("//parlist//keyword").unwrap();
-        let projection = ChainProjector::new(&dtd).streaming_projection_for_query(&q);
-        prop_assert!(matches!(projection, Projection::Automaton(_)));
+        let projection = ChainProjector::new(&dtd).automaton_for_query(&q);
         let doc = xmark_document(nodes, seed);
         let xml = doc.to_xml();
         let full = parse_xml(&xml).unwrap();
         let expected = project_spec(&full, &projection);
         let outcome = parse_xml_stream(
             Cursor::new(xml.as_bytes().to_vec()),
-            &StreamConfig::with_projection_spec(projection),
+            &StreamConfig::with_projection(projection),
         )
         .unwrap();
         prop_assert!(expected.value_equiv(&outcome.tree));
