@@ -15,14 +15,15 @@
 //! * `--quick`        — single repetition, S and M scales only (what PR CI runs)
 //!
 //! Gate thresholds come from `QUI_FIG3C_MIN_PRUNING_SAVING`,
-//! `QUI_FIG3C_MIN_PARALLEL_SPEEDUP`, `QUI_FIG3C_MAX_PEAK_BUFFER_FRACTION`
-//! and `QUI_FIG3C_TOLERANCE` (see `qui_bench::fig3c`).
+//! `QUI_FIG3C_MIN_PARALLEL_SPEEDUP`, `QUI_FIG3C_MAX_PEAK_BUFFER_FRACTION`,
+//! `QUI_FIG3C_MAX_BYTES_PER_NODE` and `QUI_FIG3C_TOLERANCE` (see
+//! `qui_bench::fig3c`). The closing PASS/FAIL line reads `parallel
+//! UNMEASURED` when fewer than 4 workers ran the parallel measurement.
 
-use qui_bench::baseline::json_number_field;
 use qui_bench::fig3c::{
-    check_fig3c_gates, run_fig3c, Fig3cGateConfig, Fig3cScaleSpec, DEFAULT_SCALES, QUICK_SCALES,
+    check_fig3c_gates, gate_summary, json_number_field, run_fig3c, Fig3cGateConfig, Fig3cScaleSpec,
+    DEFAULT_SCALES, QUICK_SCALES,
 };
-use qui_bench::take_value;
 use qui_core::parallel::machine_parallelism;
 use std::process::ExitCode;
 
@@ -35,6 +36,16 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Consumes the value of a `--flag value` pair.
+fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
+    let v = args
+        .get(*i + 1)
+        .ok_or_else(|| format!("{flag} expects a value"))?
+        .clone();
+    *i += 2;
+    Ok(v)
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
@@ -101,19 +112,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         as usize;
     let cfg = Fig3cGateConfig::from_env();
     let failures = check_fig3c_gates(&report, Some((committed_norm, committed_nodes)), &cfg);
+    let summary = gate_summary(&report, committed_norm);
     if failures.is_empty() {
-        println!(
-            "perf gates PASS (pruning saves {:.1}%, parallel {:.2}x, norm cost {:.3} vs committed {:.3})",
-            report.largest().pruning_saving_pct,
-            report.largest().speedup_parallel,
-            report.norm_cost,
-            committed_norm
-        );
+        println!("perf gates PASS ({summary})");
         Ok(ExitCode::SUCCESS)
     } else {
         for f in &failures {
             eprintln!("perf gate FAIL: {f}");
         }
+        eprintln!("perf gates FAIL ({summary})");
         Ok(ExitCode::FAILURE)
     }
 }

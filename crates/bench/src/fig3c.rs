@@ -25,14 +25,14 @@
 //! scales run nightly. Thresholds are env-tunable:
 //! `QUI_FIG3C_MIN_PRUNING_SAVING` (percent, default 20),
 //! `QUI_FIG3C_MIN_PARALLEL_SPEEDUP` (default 1.5, enforced with ≥ 4
-//! workers), `QUI_FIG3C_MAX_PEAK_BUFFER_FRACTION` (default 0.1, enforced on
-//! inputs ≥ 256 KiB), `QUI_FIG3C_MAX_BYTES_PER_NODE` (default 33, half the
+//! workers and reported `UNMEASURED` below that),
+//! `QUI_FIG3C_MAX_PEAK_BUFFER_FRACTION` (default 0.1, enforced on inputs
+//! ≥ 256 KiB), `QUI_FIG3C_MAX_BYTES_PER_NODE` (default 33, half the
 //! committed pointer-tree reference), `QUI_FIG3C_TOLERANCE` (default 0.25).
 //! Regenerate the
 //! committed file with `--quick --out ci/BENCH_fig3c.json` when the
 //! pipeline legitimately changes cost.
 
-use crate::baseline::calibrate;
 use qui_core::{ChainProjector, Jobs};
 use qui_workloads::{
     all_updates, all_views, maintenance_simulation_jobs, stream_xmark_document, NamedUpdate,
@@ -42,6 +42,7 @@ use qui_xmlstore::{parse_xml, parse_xml_stream, StreamConfig};
 use qui_xquery::parse_query;
 use std::fmt::Write as _;
 use std::fs;
+use std::hint::black_box;
 use std::io::BufWriter;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -274,6 +275,34 @@ impl Fig3cReport {
 
 fn ms_f64(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// Runs a fixed, deterministic CPU workload and returns its wall time in
+/// milliseconds: the machine-speed yardstick `norm_cost` divides by, so the
+/// committed reference stays comparable across runners of different speed.
+pub fn calibrate() -> f64 {
+    let start = Instant::now();
+    let mut x: u64 = 0x9e3779b97f4a7c15;
+    for _ in 0..20_000_000u64 {
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xbf58476d1ce4e5b9);
+        x ^= x >> 27;
+    }
+    black_box(x);
+    ms_f64(start.elapsed())
+}
+
+/// Extracts the first numeric value of `"key": <number>` from a JSON
+/// document (enough for the flat reports this harness writes).
+pub fn json_number_field(json: &str, key: &str) -> Option<f64> {
+    let needle = format!("\"{key}\"");
+    let idx = json.find(&needle)?;
+    let rest = json[idx + needle.len()..].trim_start().strip_prefix(':')?;
+    let rest = rest.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 fn temp_xml_path(name: &str) -> PathBuf {
@@ -514,6 +543,30 @@ fn env_f64(key: &str) -> Option<f64> {
     std::env::var(key).ok()?.trim().parse().ok()
 }
 
+/// Hardware workers below which the parallel-speedup gate cannot measure
+/// anything and reports itself `UNMEASURED` instead of passing.
+pub const PARALLEL_GATE_MIN_WORKERS: usize = 4;
+
+/// The one-line summary the `--check` run prints after `PASS` or `FAIL`.
+/// With fewer than [`PARALLEL_GATE_MIN_WORKERS`] workers the parallel gate
+/// reads `UNMEASURED`, so a run on small hardware never looks like it
+/// proved the speedup.
+pub fn gate_summary(report: &Fig3cReport, committed_norm: f64) -> String {
+    let largest = report.largest();
+    let parallel = if report.workers >= PARALLEL_GATE_MIN_WORKERS {
+        format!("parallel {:.2}x", largest.speedup_parallel)
+    } else {
+        format!(
+            "parallel UNMEASURED ({:.2}x on {} workers, the gate needs >= {})",
+            largest.speedup_parallel, report.workers, PARALLEL_GATE_MIN_WORKERS
+        )
+    };
+    format!(
+        "pruning saves {:.1}%, {parallel}, norm cost {:.3} vs committed {:.3}",
+        largest.pruning_saving_pct, report.norm_cost, committed_norm
+    )
+}
+
 /// Minimum input size for the peak-buffer gate to be meaningful.
 const PEAK_GATE_MIN_BYTES: usize = 256 * 1024;
 
@@ -541,7 +594,9 @@ pub fn check_fig3c_gates(
             largest.bytes_per_node, largest.scale, cfg.max_bytes_per_node
         ));
     }
-    if report.workers >= 4 && largest.speedup_parallel < cfg.min_parallel_speedup {
+    if report.workers >= PARALLEL_GATE_MIN_WORKERS
+        && largest.speedup_parallel < cfg.min_parallel_speedup
+    {
         failures.push(format!(
             "parallel evaluation speedup (jobs={} vs jobs=1) at scale {} is {:.2}x, required >= {:.2}x",
             report.workers, largest.scale, largest.speedup_parallel, cfg.min_parallel_speedup
@@ -587,7 +642,6 @@ pub fn check_fig3c_gates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline::json_number_field;
 
     fn tiny_report() -> Fig3cReport {
         Fig3cReport {
@@ -665,6 +719,17 @@ mod tests {
         fat.scales[0].xml_bytes = 100 << 10;
         fat.scales[0].peak_buffer_bytes = 50 << 10;
         assert!(check_fig3c_gates(&fat, None, &cfg).is_empty());
+    }
+
+    #[test]
+    fn parallel_gate_reports_unmeasured_below_four_workers() {
+        let mut report = tiny_report();
+        let summary = gate_summary(&report, 5.0);
+        assert!(summary.contains("parallel 2.50x"), "{summary}");
+        assert!(!summary.contains("UNMEASURED"), "{summary}");
+        report.workers = 2;
+        let summary = gate_summary(&report, 5.0);
+        assert!(summary.contains("parallel UNMEASURED"), "{summary}");
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! | Fig. 3.d — chain-inference time on the R-benchmark           | — | `fig3d` |
 //! | §6.1 complexity discussion (CDAG vs explicit chain sets)     | `cdag_micro` | — |
 //! | Ablations (element chains, attributes, commutativity)        | `ablation` | — |
-//! | CI perf baseline (matrix wall-time, seq vs parallel)         | — | `baseline` |
 //! | CI fig3c gate (paper-scale ingest + maintenance)             | — | `fig3c` |
-//! | CI cdag gate (CDAG-first auto matrix, path automaton)        | — | `cdag` |
-//! | CI session gate (warm vs cold matrix, per-edit incremental)  | — | `session` |
-//! | CI serve gate (concurrent `&self` checks, HTTP round trips)  | — | `serve` |
-//! | CI maintain gate (live views: naive vs pruned)               | — | `maintain` |
+//!
+//! The timing of the analysis, serving and live-maintenance paths is the
+//! repository benchmark's job (`perfbench/`, workloads `corpus-analyze`,
+//! `xmark-serve` and `xmark-maintain`), not this crate's; the deterministic
+//! properties those paths promise are pinned by the test suite.
 //!
 //! Run a binary with `cargo run --release -p qui-bench --bin fig3a`.
 //!
@@ -29,24 +29,14 @@
 //! chosen worker count; [`update_row_time`] measures the classic Fig. 3.a row
 //! (one update against the whole view set).
 
-pub mod baseline;
-pub mod cdag;
 pub mod fig3c;
-pub mod maintain;
 pub mod refs;
-pub mod serve;
-pub mod session;
 
 use qui_core::{AnalyzerConfig, EngineKind, Jobs, SessionBuilder};
 use qui_workloads::{all_views, xmark_dtd, NamedUpdate, NamedView};
 use std::time::{Duration, Instant};
 
-pub use baseline::{run_baseline, BaselineReport, ScaleResult, ScaleSpec};
-pub use cdag::{run_cdag, CdagGateConfig, CdagReport};
 pub use fig3c::{run_fig3c, Fig3cReport, Fig3cScaleResult, Fig3cScaleSpec};
-pub use maintain::{run_maintain, MaintainGateConfig, MaintainReport, MaintainSpec};
-pub use serve::{run_serve, ServeGateConfig, ServeReport};
-pub use session::{run_session, SessionGateConfig, SessionReport};
 
 /// One whole-matrix analysis: wall time plus the verdicts it produced.
 #[derive(Clone, Debug)]
@@ -116,27 +106,6 @@ pub fn update_row_time(
     matrix_time(views, std::slice::from_ref(update), engine, jobs).wall
 }
 
-/// The per-pair matrix loop (no inference sharing, no parallelism): one
-/// fresh session per cell, which is what `check` in a double loop costs
-/// without a long-lived session. The baseline harness measures this to
-/// quantify the batching speedup, which holds even on a single core.
-pub fn pairwise_matrix_time(
-    views: &[NamedView],
-    updates: &[NamedUpdate],
-    engine: EngineKind,
-) -> Duration {
-    let dtd = xmark_dtd();
-    let config = engine_config(engine);
-    let start = Instant::now();
-    for u in updates {
-        for v in views {
-            let session = SessionBuilder::new(&dtd).config(config.clone()).build();
-            let _ = session.check(&v.query, &u.update);
-        }
-    }
-    start.elapsed()
-}
-
 /// All views, re-exported for the report binaries.
 pub fn benchmark_views() -> Vec<NamedView> {
     all_views()
@@ -145,17 +114,6 @@ pub fn benchmark_views() -> Vec<NamedView> {
 /// Formats a duration in milliseconds with two decimals.
 pub fn ms(d: Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-/// Consumes the value of a `--flag value` pair while hand-parsing harness
-/// CLI arguments (shared by the `baseline` and `fig3c` binaries).
-pub fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    let v = args
-        .get(*i + 1)
-        .ok_or_else(|| format!("{flag} expects a value"))?
-        .clone();
-    *i += 2;
-    Ok(v)
 }
 
 #[cfg(test)]

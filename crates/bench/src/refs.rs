@@ -1,4 +1,4 @@
-//! Validation of the committed benchmark references and the CI gate wiring.
+//! Validation of the committed benchmark reference and the CI gate wiring.
 //!
 //! Two classes of silent CI rot motivate this module:
 //!
@@ -9,128 +9,44 @@
 //!    harness no longer reads), after which the intended threshold silently
 //!    falls back to the in-code default.
 //!
-//! A third check guards against references drifting apart: every reference
-//! that records `independent_cells` for the full XMark views × updates
-//! matrix must record the same count ([`check_matrix_agreement`]) — the
-//! verdicts are deterministic, so a disagreement means some reference was
-//! measured on older code and is stale.
-//!
-//! A fourth check guards against retired cells ([`check_cells`]): every
+//! A third check guards against retired cells ([`check_cells`]): every
 //! committed `ci/BENCH_*.json` needs a [`RefSpec`], and every [`RefSpec`]
 //! needs a `harness:` cell in the CI perf matrix that regenerates and gates
 //! it — otherwise a reference outlives its harness unnoticed.
 //!
-//! The `check-refs` binary runs all four checks in CI. The source of truth for
-//! the second check is the `GATE_ENV_VARS` const colocated with each gate's
-//! `from_env` reader ([`crate::baseline::GATE_ENV_VARS`] and friends) — the
-//! const and the reader sit next to each other precisely so a reviewer sees
-//! both change together.
-//!
-//! The module also renders the nightly `speedup-trend` artifact: a markdown
-//! table diffing freshly measured headline metrics (`speedup_parallel`,
-//! `warm_speedup`, …) against the committed references, so speedup drift is
-//! visible across nightly runs without failing the build.
+//! The `check-refs` binary runs all three checks in CI. The source of truth
+//! for the second check is the `GATE_ENV_VARS` const colocated with the
+//! gate's `from_env` reader ([`crate::fig3c::GATE_ENV_VARS`]) — the const
+//! and the reader sit next to each other so that one cannot change without
+//! the other in sight.
 
 use std::collections::BTreeSet;
 
-/// One committed benchmark reference: its file name, the numeric fields a
-/// valid report must contain, and the headline metrics worth trending.
+/// One committed benchmark reference: its file name and the numeric fields
+/// a valid report must contain.
 #[derive(Clone, Copy, Debug)]
 pub struct RefSpec {
-    /// File name under `ci/` (and under a fresh measurement directory).
+    /// File name under `ci/`.
     pub file: &'static str,
     /// Numeric fields that must appear at least once, each finite.
     pub required: &'static [&'static str],
-    /// Headline metrics diffed by the nightly speedup-trend artifact.
-    pub trend: &'static [&'static str],
 }
 
 /// The committed reference set, one entry per perf harness.
-pub const REF_SPECS: &[RefSpec] = &[
-    RefSpec {
-        file: "BENCH_baseline.json",
-        required: &[
-            "schema_version",
-            "workers",
-            "calibration_ms",
-            "norm_cost",
-            "largest_cells",
-            "pairwise_ms",
-            "seq_ms",
-            "par_ms",
-            "speedup_parallel",
-            "speedup_vs_pairwise",
-        ],
-        trend: &["speedup_parallel", "speedup_vs_pairwise"],
-    },
-    RefSpec {
-        file: "BENCH_cdag.json",
-        required: &[
-            "schema_version",
-            "workers",
-            "calibration_ms",
-            "auto_ms",
-            "independent_cells",
-            "automaton_saving_pct",
-            "norm_cost",
-        ],
-        trend: &[],
-    },
-    RefSpec {
-        file: "BENCH_fig3c.json",
-        required: &[
-            "schema_version",
-            "workers",
-            "calibration_ms",
-            "norm_cost",
-            "pruning_saving_pct",
-            "speedup_parallel",
-            "peak_buffer_bytes",
-            "bytes_per_node",
-            "peak_rss",
-        ],
-        trend: &["speedup_parallel", "pruning_saving_pct", "bytes_per_node"],
-    },
-    RefSpec {
-        file: "BENCH_session.json",
-        required: &[
-            "schema_version",
-            "calibration_ms",
-            "cold_ms",
-            "warm_ms",
-            "warm_speedup",
-            "incremental_speedup",
-            "verdict_mismatches",
-            "norm_cost",
-        ],
-        trend: &["warm_speedup", "incremental_speedup"],
-    },
-    RefSpec {
-        file: "BENCH_maintain.json",
-        required: &[
-            "schema_version",
-            "workers",
-            "calibration_ms",
-            "norm_cost",
-            "largest_doc_nodes",
-            "pruned_speedup",
-            "updates_per_sec",
-        ],
-        trend: &["pruned_speedup"],
-    },
-    RefSpec {
-        file: "BENCH_serve.json",
-        required: &[
-            "schema_version",
-            "workers",
-            "calibration_ms",
-            "concurrent_speedup",
-            "verdict_mismatches",
-            "norm_cost",
-        ],
-        trend: &["concurrent_speedup"],
-    },
-];
+pub const REF_SPECS: &[RefSpec] = &[RefSpec {
+    file: "BENCH_fig3c.json",
+    required: &[
+        "schema_version",
+        "workers",
+        "calibration_ms",
+        "norm_cost",
+        "pruning_saving_pct",
+        "speedup_parallel",
+        "peak_buffer_bytes",
+        "bytes_per_node",
+        "peak_rss",
+    ],
+}];
 
 /// Environment variables that are legitimately referenced by the workflows
 /// but are not gate thresholds (worker-count and proptest-depth knobs).
@@ -138,14 +54,7 @@ pub const NON_GATE_ENV_VARS: &[&str] = &["QUI_JOBS", "QUI_PROPTEST_CASES"];
 
 /// Every `QUI_*` variable some harness gate actually reads.
 pub fn known_gate_vars() -> BTreeSet<&'static str> {
-    let mut set = BTreeSet::new();
-    set.extend(crate::baseline::GATE_ENV_VARS);
-    set.extend(crate::cdag::GATE_ENV_VARS);
-    set.extend(crate::fig3c::GATE_ENV_VARS);
-    set.extend(crate::maintain::GATE_ENV_VARS);
-    set.extend(crate::serve::GATE_ENV_VARS);
-    set.extend(crate::session::GATE_ENV_VARS);
-    set
+    crate::fig3c::GATE_ENV_VARS.iter().copied().collect()
 }
 
 /// Extracts every `"key": <number>` pair from a JSON document, in document
@@ -215,49 +124,6 @@ pub fn validate_reference(name: &str, json: &str, spec: &RefSpec) -> Vec<String>
                 "{name}: required numeric field {field:?} is missing"
             ));
         }
-    }
-    failures
-}
-
-/// The `independent_cells` counts a reference records for a `views ×
-/// updates` matrix, in document order. A reference may hold several
-/// matrices (the baseline ladder has one per scale), so each count is
-/// attributed to the nearest preceding `views` and `updates` fields.
-pub fn independent_cells_for(json: &str, views: usize, updates: usize) -> Result<Vec<f64>, String> {
-    let mut shape = (None, None);
-    let mut out = Vec::new();
-    for (key, value) in scan_json_numbers(json)? {
-        match key.as_str() {
-            "views" => shape.0 = Some(value),
-            "updates" => shape.1 = Some(value),
-            "independent_cells" if shape == (Some(views as f64), Some(updates as f64)) => {
-                out.push(value)
-            }
-            _ => {}
-        }
-    }
-    Ok(out)
-}
-
-/// Fails when the given `(file, json)` references disagree on the
-/// `independent_cells` of the `views × updates` matrix (references that do
-/// not record it are ignored).
-pub fn check_matrix_agreement(refs: &[(&str, &str)], views: usize, updates: usize) -> Vec<String> {
-    let mut seen: Vec<(&str, f64)> = Vec::new();
-    let mut failures = Vec::new();
-    for &(file, json) in refs {
-        match independent_cells_for(json, views, updates) {
-            Ok(counts) => seen.extend(counts.into_iter().map(|c| (file, c))),
-            Err(e) => failures.push(format!("{file}: {e}")),
-        }
-    }
-    if seen.windows(2).any(|w| w[0].1 != w[1].1) {
-        let listed: Vec<String> = seen.iter().map(|(f, c)| format!("{f} = {c}")).collect();
-        failures.push(format!(
-            "references disagree on independent_cells of the {views}x{updates} matrix ({}); \
-             regenerate the stale ones",
-            listed.join(", ")
-        ));
     }
     failures
 }
@@ -367,89 +233,6 @@ pub fn reference_files(dir: &std::path::Path) -> std::io::Result<Vec<String>> {
     Ok(files)
 }
 
-/// One row of the speedup-trend table.
-#[derive(Clone, Debug)]
-pub struct TrendRow {
-    /// Reference file the metric came from.
-    pub file: &'static str,
-    /// Metric name.
-    pub key: &'static str,
-    /// Committed values, in document order (per-scale metrics repeat).
-    pub committed: Vec<f64>,
-    /// Freshly measured values, in document order; empty when the fresh
-    /// report was not produced.
-    pub fresh: Vec<f64>,
-}
-
-/// Collects the trend metrics of one (committed, fresh) report pair.
-pub fn trend_rows(
-    spec: &RefSpec,
-    committed_json: &str,
-    fresh_json: Option<&str>,
-) -> Result<Vec<TrendRow>, String> {
-    let committed = scan_json_numbers(committed_json)?;
-    let fresh = match fresh_json {
-        Some(j) => scan_json_numbers(j)?,
-        None => Vec::new(),
-    };
-    let pick = |numbers: &[(String, f64)], key: &str| -> Vec<f64> {
-        numbers
-            .iter()
-            .filter(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .collect()
-    };
-    Ok(spec
-        .trend
-        .iter()
-        .map(|&key| TrendRow {
-            file: spec.file,
-            key,
-            committed: pick(&committed, key),
-            fresh: pick(&fresh, key),
-        })
-        .collect())
-}
-
-/// Renders the trend rows as a markdown document (the nightly artifact).
-pub fn trend_markdown(rows: &[TrendRow]) -> String {
-    let fmt_list = |vals: &[f64]| -> String {
-        if vals.is_empty() {
-            "—".to_string()
-        } else {
-            vals.iter()
-                .map(|v| format!("{v:.3}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        }
-    };
-    let mut out = String::from(
-        "# Speedup trend\n\n\
-         Freshly measured headline metrics vs the committed `ci/BENCH_*.json`\n\
-         references. Per-scale metrics list one value per scale, in report\n\
-         order; `Δ%` compares the last (largest-scale) values.\n\n\
-         | reference | metric | committed | fresh | Δ% |\n\
-         |---|---|---|---|---|\n",
-    );
-    for row in rows {
-        let delta = match (row.committed.last(), row.fresh.last()) {
-            (Some(&c), Some(&f)) if c.abs() > f64::EPSILON => {
-                format!("{:+.1}%", (f - c) / c * 100.0)
-            }
-            _ => "—".to_string(),
-        };
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {} |\n",
-            row.file,
-            row.key,
-            fmt_list(&row.committed),
-            fmt_list(&row.fresh),
-            delta
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -480,7 +263,6 @@ mod tests {
         let spec = RefSpec {
             file: "X.json",
             required: &["present", "absent"],
-            trend: &[],
         };
         let failures = validate_reference("X.json", r#"{"present": 1}"#, &spec);
         assert_eq!(failures.len(), 1);
@@ -502,52 +284,10 @@ mod tests {
     }
 
     #[test]
-    fn committed_references_agree_on_the_xmark_matrix() {
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci");
-        let refs: Vec<(&str, String)> = REF_SPECS
-            .iter()
-            .map(|spec| {
-                (
-                    spec.file,
-                    std::fs::read_to_string(root.join(spec.file)).unwrap(),
-                )
-            })
-            .collect();
-        let refs: Vec<(&str, &str)> = refs.iter().map(|(f, j)| (*f, j.as_str())).collect();
-        let (views, updates) = (
-            qui_workloads::all_views().len(),
-            qui_workloads::all_updates().len(),
-        );
-        let failures = check_matrix_agreement(&refs, views, updates);
-        assert!(failures.is_empty(), "{failures:?}");
-        let recorded: usize = refs
-            .iter()
-            .map(|(_, j)| independent_cells_for(j, views, updates).unwrap().len())
-            .sum();
-        assert!(
-            recorded >= 2,
-            "the cross-check needs two references to compare"
-        );
-    }
-
-    #[test]
-    fn matrix_disagreement_is_flagged_per_shape() {
-        let ladder = r#"{"scales": [{"views": 2, "updates": 1, "independent_cells": 1},
-                                    {"views": 36, "updates": 31, "independent_cells": 918}]}"#;
-        let flat = r#"{"views": 36, "updates": 31, "cells": 1116, "independent_cells": 932}"#;
-        assert_eq!(independent_cells_for(ladder, 36, 31).unwrap(), vec![918.0]);
-        assert!(check_matrix_agreement(&[("a", ladder), ("b", ladder)], 36, 31).is_empty());
-        let failures = check_matrix_agreement(&[("a", ladder), ("b", flat)], 36, 31);
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("b = 932"), "{failures:?}");
-    }
-
-    #[test]
     fn retired_references_and_cells_without_a_harness_are_flagged() {
         let spec = |file| RefSpec {
             file,
             required: &[],
-            trend: &[],
         };
         let specs = [spec("BENCH_a.json"), spec("BENCH_b.json")];
         let yaml =
@@ -598,34 +338,14 @@ mod tests {
     fn unknown_workflow_var_and_unset_gate_are_flagged() {
         let workflows = vec![(
             "ci.yml".to_string(),
-            "env:\n  QUI_BASELINE_MIN_SPEDUP: \"2.0\"\n".to_string(),
+            "env:\n  QUI_FIG3C_MIN_PRUNING_SAVNG: \"20\"\n".to_string(),
         )];
         let failures = check_wiring(&workflows);
         assert!(failures
             .iter()
-            .any(|f| f.contains("QUI_BASELINE_MIN_SPEDUP")));
+            .any(|f| f.contains("QUI_FIG3C_MIN_PRUNING_SAVNG")));
         assert!(failures
             .iter()
-            .any(|f| f.contains("QUI_BASELINE_MIN_SPEEDUP")));
-    }
-
-    #[test]
-    fn trend_table_reports_per_scale_values_and_delta() {
-        let spec = RefSpec {
-            file: "BENCH_x.json",
-            required: &[],
-            trend: &["speedup_parallel"],
-        };
-        let committed = r#"{"scales": [{"speedup_parallel": 1.0}, {"speedup_parallel": 2.0}]}"#;
-        let fresh = r#"{"scales": [{"speedup_parallel": 1.1}, {"speedup_parallel": 3.0}]}"#;
-        let rows = trend_rows(&spec, committed, Some(fresh)).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].committed, vec![1.0, 2.0]);
-        assert_eq!(rows[0].fresh, vec![1.1, 3.0]);
-        let md = trend_markdown(&rows);
-        assert!(md.contains("+50.0%"), "{md}");
-        // Missing fresh report renders an em-dash, not a panic.
-        let rows = trend_rows(&spec, committed, None).unwrap();
-        assert!(trend_markdown(&rows).contains("—"));
+            .any(|f| f.contains("QUI_FIG3C_MIN_PRUNING_SAVING")));
     }
 }

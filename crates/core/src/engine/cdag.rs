@@ -29,7 +29,8 @@
 //!
 //! The engine is the default first pass of `EngineKind::Auto`, so its
 //! inference and conflict primitives are hot paths (see the `cdag_micro`
-//! bench and the `cdag` perf harness). Four things keep them cheap:
+//! bench and the repository benchmark's `corpus-analyze` workload). Four
+//! things keep them cheap:
 //!
 //! * all node/edge sets hash with [`crate::fxhash`] instead of SipHash
 //!   (node indices are dense small integers, never attacker-controlled),

@@ -959,8 +959,9 @@ impl<'a, S: SchemaLike> AnalysisSession<'a, S> {
     }
 
     /// Recomputes every cell of the materialized matrix from the session
-    /// caches (used by the perf harness to measure the warm path; verdicts
-    /// are bit-identical to the ones already materialized).
+    /// caches: no chain inference runs, only the per-cell conflict tests,
+    /// and verdicts are bit-identical to the ones already materialized
+    /// (`recompute_is_idempotent_and_warm` pins both on the XMark matrix).
     pub fn recompute(&mut self) {
         let (nv, nu) = (self.views.len(), self.updates.len());
         let cells: Vec<(usize, usize)> = (0..nu)
@@ -1638,6 +1639,61 @@ mod tests {
             inferences,
             "recompute must be served entirely from the caches"
         );
+
+        // The same on the whole XMark matrix under the default engine, where
+        // the warm recompute and the per-edit column/row are exact counts:
+        // no inference at all, and exactly the cells they cover.
+        let d = qui_workloads::xmark_dtd();
+        let views = qui_workloads::all_views();
+        let updates = qui_workloads::all_updates();
+        let mut session = AnalysisSession::new(&d);
+        session.add_workload(
+            views.iter().map(|v| (v.name.to_string(), v.query.clone())),
+            updates
+                .iter()
+                .map(|u| (u.name.to_string(), u.update.clone())),
+        );
+        let flags_by_name = |s: &AnalysisSession<'_, Dtd>| {
+            let view_names: Vec<&str> = s.views().map(|(n, _)| n).collect();
+            let mut flags = std::collections::BTreeMap::new();
+            for (ui, (un, _)) in s.updates().enumerate() {
+                for (vn, flag) in view_names.iter().zip(s.independent_flags(ui)) {
+                    flags.insert((un.to_string(), vn.to_string()), flag);
+                }
+            }
+            flags
+        };
+        let cold = flags_by_name(&session);
+        assert_eq!(cold.len(), 1_116);
+        let after_cold = session.stats();
+        session.recompute();
+        let after_warm = session.stats();
+        assert_eq!(after_warm.cdag_inferences, after_cold.cdag_inferences);
+        assert_eq!(
+            after_warm.explicit_inferences,
+            after_cold.explicit_inferences
+        );
+        assert_eq!(after_warm.cells_computed - after_cold.cells_computed, 1_116);
+        assert_eq!(flags_by_name(&session), cold);
+
+        let view = &views[17];
+        session.remove_view(view.name).expect("a registered view");
+        session.add_view(view.name, view.query.clone());
+        let after_view = session.stats();
+        assert_eq!(after_view.cells_computed - after_warm.cells_computed, 31);
+        let update = &updates[15];
+        session
+            .remove_update(update.name)
+            .expect("a registered update");
+        session.add_update(update.name, update.update.clone());
+        let after_update = session.stats();
+        assert_eq!(after_update.cells_computed - after_view.cells_computed, 36);
+        assert_eq!(after_update.cdag_inferences, after_cold.cdag_inferences);
+        assert_eq!(
+            after_update.explicit_inferences,
+            after_cold.explicit_inferences
+        );
+        assert_eq!(flags_by_name(&session), cold);
     }
 
     #[test]

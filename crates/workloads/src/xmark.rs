@@ -173,7 +173,7 @@ impl XmarkScale {
         }
     }
 
-    /// The S/M/L/XL ladder name used by CLI flags and the perf harness.
+    /// The S/M/L/XL ladder name used by CLI flags and the `fig3c` harness.
     pub fn short_name(self) -> &'static str {
         match self {
             XmarkScale::Small => "S",

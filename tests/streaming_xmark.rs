@@ -5,16 +5,20 @@
 //!   including identical rejections at identical byte offsets;
 //! * streamed projection ≡ parse-then-project (`project_spec`), and both
 //!   preserve query results under chain-derived automata;
+//! * the automaton of a view whose explicit chain sets overflow their
+//!   budget (`//parlist//keyword`) still prunes an exact, pinned share of a
+//!   streamed XMark document;
 //! * parallel ≡ sequential `maintenance_simulation` for jobs ∈ {1, 2, 8};
 //! * a million-node XMark document streams through the parser from an
 //!   `io::Read` source without the input ever being materialized.
 
 use proptest::prelude::*;
 use std::io::Cursor;
-use xml_qui::core::{ChainProjector, Jobs};
+use xml_qui::core::engine::explicit::ExplicitEngine;
+use xml_qui::core::{k_of_query, ChainProjector, Jobs, Universe};
 use xml_qui::workloads::{
     all_updates, all_views, maintenance_simulation_jobs, stream_xmark_document, xmark_document,
-    xmark_dtd, NamedUpdate, NamedView,
+    xmark_dtd, NamedUpdate, NamedView, XmarkScale,
 };
 use xml_qui::xmlstore::{
     parse_xml, parse_xml_keep_attributes, parse_xml_reader, parse_xml_stream, project_spec,
@@ -205,13 +209,49 @@ proptest! {
     }
 }
 
-/// The compiled CDAG path automaton for the recursive descendant view the
-/// perf harness uses (`//parlist//keyword`), whose explicit chain sets
-/// overflow the explicit engine's budget.
+/// The recursive descendant view over XMark's `parlist`/`listitem` clique,
+/// whose explicit chain sets overflow the explicit engine's budget.
+const PARLIST_VIEW: &str = "//parlist//keyword";
+
+/// The compiled CDAG path automaton for [`PARLIST_VIEW`].
 fn parlist_automaton() -> PathAutomaton {
     let dtd = xmark_dtd();
-    let q = parse_query("//parlist//keyword").unwrap();
+    let q = parse_query(PARLIST_VIEW).unwrap();
     ChainProjector::new(&dtd).automaton_for_query(&q)
+}
+
+/// The automaton projects where explicit chains cannot: `//parlist//keyword`
+/// overflows a 20,000-chain explicit budget at `k_of_query + 1` (so the
+/// projection below shows something the explicit chain sets could not), and
+/// its automaton still prunes most of a streamed S-scale XMark document. The
+/// kept count is pinned exactly: an automaton that keeps more (in the limit,
+/// everything) or less fails here.
+#[test]
+fn parlist_automaton_prunes_where_explicit_chains_overflow() {
+    let dtd = xmark_dtd();
+    let q = parse_query(PARLIST_VIEW).unwrap();
+    let universe = Universe::with_k(&dtd, k_of_query(&q).max(1) + 1);
+    let explicit = ExplicitEngine::new(&universe, 20_000);
+    assert!(
+        explicit
+            .infer_query(&explicit.root_gamma(q.free_vars()), &q)
+            .is_err(),
+        "the explicit chain sets of {PARLIST_VIEW} fit the budget; the check is vacuous"
+    );
+
+    let doc = xmark_document(XmarkScale::Small.target_nodes(), 7);
+    let outcome = parse_xml_stream(
+        Cursor::new(doc.to_xml().into_bytes()),
+        &StreamConfig::with_projection(parlist_automaton()),
+    )
+    .unwrap();
+    let (kept, pruned) = (outcome.stats.nodes_kept, outcome.stats.nodes_pruned);
+    assert!(
+        pruned * 5 >= (kept + pruned),
+        "the automaton prunes {pruned} of {} nodes, fewer than 20%",
+        kept + pruned
+    );
+    assert_eq!(kept, 583, "{pruned} pruned");
 }
 
 /// Labels used for random automaton walks: the recursive clique plus its
@@ -289,7 +329,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         let dtd = xmark_dtd();
-        let q = parse_query("//parlist//keyword").unwrap();
+        let q = parse_query(PARLIST_VIEW).unwrap();
         let projection = ChainProjector::new(&dtd).automaton_for_query(&q);
         let doc = xmark_document(nodes, seed);
         let xml = doc.to_xml();
