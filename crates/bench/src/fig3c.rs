@@ -6,10 +6,10 @@
 //! Per scale it measures:
 //!
 //! * **ingest** — streaming the XMark document to disk
-//!   (`stream_xmark_document`), then parsing it back both in memory
-//!   (`read_to_string` + `parse_xml`) and streamed from the file
-//!   (`parse_xml_reader`), recording wall times and the streaming parser's
-//!   peak input-window size (which stays `O(chunk)` however large the file);
+//!   (`stream_xmark_document`), then parsing it back both from a string
+//!   read whole (`read_to_string` + `parse_xml`) and streamed from the file
+//!   (`parse_xml_stream`), recording wall times and the parser's peak
+//!   input-window size (which stays `O(chunk)` however large the file);
 //! * **streamed projection** — parsing the same file with a chain-derived
 //!   [`qui_xmlstore::PathAutomaton`] for a selective view, recording how many
 //!   nodes never got allocated and the resident-tree byte savings;
@@ -116,7 +116,8 @@ pub struct Fig3cScaleResult {
     pub xml_bytes: usize,
     /// Streaming the document to disk.
     pub gen_stream_ms: f64,
-    /// `read_to_string` + `parse_xml` (the legacy ingest).
+    /// `read_to_string` + `parse_xml`: the same parser as
+    /// `ingest_stream_ms`, over the whole file read into memory first.
     pub ingest_mem_ms: f64,
     /// `parse_xml_reader` straight from the file.
     pub ingest_stream_ms: f64,
@@ -368,7 +369,7 @@ fn run_scale(
     let mut types_saving = 0.0;
     let mut refreshed_chains = 0usize;
     for _ in 0..reps.max(1) {
-        // Legacy ingest: materialize the whole file, then parse.
+        // Whole-file ingest: read the file into a string, then parse it.
         let start = Instant::now();
         let text = fs::read_to_string(&path)?;
         let tree = parse_xml(&text).expect("the streamed document parses");

@@ -292,7 +292,8 @@ impl SessionRegistry {
     pub fn load_schema(&self, name: &str, src: &str, start: Option<&str>) -> Result<usize, String> {
         let start = match start {
             Some(s) => s.to_string(),
-            None => default_start(src).ok_or_else(|| "no element declarations".to_string())?,
+            None => qui_schema::default_start(src)
+                .ok_or_else(|| "no element declarations".to_string())?,
         };
         let dtd = if src.contains("<!ELEMENT") {
             qui_schema::parse_dtd_with_attributes(src, &start)
@@ -324,28 +325,6 @@ impl SessionRegistry {
         names.sort();
         names
     }
-}
-
-/// The first declared element name of a DTD source, used as the default
-/// start symbol (mirrors the CLI's `--dtd` loading).
-fn default_start(src: &str) -> Option<String> {
-    if let Some(idx) = src.find("<!ELEMENT") {
-        let rest = src[idx + "<!ELEMENT".len()..].trim_start();
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
-            .collect();
-        return (!name.is_empty()).then_some(name);
-    }
-    for line in src.split([';', '\n']) {
-        if let Some((lhs, _)) = line.split_once("->") {
-            let lhs = lhs.trim();
-            if !lhs.is_empty() {
-                return Some(lhs.to_string());
-            }
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -1024,6 +1003,11 @@ mod tests {
         assert!(registry.get("fig1").is_some());
         assert!(registry.get("nope").is_none());
         assert!(registry.load_schema("bad", "", None).is_err());
+        // The start symbol of `←` rules is found like that of `->` rules.
+        assert_eq!(
+            registry.load_schema("fig1", "doc ← (a|b)* ; a ← c ; b ← c", None),
+            Ok(4)
+        );
     }
 
     /// A long flat query (a 3 000-step path, not nested at all) costs one

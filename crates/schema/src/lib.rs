@@ -48,7 +48,7 @@ pub use genvalid::{
     GenXmlStats,
 };
 pub use infer::{infer_dtd, InferenceError, InferredDtd};
-pub use parser::SchemaParseError;
+pub use parser::{default_start, SchemaParseError};
 pub use schema_like::SchemaLike;
 pub use symbols::{Sym, SymbolTable, TEXT_NAME, TEXT_SYM};
 pub use validate::{ValidationError, Validity};

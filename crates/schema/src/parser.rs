@@ -50,6 +50,29 @@ impl fmt::Display for SchemaParseError {
 
 impl std::error::Error for SchemaParseError {}
 
+/// The first declared element name of a schema source in either syntax
+/// (`<!ELEMENT name …>`, or `name -> …` / `name ← …`): the start symbol when
+/// none is given.
+pub fn default_start(src: &str) -> Option<String> {
+    if let Some(idx) = src.find("<!ELEMENT") {
+        let rest = src[idx + "<!ELEMENT".len()..].trim_start();
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
+            .collect();
+        return (!name.is_empty()).then_some(name);
+    }
+    for line in src.split([';', '\n']) {
+        if let Some((lhs, _)) = line.split_once("->").or_else(|| line.split_once('←')) {
+            let lhs = lhs.trim();
+            if !lhs.is_empty() {
+                return Some(lhs.to_string());
+            }
+        }
+    }
+    None
+}
+
 /// Parses the compact rule syntax. `start` must be one of the declared or
 /// referenced element names.
 pub fn parse_compact(src: &str, start: &str) -> Result<Dtd, SchemaParseError> {

@@ -94,8 +94,15 @@ enum TypeKey {
     Simple(String),
 }
 
+/// Deepest nesting of `xs:element`, `xs:complexType`, `xs:sequence` and
+/// `xs:choice` declarations (or `ref` hops) the translator recurses into;
+/// deeper schemas are rejected rather than overflowing the stack.
+const MAX_NESTING: usize = 256;
+
 struct Translator {
     tree: Tree,
+    /// Current recursion depth of the translation (see [`MAX_NESTING`]).
+    depth: usize,
     /// Global complex types by name.
     complex_types: HashMap<String, NodeId>,
     /// Global element declarations by name.
@@ -118,6 +125,7 @@ impl Translator {
         }
         let mut t = Translator {
             tree,
+            depth: 0,
             complex_types: HashMap::new(),
             global_elements: HashMap::new(),
             assigned: HashMap::new(),
@@ -196,6 +204,22 @@ impl Translator {
         None
     }
 
+    /// Runs `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, XsdError>,
+    ) -> Result<T, XsdError> {
+        if self.depth >= MAX_NESTING {
+            return Err(XsdError::new(format!(
+                "declarations nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     // ----------------------------------------------------------- elements
 
     /// Returns the generated type name for an element declaration node,
@@ -208,7 +232,7 @@ impl Translator {
                 .global_elements
                 .get(target)
                 .ok_or_else(|| XsdError::new(format!("unresolved element ref '{target}'")))?;
-            return self.type_of_element(global);
+            return self.nested(|t| t.type_of_element(global));
         }
         let label = self
             .attr(decl, "name")
@@ -235,9 +259,9 @@ impl Translator {
             TypeKey::Simple(_) => "#PCDATA?".to_string(),
             TypeKey::Named(_, ty) => {
                 let node = self.complex_types[ty];
-                self.complex_type_content(node)?
+                self.nested(|t| t.complex_type_content(node))?
             }
-            TypeKey::Anonymous(_, node) => self.complex_type_content(*node)?,
+            TypeKey::Anonymous(_, node) => self.nested(|t| t.complex_type_content(*node))?,
         };
         self.rules.push((type_name.clone(), content));
         Ok(type_name)
@@ -276,7 +300,7 @@ impl Translator {
             }
             match local_name(tag_of(&self.tree.store, child)) {
                 "sequence" | "choice" => {
-                    let (body, names) = self.particle_content(child)?;
+                    let (body, names) = self.nested(|t| t.particle_content(child))?;
                     particle_children = names;
                     particle = Some(body);
                 }
@@ -320,7 +344,7 @@ impl Translator {
             }
             let rendered = match local_name(tag_of(&self.tree.store, child)) {
                 "element" => {
-                    let ty = self.type_of_element(child)?;
+                    let ty = self.nested(|t| t.type_of_element(child))?;
                     names.push(ty.clone());
                     occurs(
                         ty,
@@ -329,7 +353,7 @@ impl Translator {
                     )
                 }
                 "sequence" | "choice" => {
-                    let (inner, inner_names) = self.particle_content(child)?;
+                    let (inner, inner_names) = self.nested(|t| t.particle_content(child))?;
                     names.extend(inner_names);
                     occurs(
                         format!("({inner})"),
@@ -601,5 +625,41 @@ mod tests {
             </xs:schema>
         "#;
         assert!(parse_xsd(with_any).is_err());
+    }
+
+    /// A schema whose root `r` holds `depth` nested `open`…`close` wrappers
+    /// around one `leaf` element.
+    fn nested_schema(depth: usize, open: &str, close: &str) -> String {
+        format!(
+            r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+              <xs:element name="r"><xs:complexType><xs:sequence>{}<xs:element name="leaf"/>{}</xs:sequence></xs:complexType></xs:element>
+            </xs:schema>"#,
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_beyond_the_limit_is_an_error_not_an_abort() {
+        let sequences = |n| nested_schema(n, "<xs:sequence>", "</xs:sequence>");
+        let elements = |n| {
+            nested_schema(
+                n,
+                "<xs:element name=\"e\"><xs:complexType><xs:sequence>",
+                "</xs:sequence></xs:complexType></xs:element>",
+            )
+        };
+        assert!(parse_xsd(&sequences(10)).is_ok());
+        assert!(parse_xsd(&elements(40)).is_ok());
+        for src in [sequences(100_000), elements(MAX_NESTING)] {
+            let err = parse_xsd(&src).unwrap_err();
+            assert!(err.to_string().contains("nested deeper"), "{err}");
+        }
+        // A global element that refers to itself recurses without nesting.
+        let self_ref = r#"<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+            <xs:element name="a" ref="a"/>
+        </xs:schema>"#;
+        let err = parse_xsd(self_ref).unwrap_err();
+        assert!(err.to_string().contains("nested deeper"), "{err}");
     }
 }

@@ -1,10 +1,6 @@
-//! Decoding helpers shared by the in-memory parser ([`crate::parser`]) and
-//! the streaming parser ([`crate::streaming`]).
-//!
-//! Both parsers accept the same XML subset and must agree byte-for-byte on
-//! how character data and attributes are interpreted, so the entity decoding
-//! and the `@name`-children attribute encoding live here in one place instead
-//! of being duplicated per parser.
+//! Decoding helpers of the XML parser ([`crate::streaming`]): entity
+//! decoding, the name-byte class, and the `@name`-children encoding of
+//! attributes.
 
 use crate::node::NodeId;
 use crate::store::Store;
@@ -21,8 +17,8 @@ pub fn decode_entities(s: &str) -> String {
         .replace("&amp;", "&")
 }
 
-/// Returns `true` for the bytes allowed in element and attribute names by
-/// both parsers (a pragmatic subset of the XML name production).
+/// Returns `true` for the bytes allowed in element and attribute names (a
+/// pragmatic subset of the XML name production).
 pub fn is_name_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':')
 }
@@ -53,7 +49,7 @@ pub fn attribute_children(
                 vec![store.new_text(value)]
             };
             let sym = store.try_intern(&format!("@{name}"))?;
-            Some(store.new_element_sym(sym, content))
+            Some(store.new_element_sym(sym, &content))
         })
         .collect()
 }

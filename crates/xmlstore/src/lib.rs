@@ -19,14 +19,15 @@
 //! * [`Tree`] — a store plus a distinguished root location.
 //! * value equivalence `(σ, l) ≅ (σ', l')` ([`value_equiv`],
 //!   [`sequence_equiv`]) used by Definition 2.4 (independence).
-//! * a small hand-rolled XML [`parser`] and [`serializer`] (no external XML
-//!   library is used anywhere in the workspace).
-//! * [`streaming`] — a pull parser over any [`std::io::Read`] source that
-//!   builds the tree incrementally without materializing the input, plus
-//!   streamed projection (paper §3.4, `t|_L`): a [`PathAutomaton`] over
-//!   root-to-node label paths drops pruned subtrees during the parse
-//!   (peak-memory savings, not just node counts), and [`project_spec`]
-//!   makes the same decisions on an already-parsed tree.
+//! * one hand-rolled XML parser, [`streaming`] (no external XML library is
+//!   used anywhere in the workspace): a pull parser over any
+//!   [`std::io::Read`] source that builds the tree with an explicit stack
+//!   without materializing the input. [`parse_xml`] runs it over a string.
+//!   It also does streamed projection (paper §3.4, `t|_L`): a
+//!   [`PathAutomaton`] over root-to-node label paths drops pruned subtrees
+//!   during the parse (peak-memory savings, not just node counts), and
+//!   [`project_spec`] makes the same decisions on an already-parsed tree.
+//! * the [`serializer`], the parser's inverse.
 //! * [`generator`] — generic random-tree generation used by property tests
 //!   (schema-driven generation lives in `qui-schema`).
 

@@ -1,15 +1,10 @@
-//! A small hand-rolled XML parser.
+//! The in-memory entry points of the XML parser in [`crate::streaming`].
 //!
-//! The workspace never depends on an external XML library; this parser covers
-//! exactly the subset of XML needed by the paper's data model (§2): nested
-//! elements and text nodes. Attributes are accepted and ignored (the paper's
-//! core model has no attributes; §7 notes the extension is routine),
-//! comments and processing instructions are skipped, and a handful of
-//! standard entities are decoded.
+//! [`parse_xml`] and [`parse_xml_keep_attributes`] run that one parser over
+//! the bytes of a string; this module also holds the error type every parse
+//! returns.
 
-use crate::decode::{attribute_children, is_name_byte};
-use crate::node::NodeId;
-use crate::store::Store;
+use crate::streaming::{parse_xml_reader, parse_xml_stream, StreamConfig};
 use crate::tree::Tree;
 use std::fmt;
 
@@ -43,7 +38,7 @@ pub(crate) const TOO_MANY_NAMES: &str = "more than 65535 distinct tag names";
 /// Parses an XML document into a [`Tree`], ignoring attributes (the paper's
 /// core data model has no attributes).
 pub fn parse_xml(input: &str) -> Result<Tree, ParseError> {
-    parse_with(input, false)
+    parse_xml_reader(input.as_bytes())
 }
 
 /// Parses an XML document into a [`Tree`], keeping attributes.
@@ -56,260 +51,11 @@ pub fn parse_xml(input: &str) -> Result<Tree, ParseError> {
 /// new rules. [`crate::serializer::serialize_tree_with_attributes`] undoes
 /// the encoding.
 pub fn parse_xml_keep_attributes(input: &str) -> Result<Tree, ParseError> {
-    parse_with(input, true)
-}
-
-fn parse_with(input: &str, keep_attributes: bool) -> Result<Tree, ParseError> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-        store: Store::new(),
-        keep_attributes,
+    let config = StreamConfig {
+        keep_attributes: true,
+        projection: None,
     };
-    parser.skip_prolog();
-    let root = parser.parse_element()?;
-    parser.skip_misc();
-    if parser.pos < parser.bytes.len() {
-        return Err(parser.error("trailing content after document element"));
-    }
-    parser.store.compact();
-    Ok(Tree::new(parser.store, root))
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    store: Store,
-    keep_attributes: bool,
-}
-
-impl<'a> Parser<'a> {
-    fn error(&self, msg: &str) -> ParseError {
-        ParseError {
-            message: msg.to_string(),
-            position: self.pos,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn skip_until(&mut self, end: &str) {
-        if let Some(i) = find(&self.bytes[self.pos..], end.as_bytes()) {
-            self.pos += i + end.len();
-        } else {
-            self.pos = self.bytes.len();
-        }
-    }
-
-    /// Skips the XML declaration, doctype, comments and whitespace before the
-    /// document element.
-    fn skip_prolog(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?") {
-                self.skip_until("?>");
-            } else if self.starts_with("<!--") {
-                self.skip_until("-->");
-            } else if self.starts_with("<!DOCTYPE") || self.starts_with("<!doctype") {
-                // Skip a possibly bracketed internal subset.
-                let mut depth = 0usize;
-                while let Some(b) = self.peek() {
-                    self.pos += 1;
-                    match b {
-                        b'[' => depth += 1,
-                        b']' => depth = depth.saturating_sub(1),
-                        b'>' if depth == 0 => break,
-                        _ => {}
-                    }
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Skips comments and whitespace after the document element.
-    fn skip_misc(&mut self) {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                self.skip_until("-->");
-            } else if self.starts_with("<?") {
-                self.skip_until("?>");
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn parse_name(&mut self) -> Result<String, ParseError> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if is_name_byte(b) {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.error("expected a name"));
-        }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
-    }
-
-    /// Consumes attributes up to (but not including) `>` or `/>`, returning
-    /// the name/value pairs in document order.
-    fn parse_attributes(&mut self) -> Result<Vec<(String, String)>, ParseError> {
-        let mut attrs = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') | Some(b'/') | None => return Ok(attrs),
-                _ => {
-                    // name = "value" | name = 'value'
-                    let name = self.parse_name()?;
-                    self.skip_ws();
-                    let mut value = String::new();
-                    if self.peek() == Some(b'=') {
-                        self.pos += 1;
-                        self.skip_ws();
-                        match self.peek() {
-                            Some(q @ (b'"' | b'\'')) => {
-                                self.pos += 1;
-                                let start = self.pos;
-                                while let Some(b) = self.peek() {
-                                    self.pos += 1;
-                                    if b == q {
-                                        break;
-                                    }
-                                }
-                                let end = self.pos.saturating_sub(1).max(start);
-                                value =
-                                    String::from_utf8_lossy(&self.bytes[start..end]).into_owned();
-                            }
-                            _ => return Err(self.error("expected quoted attribute value")),
-                        }
-                    }
-                    attrs.push((name, decode_entities(&value)));
-                }
-            }
-        }
-    }
-
-    fn parse_element(&mut self) -> Result<NodeId, ParseError> {
-        self.skip_ws();
-        if self.peek() != Some(b'<') {
-            return Err(self.error("expected '<'"));
-        }
-        self.pos += 1;
-        let tag = self.parse_name()?;
-        let attrs = self.parse_attributes()?;
-        match self.peek() {
-            Some(b'/') => {
-                // self-closing
-                self.pos += 1;
-                if self.peek() != Some(b'>') {
-                    return Err(self.error("expected '>' after '/'"));
-                }
-                self.pos += 1;
-                let children = self.attribute_children(attrs)?;
-                self.element(&tag, children)
-            }
-            Some(b'>') => {
-                self.pos += 1;
-                let mut children = self.attribute_children(attrs)?;
-                loop {
-                    if self.starts_with("</") {
-                        self.pos += 2;
-                        let close = self.parse_name()?;
-                        if close != tag {
-                            return Err(self.error(&format!(
-                                "mismatched closing tag: expected </{tag}>, found </{close}>"
-                            )));
-                        }
-                        self.skip_ws();
-                        if self.peek() != Some(b'>') {
-                            return Err(self.error("expected '>' in closing tag"));
-                        }
-                        self.pos += 1;
-                        break;
-                    } else if self.starts_with("<!--") {
-                        self.skip_until("-->");
-                    } else if self.starts_with("<?") {
-                        self.skip_until("?>");
-                    } else if self.starts_with("<![CDATA[") {
-                        self.pos += "<![CDATA[".len();
-                        let start = self.pos;
-                        self.skip_until("]]>");
-                        let end = self.pos.saturating_sub(3).max(start);
-                        let text = String::from_utf8_lossy(&self.bytes[start..end]).into_owned();
-                        children.push(self.store.new_text(text));
-                    } else if self.peek() == Some(b'<') {
-                        children.push(self.parse_element()?);
-                    } else if self.peek().is_none() {
-                        return Err(self.error(&format!("unexpected end of input inside <{tag}>")));
-                    } else {
-                        let text = self.parse_text();
-                        // Whitespace-only text between elements is ignored, as
-                        // is conventional for document-oriented XML with a DTD.
-                        if !text.trim().is_empty() {
-                            children.push(self.store.new_text(decode_entities(&text)));
-                        }
-                    }
-                }
-                self.element(&tag, children)
-            }
-            _ => Err(self.error("expected '>' or '/>'")),
-        }
-    }
-
-    /// Allocates the element `tag[children]`, or fails when `tag` would
-    /// be one distinct name too many for the symbol table.
-    fn element(&mut self, tag: &str, children: Vec<NodeId>) -> Result<NodeId, ParseError> {
-        match self.store.try_intern(tag) {
-            Some(sym) => Ok(self.store.new_element_sym(sym, children)),
-            None => Err(self.error(TOO_MANY_NAMES)),
-        }
-    }
-
-    /// [`attribute_children`], failing like [`element`](Self::element).
-    fn attribute_children(
-        &mut self,
-        attrs: Vec<(String, String)>,
-    ) -> Result<Vec<NodeId>, ParseError> {
-        attribute_children(&mut self.store, attrs, self.keep_attributes)
-            .ok_or_else(|| self.error(TOO_MANY_NAMES))
-    }
-
-    fn parse_text(&mut self) -> String {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b'<' {
-                break;
-            }
-            self.pos += 1;
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned()
-    }
-}
-
-fn find(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || haystack.len() < needle.len() {
-        return None;
-    }
-    (0..=haystack.len() - needle.len()).find(|&i| &haystack[i..i + needle.len()] == needle)
+    Ok(parse_xml_stream(input.as_bytes(), &config)?.tree)
 }
 
 #[cfg(test)]
@@ -423,6 +169,24 @@ pub(crate) mod tests {
         );
         let err = parse_xml_keep_attributes(&attrs).unwrap_err();
         assert_eq!(err.message, TOO_MANY_NAMES);
+    }
+
+    /// Nesting costs the parser heap, not call stack.
+    #[test]
+    fn deep_nesting_parses_without_recursion() {
+        let depth = 200_000;
+        let xml = format!("{}x{}", "<a>".repeat(depth), "</a>".repeat(depth));
+        let t = parse_xml(&xml).unwrap();
+        assert_eq!(t.size(), depth + 1);
+        let mut levels = 0;
+        let mut node = Some(t.root);
+        while let Some(n) = node.filter(|&n| t.store.tag(n) == Some("a")) {
+            levels += 1;
+            node = t.store.children(n).first().copied();
+        }
+        assert_eq!(levels, depth);
+        let err = parse_xml(&xml[..xml.len() - 1]).unwrap_err();
+        assert_eq!(err.position, xml.len() - 1);
     }
 
     #[test]

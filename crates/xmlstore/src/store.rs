@@ -589,14 +589,14 @@ impl Store {
     /// parent pointers and sibling links, and returns its location.
     pub fn new_element(&mut self, tag: impl AsRef<str>, children: Vec<NodeId>) -> NodeId {
         let sym = self.intern(tag.as_ref());
-        self.new_element_sym(sym, children)
+        self.new_element_sym(sym, &children)
     }
 
     /// Allocates a new element node from an already-interned symbol (the
     /// parser hot path — no name allocation or hashing).
-    pub fn new_element_sym(&mut self, sym: Sym, children: Vec<NodeId>) -> NodeId {
+    pub fn new_element_sym(&mut self, sym: Sym, children: &[NodeId]) -> NodeId {
         let id = NodeId(self.len() as u32);
-        for &c in &children {
+        for &c in children {
             self.set_parent_raw(c.index(), id.0);
         }
         for pair in children.windows(2) {
@@ -784,7 +784,7 @@ impl Store {
             .map(|c| self.deep_copy_from(src_store, c))
             .collect();
         let sym = self.intern(src_store.tag(src).expect("element"));
-        self.new_element_sym(sym, copied)
+        self.new_element_sym(sym, &copied)
     }
 
     /// Deep-copies a subtree within this store. Text nodes share their
@@ -819,7 +819,7 @@ impl Store {
                 Plan::Element(label, kids) => {
                     let kid_ids: Vec<NodeId> =
                         kids.iter().map(|&k| ids[k].expect("post-order")).collect();
-                    self.new_element_sym(Sym(*label as u16), kid_ids)
+                    self.new_element_sym(Sym(*label as u16), &kid_ids)
                 }
             };
             ids[i] = Some(id);

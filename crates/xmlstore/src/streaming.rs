@@ -1,26 +1,27 @@
-//! Streaming (pull) XML parsing from any [`std::io::Read`] source.
+//! The XML parser: a pull parser over any [`std::io::Read`] source.
 //!
-//! The in-memory parser of [`crate::parser`] needs the whole document as a
-//! `&str` before it starts, which caps the document sizes the Fig. 3.c
-//! experiment can reach. This module parses the same XML subset *incremen-
-//! tally*: bytes are pulled from the reader in fixed-size chunks into a small
-//! sliding window, tokens are consumed as they complete, and the [`Tree`] is
-//! built element by element with an explicit stack — the input text is never
-//! materialized and memory stays `O(tree + chunk)`.
+//! The workspace never depends on an external XML library; this parser
+//! covers exactly the subset of XML needed by the paper's data model (§2):
+//! nested elements and text nodes. Attributes are accepted and ignored
+//! unless asked for (the paper's core model has no attributes; §7 notes the
+//! extension is routine), comments and processing instructions are skipped,
+//! and the five predefined entities are decoded.
 //!
-//! On top of plain parsing, the streaming path supports **streamed
-//! projection** (paper §3.4): a [`PathAutomaton`] describes, over
-//! root-to-node label paths, which regions of the document a query may
-//! need; subtrees outside it are recognized *during* the parse and dropped
-//! before a single node is allocated for them. This turns projection
-//! savings into *peak memory* savings, not just node-count savings — the
-//! pruned subtrees never exist. [`project_spec`] applies the identical
-//! top-down decisions to an already-parsed tree; `qui-core`'s
-//! `ChainProjector` compiles a query's chain-DAGs into the automaton.
+//! Bytes are pulled from the reader in fixed-size chunks into a small
+//! sliding window, tokens are scanned as they complete, and the [`Tree`] is
+//! built element by element with an explicit stack, so nesting depth costs
+//! heap, never call stack, and memory stays `O(tree + chunk)`.
+//! [`crate::parse_xml`] runs the same parser over an in-memory string.
 //!
-//! Both parsers accept the same documents, produce value-equivalent trees,
-//! and reject malformed input with the same error message at the same byte
-//! offset; the shared decoding helpers live in [`crate::decode`].
+//! On top of plain parsing, the parser supports **streamed projection**
+//! (paper §3.4): a [`PathAutomaton`] describes, over root-to-node label
+//! paths, which regions of the document a query may need; subtrees outside
+//! it are recognized *during* the parse and dropped before a single node is
+//! allocated for them. This turns projection savings into *peak memory*
+//! savings, not just node-count savings — the pruned subtrees never exist.
+//! [`project_spec`] applies the identical top-down decisions to an
+//! already-parsed tree; `qui-core`'s `ChainProjector` compiles a query's
+//! chain-DAGs into the automaton.
 
 use crate::decode::{attribute_children, decode_entities, is_name_byte};
 use crate::node::NodeId;
@@ -36,8 +37,8 @@ use std::io::Read;
 /// `qui-schema`'s `TEXT_NAME`, which this crate cannot depend on).
 pub const TEXT_LABEL: &str = "#text";
 
-/// Default refill granularity of the sliding input window.
-pub const DEFAULT_CHUNK_SIZE: usize = 8 * 1024;
+/// Refill granularity of the sliding input window.
+pub const CHUNK_SIZE: usize = 8 * 1024;
 
 // ---------------------------------------------------------------------------
 // Path automata — implicit label-path projections
@@ -344,8 +345,8 @@ fn text_kept(auto: &PathAutomaton, cursor: &AutomatonCursor, parent: Keep) -> bo
 // Configuration, stats, outcome
 // ---------------------------------------------------------------------------
 
-/// Configuration of a streaming parse.
-#[derive(Clone, Debug)]
+/// Configuration of a parse.
+#[derive(Clone, Debug, Default)]
 pub struct StreamConfig {
     /// Encode attributes as leading `@name` children (the §7 extension), as
     /// [`crate::parser::parse_xml_keep_attributes`] does. Off by default.
@@ -353,18 +354,6 @@ pub struct StreamConfig {
     /// When set, subtrees outside the projection are dropped during the
     /// parse.
     pub projection: Option<PathAutomaton>,
-    /// Refill granularity of the sliding input window.
-    pub chunk_size: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            keep_attributes: false,
-            projection: None,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-        }
-    }
 }
 
 impl StreamConfig {
@@ -411,6 +400,10 @@ pub struct StreamOutcome {
 // The sliding byte window
 // ---------------------------------------------------------------------------
 
+fn is_ws(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\r' | b'\n')
+}
+
 struct ByteStream<R: Read> {
     reader: R,
     buf: Vec<u8>,
@@ -419,20 +412,18 @@ struct ByteStream<R: Read> {
     /// Absolute offset of `buf[0]` in the input.
     base: usize,
     eof: bool,
-    chunk: usize,
     bytes_read: usize,
     peak_buffer: usize,
 }
 
 impl<R: Read> ByteStream<R> {
-    fn new(reader: R, chunk: usize) -> Self {
+    fn new(reader: R) -> Self {
         ByteStream {
             reader,
             buf: Vec::new(),
             pos: 0,
             base: 0,
             eof: false,
-            chunk: chunk.max(16),
             bytes_read: 0,
             peak_buffer: 0,
         }
@@ -461,7 +452,7 @@ impl<R: Read> ByteStream<R> {
                 self.pos = 0;
             }
             let old_len = self.buf.len();
-            self.buf.resize(old_len + self.chunk, 0);
+            self.buf.resize(old_len + CHUNK_SIZE, 0);
             match self.reader.read(&mut self.buf[old_len..]) {
                 Ok(0) => {
                     self.buf.truncate(old_len);
@@ -485,78 +476,108 @@ impl<R: Read> ByteStream<R> {
     }
 
     fn peek(&mut self) -> Result<Option<u8>, ParseError> {
+        if let Some(&b) = self.buf.get(self.pos) {
+            return Ok(Some(b));
+        }
         self.ensure(1)?;
         Ok(self.buf.get(self.pos).copied())
     }
 
-    fn bump(&mut self) -> Result<Option<u8>, ParseError> {
-        let b = self.peek()?;
-        if b.is_some() {
-            self.pos += 1;
-        }
-        Ok(b)
-    }
-
-    /// Returns `true` when the unconsumed input starts with `s` (without
-    /// consuming it).
-    fn starts_with(&mut self, s: &str) -> Result<bool, ParseError> {
-        let n = s.len();
-        if self.ensure(n)? < n {
-            return Ok(false);
-        }
-        Ok(&self.buf[self.pos..self.pos + n] == s.as_bytes())
+    /// The byte after the next one, if the input has it.
+    fn peek_second(&mut self) -> Result<Option<u8>, ParseError> {
+        self.ensure(2)?;
+        Ok(self.buf.get(self.pos + 1).copied())
     }
 
     /// Consumes `s` if the input starts with it.
     fn eat(&mut self, s: &str) -> Result<bool, ParseError> {
-        if self.starts_with(s)? {
-            self.pos += s.len();
+        let n = s.len();
+        if self.ensure(n)? >= n && &self.buf[self.pos..self.pos + n] == s.as_bytes() {
+            self.pos += n;
             Ok(true)
         } else {
             Ok(false)
         }
     }
 
-    /// Consumes input up to and including `end`; consumes everything when
-    /// `end` never occurs (mirroring the in-memory parser). When `collect` is
-    /// given, the bytes before `end` are appended to it.
-    fn consume_until(
-        &mut self,
-        end: &str,
-        mut collect: Option<&mut Vec<u8>>,
-    ) -> Result<(), ParseError> {
+    /// Length of the run of bytes satisfying `pred` that starts at `pos`.
+    /// The run is not consumed: it stays whole in the window, at
+    /// `buf[pos..pos + len]`, however many refills it spans.
+    fn run_len(&mut self, pred: impl Fn(u8) -> bool) -> Result<usize, ParseError> {
+        let mut len = 0;
         loop {
-            if self.eat(end)? {
-                return Ok(());
+            let window = &self.buf[self.pos + len..];
+            if let Some(k) = window.iter().position(|&b| !pred(b)) {
+                return Ok(len + k);
             }
-            match self.bump()? {
-                None => return Ok(()),
-                Some(b) => {
-                    if let Some(out) = collect.as_deref_mut() {
-                        out.push(b);
-                    }
-                }
+            len += window.len();
+            if self.ensure(len + 1)? <= len {
+                return Ok(len);
             }
         }
     }
 
     fn skip_ws(&mut self) -> Result<(), ParseError> {
-        while matches!(self.peek()?, Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
+        self.pos += self.run_len(is_ws)?;
         Ok(())
+    }
+
+    /// The offset from `pos` of the first occurrence of `end`, or `None`
+    /// when the input ends first. Unless `keep`, the bytes that cannot
+    /// start a match are consumed while searching, so the window stays one
+    /// chunk wide.
+    fn find(&mut self, end: &[u8], keep: bool) -> Result<Option<usize>, ParseError> {
+        let mut from = 0;
+        loop {
+            let window = &self.buf[self.pos..];
+            if let Some(k) = window[from..].windows(end.len()).position(|w| w == end) {
+                return Ok(Some(from + k));
+            }
+            let tail = window.len().saturating_sub(end.len() - 1);
+            if keep {
+                from = tail;
+            } else {
+                self.pos += tail;
+            }
+            let have = self.buf.len() - self.pos;
+            if self.ensure(have + 1)? <= have {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// Consumes input up to and including `end`, or all of it when `end`
+    /// never occurs.
+    fn skip_past(&mut self, end: &str) -> Result<(), ParseError> {
+        self.pos = match self.find(end.as_bytes(), false)? {
+            Some(k) => self.pos + k + end.len(),
+            None => self.buf.len(),
+        };
+        Ok(())
+    }
+
+    /// [`skip_past`](Self::skip_past), returning the bytes before `end`.
+    fn take_until(&mut self, end: &str) -> Result<&[u8], ParseError> {
+        let found = self.find(end.as_bytes(), true)?;
+        let start = self.pos;
+        let (len, next) = match found {
+            Some(k) => (k, start + k + end.len()),
+            None => (self.buf.len() - start, self.buf.len()),
+        };
+        self.pos = next;
+        Ok(&self.buf[start..start + len])
     }
 }
 
 // ---------------------------------------------------------------------------
-// The streaming parser
+// The parser
 // ---------------------------------------------------------------------------
 
-/// One open element on the parse stack. Tag names live as interned symbols
-/// — no per-element `String` on the hot path.
+/// One open element on the parse stack. Its children so far sit on the
+/// parser's shared child stack from `first` on.
 struct Frame {
     sym: Sym,
-    children: Vec<NodeId>,
+    first: usize,
     keep: Keep,
     /// This element is a *match root*: the projection switched from
     /// filtering to keeping the whole subtree at this node, so it is one of
@@ -575,23 +596,22 @@ struct StreamParser<'s, R: Read> {
     /// re-simulating the whole root-to-node path.
     cursor: AutomatonCursor,
     stack: Vec<Frame>,
+    /// The completed children of every open element, innermost last.
+    children: Vec<NodeId>,
     stats: StreamStats,
-    /// Reused buffer for the name token under the cursor (tag or attribute
-    /// name); never allocated per token.
-    scratch: Vec<u8>,
     /// Receives match roots (subtree-keep elements and matched text nodes)
     /// as they complete.
     sink: Option<&'s mut dyn ResultSink>,
 }
 
-/// Parses an XML document from a reader into a [`Tree`], ignoring attributes
-/// — the streaming equivalent of [`crate::parser::parse_xml`].
+/// Parses an XML document from a reader into a [`Tree`], ignoring
+/// attributes.
 pub fn parse_xml_reader<R: Read>(reader: R) -> Result<Tree, ParseError> {
     Ok(parse_xml_stream(reader, &StreamConfig::default())?.tree)
 }
 
-/// Parses an XML document from a reader with full control over attribute
-/// keeping, projection and buffering.
+/// Parses an XML document from a reader with control over attribute keeping
+/// and projection.
 pub fn parse_xml_stream<R: Read>(
     reader: R,
     config: &StreamConfig,
@@ -619,14 +639,14 @@ fn stream_impl<R: Read>(
     sink: Option<&mut dyn ResultSink>,
 ) -> Result<StreamOutcome, ParseError> {
     let mut parser = StreamParser {
-        bs: ByteStream::new(reader, config.chunk_size),
+        bs: ByteStream::new(reader),
         store: Store::new(),
         keep_attributes: config.keep_attributes,
         projection: config.projection.clone(),
         cursor: AutomatonCursor::new(),
         stack: Vec::new(),
+        children: Vec::new(),
         stats: StreamStats::default(),
-        scratch: Vec::new(),
         sink,
     };
     parser.skip_prolog()?;
@@ -658,13 +678,14 @@ impl<R: Read> StreamParser<'_, R> {
         loop {
             self.bs.skip_ws()?;
             if self.bs.eat("<?")? {
-                self.bs.consume_until("?>", None)?;
+                self.bs.skip_past("?>")?;
             } else if self.bs.eat("<!--")? {
-                self.bs.consume_until("-->", None)?;
+                self.bs.skip_past("-->")?;
             } else if self.bs.eat("<!DOCTYPE")? || self.bs.eat("<!doctype")? {
                 // Skip a possibly bracketed internal subset.
                 let mut depth = 0usize;
-                while let Some(b) = self.bs.bump()? {
+                while let Some(b) = self.bs.peek()? {
+                    self.bs.pos += 1;
                     match b {
                         b'[' => depth += 1,
                         b']' => depth = depth.saturating_sub(1),
@@ -684,36 +705,27 @@ impl<R: Read> StreamParser<'_, R> {
         loop {
             self.bs.skip_ws()?;
             if self.bs.eat("<!--")? {
-                self.bs.consume_until("-->", None)?;
+                self.bs.skip_past("-->")?;
             } else if self.bs.eat("<?")? {
-                self.bs.consume_until("?>", None)?;
+                self.bs.skip_past("?>")?;
             } else {
                 return Ok(());
             }
         }
     }
 
-    /// Reads the name token under the cursor into the reused scratch buffer
-    /// — no allocation per token.
-    fn parse_name_scratch(&mut self) -> Result<(), ParseError> {
-        self.scratch.clear();
-        while let Some(b) = self.bs.peek()? {
-            if is_name_byte(b) {
-                self.scratch.push(b);
-                self.bs.pos += 1;
-            } else {
-                break;
-            }
+    /// The length of the name under the cursor, which stays unconsumed at
+    /// `bs.buf[bs.pos..]`; an error when there is none.
+    fn name_len(&mut self) -> Result<usize, ParseError> {
+        match self.bs.run_len(is_name_byte)? {
+            0 => Err(self.error("expected a name")),
+            n => Ok(n),
         }
-        if self.scratch.is_empty() {
-            return Err(self.error("expected a name"));
-        }
-        Ok(())
     }
 
-    /// The scratch buffer as a name string (name bytes are always ASCII).
-    fn scratch_str(&self) -> &str {
-        std::str::from_utf8(&self.scratch).expect("name bytes are ASCII")
+    /// The name of length `n` under the cursor (name bytes are ASCII).
+    fn name(&self, n: usize) -> &str {
+        std::str::from_utf8(&self.bs.buf[self.bs.pos..self.bs.pos + n]).expect("ASCII name")
     }
 
     /// Consumes attributes up to (but not including) `>` or `/>`. The pairs
@@ -723,34 +735,33 @@ impl<R: Read> StreamParser<'_, R> {
         let mut attrs = Vec::new();
         loop {
             self.bs.skip_ws()?;
-            match self.bs.peek()? {
-                Some(b'>') | Some(b'/') | None => return Ok(attrs),
-                _ => {
-                    self.parse_name_scratch()?;
-                    let name = wanted.then(|| self.scratch_str().to_string());
-                    self.bs.skip_ws()?;
-                    let mut value = Vec::new();
-                    if self.bs.peek()? == Some(b'=') {
-                        self.bs.pos += 1;
-                        self.bs.skip_ws()?;
-                        match self.bs.peek()? {
-                            Some(q @ (b'"' | b'\'')) => {
-                                self.bs.pos += 1;
-                                while let Some(b) = self.bs.bump()? {
-                                    if b == q {
-                                        break;
-                                    }
-                                    value.push(b);
-                                }
-                            }
-                            _ => return Err(self.error("expected quoted attribute value")),
-                        }
-                    }
-                    if let Some(name) = name {
-                        let value = String::from_utf8_lossy(&value).into_owned();
-                        attrs.push((name, decode_entities(&value)));
-                    }
+            if matches!(self.bs.peek()?, Some(b'>' | b'/') | None) {
+                return Ok(attrs);
+            }
+            let n = self.name_len()?;
+            let name = wanted.then(|| self.name(n).to_string());
+            self.bs.pos += n;
+            self.bs.skip_ws()?;
+            let mut value = String::new();
+            if self.bs.peek()? == Some(b'=') {
+                self.bs.pos += 1;
+                self.bs.skip_ws()?;
+                let Some(q @ (b'"' | b'\'')) = self.bs.peek()? else {
+                    return Err(self.error("expected quoted attribute value"));
+                };
+                self.bs.pos += 1;
+                let len = self.bs.run_len(|b| b != q)?;
+                if wanted {
+                    let raw = &self.bs.buf[self.bs.pos..self.bs.pos + len];
+                    value = decode_entities(&String::from_utf8_lossy(raw));
                 }
+                self.bs.pos += len;
+                if self.bs.peek()?.is_some() {
+                    self.bs.pos += 1; // the closing quote
+                }
+            }
+            if let Some(name) = name {
+                attrs.push((name, value));
             }
         }
     }
@@ -759,19 +770,6 @@ impl<R: Read> StreamParser<'_, R> {
     /// document root, which is always kept).
     fn parent_keep(&self) -> Keep {
         self.stack.last().map(|f| f.keep).unwrap_or(Keep::Filter)
-    }
-
-    /// Steps the projection cursor into the tag in the scratch buffer and
-    /// decides the keep state of the element about to start.
-    fn enter_element(&mut self) -> Keep {
-        let parent = self.parent_keep();
-        match &self.projection {
-            None => Keep::Filter,
-            Some(auto) => {
-                let tag = std::str::from_utf8(&self.scratch).expect("ASCII");
-                enter(auto, &mut self.cursor, parent, tag, self.stack.is_empty())
-            }
-        }
     }
 
     /// Pops the projection cursor when an element closes.
@@ -786,17 +784,23 @@ impl<R: Read> StreamParser<'_, R> {
     /// frame was pushed (or the element is being skipped).
     fn parse_open_tag(&mut self) -> Result<Option<Option<NodeId>>, ParseError> {
         self.bs.pos += 1; // consume '<'
-        self.parse_name_scratch()?;
+        let n = self.name_len()?;
         self.stats.elements_parsed += 1;
         let parent = self.parent_keep();
-        let keep = self.enter_element();
+        // Not `self.name(n)`: the cursor is borrowed mutably alongside.
+        let name = std::str::from_utf8(&self.bs.buf[self.bs.pos..self.bs.pos + n]).expect("ASCII");
+        let keep = match &self.projection {
+            None => Keep::Filter,
+            Some(auto) => enter(auto, &mut self.cursor, parent, name, self.stack.is_empty()),
+        };
+        let sym = self.store.try_intern(name);
+        self.bs.pos += n;
+        let Some(sym) = sym else {
+            return Err(self.error(TOO_MANY_NAMES));
+        };
         // The projection switched from filtering to whole-subtree keeping
         // here: this element is one of the nodes the projection asked for.
         let match_root = keep == Keep::All && parent == Keep::Filter;
-        let name = std::str::from_utf8(&self.scratch).expect("name bytes are ASCII");
-        let Some(sym) = self.store.try_intern(name) else {
-            return Err(self.error(TOO_MANY_NAMES));
-        };
         let wanted = keep != Keep::Skip;
         let attrs = self.parse_attributes(wanted && self.keep_attributes)?;
         match self.bs.peek()? {
@@ -807,31 +811,25 @@ impl<R: Read> StreamParser<'_, R> {
                 }
                 self.bs.pos += 1;
                 self.exit_element();
-                if wanted {
-                    let children = self.attribute_children(attrs)?;
-                    self.stats.nodes_kept += 1;
-                    let node = self.store.new_element_sym(sym, children);
-                    if match_root {
-                        if let Some(sink) = self.sink.as_deref_mut() {
-                            sink.push(&self.store, node);
-                        }
-                    }
-                    Ok(Some(Some(node)))
-                } else {
+                if !wanted {
                     self.stats.nodes_pruned += 1;
-                    Ok(Some(None))
+                    return Ok(Some(None));
                 }
+                let children = self.attribute_children(attrs)?;
+                let node = self.store.new_element_sym(sym, &children);
+                self.complete(node, match_root);
+                Ok(Some(Some(node)))
             }
             Some(b'>') => {
                 self.bs.pos += 1;
-                let children = if wanted {
-                    self.attribute_children(attrs)?
-                } else {
-                    Vec::new()
-                };
+                let first = self.children.len();
+                if wanted {
+                    let children = self.attribute_children(attrs)?;
+                    self.children.extend(children);
+                }
                 self.stack.push(Frame {
                     sym,
-                    children,
+                    first,
                     keep,
                     match_root,
                 });
@@ -851,20 +849,32 @@ impl<R: Read> StreamParser<'_, R> {
             .ok_or_else(|| self.error(TOO_MANY_NAMES))
     }
 
+    /// Counts a kept node and delivers it to the sink when it is a match
+    /// root.
+    fn complete(&mut self, node: NodeId, match_root: bool) {
+        self.stats.nodes_kept += 1;
+        if match_root {
+            if let Some(sink) = self.sink.as_deref_mut() {
+                sink.push(&self.store, node);
+            }
+        }
+    }
+
     /// Parses one closing tag (the leading `</` already consumed), pops the
     /// frame and returns the completed node (`None` when skipped).
     fn parse_close_tag(&mut self) -> Result<Option<NodeId>, ParseError> {
-        self.parse_name_scratch()?;
+        let n = self.name_len()?;
         let frame = self.stack.pop().expect("close tag outside any element");
-        // The open tag interned its name, so a matching close tag must
-        // already be in the table — symbol comparison, no allocation.
-        if self.store.symbols().lookup(self.scratch_str()) != Some(frame.sym) {
-            return Err(self.error(&format!(
-                "mismatched closing tag: expected </{}>, found </{}>",
-                self.store.symbols().name(frame.sym),
-                self.scratch_str()
-            )));
+        let expected = self.store.symbols().name(frame.sym);
+        if self.name(n) != expected {
+            let message = format!(
+                "mismatched closing tag: expected </{expected}>, found </{}>",
+                self.name(n)
+            );
+            self.bs.pos += n;
+            return Err(self.error(&message));
         }
+        self.bs.pos += n;
         self.bs.skip_ws()?;
         if self.bs.peek()? != Some(b'>') {
             return Err(self.error("expected '>' in closing tag"));
@@ -873,24 +883,21 @@ impl<R: Read> StreamParser<'_, R> {
         self.exit_element();
         if frame.keep == Keep::Skip {
             self.stats.nodes_pruned += 1;
-            Ok(None)
-        } else {
-            self.stats.nodes_kept += 1;
-            let node = self.store.new_element_sym(frame.sym, frame.children);
-            if frame.match_root {
-                if let Some(sink) = self.sink.as_deref_mut() {
-                    sink.push(&self.store, node);
-                }
-            }
-            Ok(Some(node))
+            return Ok(None);
         }
+        let node = self
+            .store
+            .new_element_sym(frame.sym, &self.children[frame.first..]);
+        self.children.truncate(frame.first);
+        self.complete(node, frame.match_root);
+        Ok(Some(node))
     }
 
     /// Attaches a completed child node to the innermost open element.
     fn attach(&mut self, node: Option<NodeId>) {
-        if let (Some(node), Some(frame)) = (node, self.stack.last_mut()) {
+        if let (Some(node), Some(frame)) = (node, self.stack.last()) {
             if frame.keep != Keep::Skip {
-                frame.children.push(node);
+                self.children.push(node);
             }
         }
     }
@@ -915,81 +922,88 @@ impl<R: Read> StreamParser<'_, R> {
             return Ok(done.expect("document element is always kept"));
         }
         loop {
-            if self.bs.eat("</")? {
-                let node = self.parse_close_tag()?;
-                if self.stack.is_empty() {
-                    return Ok(node.expect("document element is always kept"));
+            match self.bs.peek()? {
+                Some(b'<') => match self.bs.peek_second()? {
+                    Some(b'/') => {
+                        self.bs.pos += 2;
+                        let node = self.parse_close_tag()?;
+                        if self.stack.is_empty() {
+                            return Ok(node.expect("document element is always kept"));
+                        }
+                        self.attach(node);
+                    }
+                    Some(b'?') => {
+                        self.bs.pos += 2;
+                        self.bs.skip_past("?>")?;
+                    }
+                    Some(b'!') if self.bs.eat("<!--")? => self.bs.skip_past("-->")?,
+                    Some(b'!') if self.bs.eat("<![CDATA[")? => self.parse_cdata()?,
+                    _ => {
+                        let completed = self.parse_open_tag()?;
+                        if let Some(node) = completed {
+                            self.attach(node);
+                        }
+                    }
+                },
+                Some(_) => self.parse_text_run()?,
+                None => {
+                    let tag = self
+                        .stack
+                        .last()
+                        .map(|f| self.store.symbols().name(f.sym))
+                        .unwrap_or_default();
+                    return Err(self.error(&format!("unexpected end of input inside <{tag}>")));
                 }
-                self.attach(node);
-            } else if self.bs.eat("<!--")? {
-                self.bs.consume_until("-->", None)?;
-            } else if self.bs.eat("<?")? {
-                self.bs.consume_until("?>", None)?;
-            } else if self.bs.eat("<![CDATA[")? {
-                let wanted = self.text_wanted();
-                self.stats.texts_parsed += 1;
-                let mut raw = Vec::new();
-                self.bs.consume_until("]]>", wanted.then_some(&mut raw))?;
-                if wanted {
-                    let text = String::from_utf8_lossy(&raw).into_owned();
-                    self.emit_text(&text);
-                } else {
-                    self.stats.nodes_pruned += 1;
-                }
-            } else if self.bs.peek()? == Some(b'<') {
-                let completed = self.parse_open_tag()?;
-                if let Some(node) = completed {
-                    self.attach(node);
-                }
-            } else if self.bs.peek()?.is_none() {
-                let tag = self
-                    .stack
-                    .last()
-                    .map(|f| self.store.symbols().name(f.sym))
-                    .unwrap_or_default();
-                return Err(self.error(&format!("unexpected end of input inside <{tag}>")));
-            } else {
-                self.parse_text_run()?;
             }
         }
     }
 
-    /// Parses a run of character data up to the next `<` (or EOF).
-    /// Whitespace-only runs are ignored, as in the in-memory parser.
-    fn parse_text_run(&mut self) -> Result<(), ParseError> {
+    /// Parses a CDATA section (the leading `<![CDATA[` already consumed)
+    /// into a text node, kept verbatim even when empty or blank.
+    fn parse_cdata(&mut self) -> Result<(), ParseError> {
         let wanted = self.text_wanted();
-        let mut raw = Vec::new();
-        while let Some(b) = self.bs.peek()? {
-            if b == b'<' {
-                break;
-            }
-            raw.push(b);
-            self.bs.pos += 1;
+        self.stats.texts_parsed += 1;
+        if !wanted {
+            self.stats.nodes_pruned += 1;
+            return self.bs.skip_past("]]>");
         }
-        let text = String::from_utf8_lossy(&raw).into_owned();
+        let raw = self.bs.take_until("]]>")?;
+        let node = self.store.new_text(String::from_utf8_lossy(raw));
+        self.emit_text(node);
+        Ok(())
+    }
+
+    /// Parses a run of character data up to the next `<` (or EOF).
+    /// Whitespace-only runs are ignored, as is conventional for
+    /// document-oriented XML with a DTD.
+    fn parse_text_run(&mut self) -> Result<(), ParseError> {
+        let len = self.bs.run_len(|b| b != b'<')?;
+        let start = self.bs.pos;
+        self.bs.pos += len;
+        let text = String::from_utf8_lossy(&self.bs.buf[start..start + len]);
         if text.trim().is_empty() {
             return Ok(());
         }
         self.stats.texts_parsed += 1;
-        if wanted {
-            self.emit_text(&decode_entities(&text));
-        } else {
+        if !self.text_wanted() {
             self.stats.nodes_pruned += 1;
+            return Ok(());
         }
+        let node = if text.contains('&') {
+            self.store.new_text(decode_entities(&text))
+        } else {
+            self.store.new_text(text)
+        };
+        self.emit_text(node);
         Ok(())
     }
 
-    /// Materializes a kept text node, delivers it to the sink when it is a
-    /// direct projection match (an explicit text-path under a filtering
-    /// parent — not text inside an already-matched subtree), and attaches it.
-    fn emit_text(&mut self, text: &str) {
-        self.stats.nodes_kept += 1;
-        let node = self.store.new_text(text);
-        if self.projection.is_some() && self.parent_keep() == Keep::Filter {
-            if let Some(sink) = self.sink.as_deref_mut() {
-                sink.push(&self.store, node);
-            }
-        }
+    /// Counts a kept text node, delivers it to the sink when it is a direct
+    /// projection match (an explicit text-path under a filtering parent —
+    /// not text inside an already-matched subtree), and attaches it.
+    fn emit_text(&mut self, node: NodeId) {
+        let match_root = self.projection.is_some() && self.parent_keep() == Keep::Filter;
+        self.complete(node, match_root);
         self.attach(Some(node));
     }
 }
@@ -1044,22 +1058,78 @@ mod tests {
         parse_xml_reader(Cursor::new(input.as_bytes().to_vec()))
     }
 
-    /// A reader that hands out one byte at a time, exercising every
-    /// token-across-chunk boundary.
-    struct TrickleReader<'a> {
+    /// A reader that hands out at most `max` bytes per `read`, so tokens
+    /// straddle window refills at every offset.
+    struct SmallReads<'a> {
         data: &'a [u8],
-        pos: usize,
+        max: usize,
     }
 
-    impl Read for TrickleReader<'_> {
+    impl Read for SmallReads<'_> {
         fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
-            if self.pos >= self.data.len() || out.is_empty() {
-                return Ok(0);
-            }
-            out[0] = self.data[self.pos];
-            self.pos += 1;
-            Ok(1)
+            let n = self.data.len().min(self.max).min(out.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
         }
+    }
+
+    /// The exact shape of a tree: `tag(children,…)` per element, the
+    /// debug-quoted value per text node.
+    fn shape(tree: &Tree) -> String {
+        fn walk(store: &Store, node: NodeId, out: &mut String) {
+            match store.tag(node) {
+                None => out.push_str(&format!("{:?}", store.text_value(node).unwrap())),
+                Some(tag) => {
+                    out.push_str(tag);
+                    out.push('(');
+                    for (i, c) in store.children_iter(node).enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        walk(store, c, out);
+                    }
+                    out.push(')');
+                }
+            }
+        }
+        let mut out = String::new();
+        walk(&tree.store, tree.root, &mut out);
+        out
+    }
+
+    /// A parse result in a form that compares exactly: the tree's shape, or
+    /// the error's message and byte offset.
+    fn summary(result: Result<Tree, ParseError>) -> Result<String, (String, usize)> {
+        result
+            .map(|t| shape(&t))
+            .map_err(|e| (e.message, e.position))
+    }
+
+    /// Asserts that `input` parses to `expected` whole, streamed from a
+    /// cursor, and streamed one byte per `read`.
+    fn assert_parses_to(input: &str, keep_attributes: bool, expected: Result<&str, (&str, usize)>) {
+        let expected = expected
+            .map(str::to_string)
+            .map_err(|(m, p)| (m.to_string(), p));
+        let whole = if keep_attributes {
+            parse_xml_keep_attributes(input)
+        } else {
+            parse_xml(input)
+        };
+        assert_eq!(summary(whole), expected, "{input:?}");
+        let config = StreamConfig {
+            keep_attributes,
+            projection: None,
+        };
+        let cursor = parse_xml_stream(Cursor::new(input.as_bytes().to_vec()), &config);
+        assert_eq!(summary(cursor.map(|o| o.tree)), expected, "{input:?}");
+        let trickle = SmallReads {
+            data: input.as_bytes(),
+            max: 1,
+        };
+        let trickled = parse_xml_stream(trickle, &config);
+        assert_eq!(summary(trickled.map(|o| o.tree)), expected, "{input:?}");
     }
 
     #[test]
@@ -1072,94 +1142,98 @@ mod tests {
         assert!(stream(&ok).is_ok());
     }
 
+    /// The trees the former recursive in-memory parser built for these
+    /// inputs, recorded as literals.
     #[test]
     fn agrees_with_in_memory_parser_on_basics() {
-        for input in [
-            "<doc><a><c/></a><a><c/></a><b><c/></b><a><c/></a></doc>",
-            "<a>hello &amp; &lt;world&gt;</a>",
-            "<a><![CDATA[1 < 2]]></a>",
-            "<a/>",
-            r#"<?xml version="1.0"?><!DOCTYPE doc [ <!ELEMENT doc (a)> ]>
+        for (input, expected) in [
+            (
+                "<doc><a><c/></a><a><c/></a><b><c/></b><a><c/></a></doc>",
+                "doc(a(c()),a(c()),b(c()),a(c()))",
+            ),
+            ("<a>hello &amp; &lt;world&gt;</a>", "a(\"hello & <world>\")"),
+            ("<a><![CDATA[1 < 2]]></a>", "a(\"1 < 2\")"),
+            ("<a/>", "a()"),
+            (
+                r#"<?xml version="1.0"?><!DOCTYPE doc [ <!ELEMENT doc (a)> ]>
                <!-- c --><doc id="1"><a x='2'/><!-- inner --></doc>"#,
-            "<r><x>1 &amp; 2</x><y/></r><!-- trailing -->",
+                "doc(a())",
+            ),
+            (
+                "<r><x>1 &amp; 2</x><y/></r><!-- trailing -->",
+                "r(x(\"1 & 2\"),y())",
+            ),
         ] {
-            let expected = parse_xml(input).unwrap();
-            let got = stream(input).unwrap();
-            assert!(expected.value_equiv(&got), "{input}");
+            assert_parses_to(input, false, Ok(expected));
         }
     }
 
+    /// The rejections of the former recursive in-memory parser, message and
+    /// byte offset, recorded as literals.
     #[test]
     fn rejects_what_the_in_memory_parser_rejects_at_the_same_position() {
-        for input in [
-            "<a></b>",
-            "<a/><b/>",
-            "<a>",
-            "plain",
-            "<a =></a>",
-            "<a x=nope/>",
-            "<a><b></a></b>",
+        for (input, message, position) in [
+            (
+                "<a></b>",
+                "mismatched closing tag: expected </a>, found </b>",
+                6,
+            ),
+            ("<a/><b/>", "trailing content after document element", 4),
+            ("<a>", "unexpected end of input inside <a>", 3),
+            ("plain", "expected '<'", 0),
+            ("<a =></a>", "expected a name", 3),
+            ("<a x=nope/>", "expected quoted attribute value", 5),
+            (
+                "<a><b></a></b>",
+                "mismatched closing tag: expected </b>, found </a>",
+                9,
+            ),
         ] {
-            let expected = parse_xml(input).expect_err(input);
-            let got = stream(input).expect_err(input);
-            assert_eq!(expected.message, got.message, "{input}");
-            assert_eq!(expected.position, got.position, "{input}");
+            assert_parses_to(input, false, Err((message, position)));
         }
     }
 
     #[test]
     fn one_byte_reads_still_parse() {
         let input = "<doc><a attr=\"v\"><c/></a><b>text &amp; more</b></doc>";
-        let expected = parse_xml(input).unwrap();
+        assert_parses_to(input, false, Ok("doc(a(c()),b(\"text & more\"))"));
         let outcome = parse_xml_stream(
-            TrickleReader {
+            SmallReads {
                 data: input.as_bytes(),
-                pos: 0,
+                max: 1,
             },
-            &StreamConfig {
-                chunk_size: 16,
-                ..Default::default()
-            },
+            &StreamConfig::default(),
         )
         .unwrap();
-        assert!(expected.value_equiv(&outcome.tree));
         assert_eq!(outcome.stats.bytes_read, input.len());
     }
 
     #[test]
     fn keep_attributes_matches_in_memory_encoding() {
         let input = r#"<item id="7" lang='en'><name>x &amp; y</name><edge from="a"/></item>"#;
-        let expected = parse_xml_keep_attributes(input).unwrap();
-        let got = parse_xml_stream(
-            Cursor::new(input.as_bytes().to_vec()),
-            &StreamConfig {
-                keep_attributes: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(expected.value_equiv(&got.tree));
+        assert_parses_to(
+            input,
+            true,
+            Ok("item(@id(\"7\"),@lang(\"en\"),name(\"x & y\"),edge(@from(\"a\")))"),
+        );
     }
 
     #[test]
     fn peak_buffer_stays_small_on_large_inputs() {
-        // ~200 KiB of flat elements parsed through a 1 KiB window.
+        // ~2 MiB of flat elements parsed through a window of a few chunks.
         let mut input = String::from("<doc>");
-        for i in 0..10_000 {
+        for i in 0..100_000 {
             input.push_str(&format!("<item>v{i}</item>"));
         }
         input.push_str("</doc>");
         let outcome = parse_xml_stream(
             Cursor::new(input.as_bytes().to_vec()),
-            &StreamConfig {
-                chunk_size: 1024,
-                ..Default::default()
-            },
+            &StreamConfig::default(),
         )
         .unwrap();
-        assert_eq!(outcome.tree.size(), 20_001);
+        assert_eq!(outcome.tree.size(), 200_001);
         assert!(
-            outcome.stats.peak_buffer_bytes <= 4 * 1024,
+            outcome.stats.peak_buffer_bytes <= 4 * CHUNK_SIZE,
             "window grew to {}",
             outcome.stats.peak_buffer_bytes
         );

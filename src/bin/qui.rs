@@ -5,7 +5,7 @@
 //! qui commute   --dtd <file> --update <expr> --update2 <expr> [--start <name>]
 //! qui chains    --dtd <file> (--query <expr> | --update <expr>) [--k <n>] [--start <name>]
 //! qui matrix    --dtd <file> --views <file> --update <expr> [--start <name>] [--jobs <n>] [--engine auto|explicit|cdag]
-//! qui validate  --dtd <file> --doc <file> [--attributes] [--stream] [--start <name>]
+//! qui validate  --dtd <file> --doc <file> [--attributes] [--start <name>]
 //! qui infer-dtd <doc.xml> [<doc.xml> …]
 //! qui generate  --dtd <file> [--nodes <n>] [--seed <n>] [--start <name>]
 //! qui xmark     (--scale S|M|L|XL | --nodes <n>) [--seed <n>] [--out <file>]
@@ -28,11 +28,11 @@ use xml_qui::core::{
     Server, SessionBuilder, SessionHandler, SessionRegistry,
 };
 use xml_qui::schema::infer::infer_dtd;
-use xml_qui::schema::{generate_valid, Dtd, GenValidConfig};
+use xml_qui::schema::{default_start, generate_valid, Dtd, GenValidConfig};
 use xml_qui::workloads::{
     all_updates, all_views, maintenance_simulation_jobs, stream_xmark_document, XmarkScale,
 };
-use xml_qui::xmlstore::{parse_xml, parse_xml_keep_attributes, serialize_tree, Tree};
+use xml_qui::xmlstore::{parse_xml_stream, serialize_tree, StreamConfig, Tree};
 use xml_qui::xquery::{parse_query, parse_update, Query, Update};
 
 fn main() -> ExitCode {
@@ -100,10 +100,7 @@ fn usage() -> String {
         s,
         "  serve     --dtd <file> [--addr <host:port>] [--workers <n>] [--engine E]"
     );
-    let _ = writeln!(
-        s,
-        "  validate  --dtd <file> --doc <file> [--attributes] [--stream]"
-    );
+    let _ = writeln!(s, "  validate  --dtd <file> --doc <file> [--attributes]");
     let _ = writeln!(s, "  infer-dtd <doc.xml> [<doc.xml> …]");
     let _ = writeln!(s, "  generate  --dtd <file> [--nodes <n>] [--seed <n>]");
     let _ = writeln!(
@@ -116,10 +113,6 @@ fn usage() -> String {
     );
     let _ = writeln!(s, "options: --start <name> overrides the DTD start symbol;");
     let _ = writeln!(s, "         expressions may be written inline or as @file;");
-    let _ = writeln!(
-        s,
-        "         --stream parses documents incrementally from disk;"
-    );
     let _ = writeln!(
         s,
         "         --jobs <n> (or QUI_JOBS) shards work over n threads;"
@@ -168,7 +161,7 @@ impl CliArgs {
             "--workers",
             "--name",
         ];
-        const BARE_FLAGS: [&str; 3] = ["--explain", "--attributes", "--stream"];
+        const BARE_FLAGS: [&str; 2] = ["--explain", "--attributes"];
         let mut out = CliArgs::default();
         let mut i = 0;
         while i < args.len() {
@@ -243,28 +236,6 @@ fn load_dtd(args: &CliArgs) -> Result<Dtd, String> {
         Dtd::parse_compact(&src, &start)
     };
     dtd.map_err(|e| format!("{path}: {e}"))
-}
-
-/// The first declared element name of a DTD source, used as the default
-/// start symbol.
-fn default_start(src: &str) -> Option<String> {
-    if let Some(idx) = src.find("<!ELEMENT") {
-        let rest = src[idx + "<!ELEMENT".len()..].trim_start();
-        let name: String = rest
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || matches!(c, '_' | '-' | '.'))
-            .collect();
-        return (!name.is_empty()).then_some(name);
-    }
-    for line in src.split([';', '\n']) {
-        if let Some((lhs, _)) = line.split_once("->").or_else(|| line.split_once('←')) {
-            let lhs = lhs.trim();
-            if !lhs.is_empty() {
-                return Some(lhs.to_string());
-            }
-        }
-    }
-    None
 }
 
 fn load_query(args: &CliArgs) -> Result<Query, String> {
@@ -527,12 +498,7 @@ fn cmd_serve(args: &CliArgs) -> Result<String, String> {
 fn cmd_validate(args: &CliArgs) -> Result<String, String> {
     let dtd = load_dtd(args)?;
     let doc_path = args.require("--doc")?;
-    let doc = if args.has_flag("--stream") {
-        load_document_streamed(doc_path, args.has_flag("--attributes"))?
-    } else {
-        let doc_src = read_file(doc_path)?;
-        parse_document(&doc_src, args.has_flag("--attributes"))?
-    };
+    let doc = load_document(doc_path, args.has_flag("--attributes"))?;
     match dtd.validate(&doc) {
         Ok(typing) => Ok(format!(
             "valid: {} nodes typed against {} element types\n",
@@ -543,26 +509,17 @@ fn cmd_validate(args: &CliArgs) -> Result<String, String> {
     }
 }
 
-/// Parses a document incrementally from disk without materializing the file
-/// contents (the `--stream` ingest path).
-fn load_document_streamed(path: &str, keep_attributes: bool) -> Result<Tree, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
-    let config = xml_qui::xmlstore::StreamConfig {
+/// Parses a document from disk as it is read, without holding the file's
+/// contents.
+fn load_document(path: &str, keep_attributes: bool) -> Result<Tree, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let config = StreamConfig {
         keep_attributes,
-        ..Default::default()
+        projection: None,
     };
-    xml_qui::xmlstore::parse_xml_stream(file, &config)
+    parse_xml_stream(file, &config)
         .map(|outcome| outcome.tree)
         .map_err(|e| e.to_string())
-}
-
-fn parse_document(src: &str, keep_attributes: bool) -> Result<Tree, String> {
-    let parsed = if keep_attributes {
-        parse_xml_keep_attributes(src)
-    } else {
-        parse_xml(src)
-    };
-    parsed.map_err(|e| e.to_string())
 }
 
 fn cmd_infer_dtd(args: &CliArgs) -> Result<String, String> {
@@ -571,8 +528,7 @@ fn cmd_infer_dtd(args: &CliArgs) -> Result<String, String> {
     }
     let mut corpus = Vec::new();
     for path in &args.positional {
-        let src = read_file(path)?;
-        corpus.push(parse_document(&src, args.has_flag("--attributes"))?);
+        corpus.push(load_document(path, args.has_flag("--attributes"))?);
     }
     let inferred = infer_dtd(&corpus).map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -694,6 +650,7 @@ fn cmd_maintain(args: &CliArgs) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xml_qui::xmlstore::parse_xml;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -728,6 +685,10 @@ mod tests {
         );
         assert_eq!(
             default_start("doc -> (a|b)* ; a -> c"),
+            Some("doc".to_string())
+        );
+        assert_eq!(
+            default_start("doc ← (a|b)* ; a ← c"),
             Some("doc".to_string())
         );
         assert_eq!(default_start(""), None);
@@ -1071,10 +1032,33 @@ quit
             "site",
             "--doc",
             doc_path.to_str().unwrap(),
-            "--stream",
         ]))
         .unwrap();
         assert!(out.starts_with("valid"), "{out}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn validate_and_infer_dtd_read_a_200000_deep_document() {
+        let dir = std::env::temp_dir().join(format!("qui-cli-deep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let dtd_path = dir.join("a.dtd");
+        std::fs::write(&dtd_path, "a -> a?").unwrap();
+        let doc_path = dir.join("deep.xml");
+        let depth = 200_000;
+        std::fs::write(&doc_path, "<a>".repeat(depth) + &"</a>".repeat(depth)).unwrap();
+        let doc = doc_path.to_str().unwrap();
+        let out = run(&strings(&[
+            "validate",
+            "--dtd",
+            dtd_path.to_str().unwrap(),
+            "--doc",
+            doc,
+        ]))
+        .unwrap();
+        assert_eq!(out, "valid: 200000 nodes typed against 1 element types\n");
+        let inferred = run(&strings(&["infer-dtd", doc])).unwrap();
+        assert!(inferred.contains("\na -> a?\n"), "{inferred}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
