@@ -6,30 +6,23 @@
 //! (independence) to compare query results before and after an update.
 
 use crate::node::NodeId;
-use crate::store::Store;
+use crate::store::{Step, Store, Walk};
 
 /// Returns `true` iff `(σ1, l1) ≅ (σ2, l2)`.
+///
+/// The two subtrees are walked in lockstep, without recursion: they are
+/// isomorphic iff their open / text / close steps pair up with equal tags
+/// and text values.
 pub fn value_equiv(s1: &Store, l1: NodeId, s2: &Store, l2: NodeId) -> bool {
-    match (s1.text_value(l1), s2.text_value(l2)) {
-        (Some(a), Some(b)) => a == b,
-        (None, None) => {
-            s1.tag(l1) == s2.tag(l2) && {
-                let mut c1 = s1.children_iter(l1);
-                let mut c2 = s2.children_iter(l2);
-                loop {
-                    match (c1.next(), c2.next()) {
-                        (None, None) => break true,
-                        (Some(a), Some(b)) => {
-                            if !value_equiv(s1, a, s2, b) {
-                                break false;
-                            }
-                        }
-                        _ => break false,
-                    }
-                }
-            }
+    let (mut w1, mut w2) = (Walk::new(l1), Walk::new(l2));
+    loop {
+        match (w1.next(s1), w2.next(s2)) {
+            (None, None) => return true,
+            (Some(Step::Open(a)), Some(Step::Open(b))) if s1.tag(a) == s2.tag(b) => {}
+            (Some(Step::Text(a)), Some(Step::Text(b))) if s1.text_value(a) == s2.text_value(b) => {}
+            (Some(Step::Close(_)), Some(Step::Close(_))) => {}
+            _ => return false,
         }
-        _ => false,
     }
 }
 

@@ -1,7 +1,7 @@
 //! Serialization of stores and trees back to XML text.
 
 use crate::node::NodeId;
-use crate::store::Store;
+use crate::store::{Step, Store, Walk};
 use crate::tree::Tree;
 
 /// Serializes the subtree rooted at `node` to an XML string.
@@ -36,43 +36,58 @@ pub fn serialize_tree_with_attributes(tree: &Tree) -> String {
     serialize_node_with_attributes(&tree.store, tree.root)
 }
 
-fn write_node(store: &Store, node: NodeId, out: &mut String, attrs: bool) {
-    if let Some(text) = store.text_value(node) {
-        out.push_str(&escape_text(text));
-        return;
-    }
-    let tag = store.tag(node).expect("non-text nodes are elements");
-    let (attr_children, content_children): (Vec<NodeId>, Vec<NodeId>) = if attrs {
-        store
-            .children_iter(node)
-            .partition(|&c| store.tag(c).is_some_and(|t| t.starts_with('@')))
-    } else {
-        (Vec::new(), store.children(node))
-    };
-    out.push('<');
-    out.push_str(tag);
-    for a in attr_children {
-        let name = store.tag(a).expect("attribute children are elements");
-        let value: String = store
-            .children_iter(a)
-            .filter_map(|c| store.text_value(c))
-            .collect();
-        out.push(' ');
-        out.push_str(name.trim_start_matches('@'));
-        out.push_str("=\"");
-        out.push_str(&escape_attr(&value));
-        out.push('"');
-    }
-    if content_children.is_empty() {
-        out.push_str("/>");
-    } else {
-        out.push('>');
-        for c in content_children {
-            write_node(store, c, out, attrs);
+/// Writes the subtree at `root` without recursion (see [`Walk`]). With
+/// `attrs`, every `@name` child of a written element is written as an
+/// attribute of its open tag instead of as content.
+fn write_node(store: &Store, root: NodeId, out: &mut String, attrs: bool) {
+    let is_attr = |n: NodeId| attrs && store.tag(n).is_some_and(|t| t.starts_with('@'));
+    let has_content = |n: NodeId| store.children_iter(n).any(|c| !is_attr(c));
+    let mut walk = Walk::new(root);
+    while let Some(step) = walk.next(store) {
+        match step {
+            Step::Text(n) => push_escaped_text(out, store.text_value(n).expect("text")),
+            Step::Open(n) if n != root && is_attr(n) => walk.skip(store, n),
+            Step::Open(n) => {
+                out.push('<');
+                out.push_str(store.tag(n).expect("element"));
+                if attrs {
+                    for a in store.children_iter(n).filter(|&c| is_attr(c)) {
+                        write_attribute(store, a, out);
+                    }
+                }
+                out.push_str(if has_content(n) { ">" } else { "/>" });
+            }
+            Step::Close(n) => {
+                if has_content(n) {
+                    out.push_str("</");
+                    out.push_str(store.tag(n).expect("element"));
+                    out.push('>');
+                }
+            }
         }
-        out.push_str("</");
-        out.push_str(tag);
-        out.push('>');
+    }
+}
+
+/// Writes the `@name` element `a` as ` name="value"`, its value the
+/// concatenation of its text children.
+fn write_attribute(store: &Store, a: NodeId, out: &mut String) {
+    let value: String = store
+        .children_iter(a)
+        .filter_map(|c| store.text_value(c))
+        .collect();
+    out.push(' ');
+    out.push_str(store.tag(a).expect("element").trim_start_matches('@'));
+    out.push_str("=\"");
+    out.push_str(&escape_attr(&value));
+    out.push('"');
+}
+
+/// Appends `s` to `out` as XML character data (see [`escape_text`]).
+fn push_escaped_text(out: &mut String, s: &str) {
+    if s.contains(['&', '<', '>']) {
+        out.push_str(&escape_text(s));
+    } else {
+        out.push_str(s);
     }
 }
 

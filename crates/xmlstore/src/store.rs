@@ -775,56 +775,58 @@ impl Store {
     ///
     /// This is the "copy semantics" of XQuery element construction and of the
     /// insert/replace source lists: inserted trees are fresh copies.
+    ///
+    /// Children are allocated before their parent, in document order, and
+    /// the walk holds no recursion, so any depth copies.
     pub fn deep_copy_from(&mut self, src_store: &Store, src: NodeId) -> NodeId {
-        if let Some(text) = src_store.text_value(src) {
-            return self.new_text(text);
+        let mut walk = Walk::new(src);
+        // The copies of every open element's children so far, stacked;
+        // `starts` marks where each open element's children begin.
+        let mut copied: Vec<NodeId> = Vec::new();
+        let mut starts: Vec<usize> = Vec::new();
+        while let Some(step) = walk.next(src_store) {
+            match step {
+                Step::Open(_) => starts.push(copied.len()),
+                Step::Text(n) => {
+                    copied.push(self.new_text(src_store.text_value(n).expect("text")));
+                }
+                Step::Close(n) => {
+                    let start = starts.pop().expect("opened");
+                    let sym = self.intern(src_store.tag(n).expect("element"));
+                    let id = self.new_element_sym(sym, &copied[start..]);
+                    copied.truncate(start);
+                    copied.push(id);
+                }
+            }
         }
-        let copied: Vec<NodeId> = src_store
-            .children_iter(src)
-            .map(|c| self.deep_copy_from(src_store, c))
-            .collect();
-        let sym = self.intern(src_store.tag(src).expect("element"));
-        self.new_element_sym(sym, &copied)
+        copied[0]
     }
 
     /// Deep-copies a subtree within this store. Text nodes share their
     /// source span (no byte copy); elements share their interned label.
+    /// Allocation order and depth are as for
+    /// [`deep_copy_from`](Self::deep_copy_from).
     pub fn deep_copy(&mut self, src: NodeId) -> NodeId {
-        // Plan the subtree first (ids shift as we allocate), then allocate
-        // children-before-parents exactly like the recursive builder so the
-        // id sequence matches the pointer-tree layout bit for bit.
-        enum Plan {
-            Text(u32),
-            Element(u32, Vec<usize>),
-        }
-        fn walk(store: &Store, id: NodeId, plans: &mut Vec<Plan>) -> usize {
-            let c = store.cells(id.index());
-            if c.text != NIL {
-                plans.push(Plan::Text(c.text));
-            } else {
-                let idxs: Vec<usize> = store
-                    .children_iter(id)
-                    .map(|k| walk(store, k, plans))
-                    .collect();
-                plans.push(Plan::Element(c.label, idxs));
-            }
-            plans.len() - 1
-        }
-        let mut plans: Vec<Plan> = Vec::new();
-        let root_plan = walk(self, src, &mut plans);
-        let mut ids: Vec<Option<NodeId>> = vec![None; plans.len()];
-        for (i, plan) in plans.iter().enumerate() {
-            let id = match plan {
-                Plan::Text(span) => self.new_text_span(*span),
-                Plan::Element(label, kids) => {
-                    let kid_ids: Vec<NodeId> =
-                        kids.iter().map(|&k| ids[k].expect("post-order")).collect();
-                    self.new_element_sym(Sym(*label as u16), &kid_ids)
+        let mut walk = Walk::new(src);
+        let mut copied: Vec<NodeId> = Vec::new();
+        let mut starts: Vec<usize> = Vec::new();
+        while let Some(step) = walk.next(self) {
+            match step {
+                Step::Open(_) => starts.push(copied.len()),
+                Step::Text(n) => {
+                    let span = self.cells(n.index()).text;
+                    copied.push(self.new_text_span(span));
                 }
-            };
-            ids[i] = Some(id);
+                Step::Close(n) => {
+                    let start = starts.pop().expect("opened");
+                    let label = Sym(self.cells(n.index()).label as u16);
+                    let id = self.new_element_sym(label, &copied[start..]);
+                    copied.truncate(start);
+                    copied.push(id);
+                }
+            }
         }
-        ids[root_plan].expect("root planned")
+        copied[0]
     }
 
     // ----- primitive mutations (application of update pending lists) -----
@@ -1023,12 +1025,20 @@ impl Store {
         c.text != NIL || reach.may_hold(c.label as usize, label.index())
     }
 
+    /// Whether a [`freeze`](Self::freeze) would build a label-reach summary:
+    /// the store has none (never frozen, or an insert or rename dropped it)
+    /// and its labels are within [`MAX_REACH_LABELS`].
+    pub fn lacks_summary(&self) -> bool {
+        self.reach.is_none() && self.symbols.len() <= MAX_REACH_LABELS
+    }
+
     // ----- freeze / snapshot -----
 
     /// Flattens this store into an immutable shared base, after which
     /// [`snapshot`](Self::snapshot) is O(1), and builds the label-reach
     /// summary if the store has none. Flattening is a no-op when the store
-    /// is already a clean frozen base.
+    /// is already a clean frozen base; when snapshots still share the base
+    /// of a store that changed since, it copies the base.
     pub fn freeze(&mut self) {
         self.flatten();
         if self.reach.is_none() {
@@ -1159,6 +1169,75 @@ impl Iterator for Subtree<'_> {
             }
         });
         Some(cur)
+    }
+}
+
+/// One step of a [`Walk`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Step {
+    /// An element is entered; its children's steps follow.
+    Open(NodeId),
+    /// A text node.
+    Text(NodeId),
+    /// The element entered by the matching `Open` is left.
+    Close(NodeId),
+}
+
+/// A depth-first walk over a subtree as `Open` / `Text` / `Close` steps, in
+/// document order and without recursion: like [`Subtree`] it climbs by
+/// parent pointers, so it holds no stack however deep the tree. It borrows
+/// the store only per step, so a copy may allocate into the store it walks.
+pub(crate) struct Walk {
+    root: NodeId,
+    /// The next node to enter (`false`) or element to leave (`true`).
+    next: Option<(NodeId, bool)>,
+}
+
+impl Walk {
+    pub(crate) fn new(root: NodeId) -> Walk {
+        Walk {
+            root,
+            next: Some((root, false)),
+        }
+    }
+
+    pub(crate) fn next(&mut self, store: &Store) -> Option<Step> {
+        let (n, leave) = self.next?;
+        // One cell read per step: it says what `n` is and what follows it.
+        let c = store.cells(n.index());
+        let step = if leave {
+            Step::Close(n)
+        } else if c.text != NIL {
+            Step::Text(n)
+        } else {
+            self.next = Some(match c.first_child {
+                NIL => (n, true),
+                child => (NodeId(child), false),
+            });
+            return Some(Step::Open(n));
+        };
+        self.next = self.after(n, c);
+        Some(step)
+    }
+
+    /// Leaves `n`, just opened, without visiting its children or closing it.
+    pub(crate) fn skip(&mut self, store: &Store, n: NodeId) {
+        self.next = self.after(n, store.cells(n.index()));
+    }
+
+    /// What follows the finished node `n` (cells `c`): its next sibling,
+    /// else leaving its parent; nothing past the root.
+    fn after(&self, n: NodeId, c: Cells) -> Option<(NodeId, bool)> {
+        if n == self.root {
+            return None;
+        }
+        Some(match c.next_sibling {
+            NIL => {
+                assert_ne!(c.parent, NIL, "walk stays inside the subtree");
+                (NodeId(c.parent), true)
+            }
+            sibling => (NodeId(sibling), false),
+        })
     }
 }
 

@@ -62,9 +62,10 @@ fn assert_summary_sound(doc: &Tree) {
 
 /// Six rounds of the 31 XMark updates, each round a seeded permutation,
 /// through a `MaintenanceEngine` over `xmark_document(6_000, seed)`. Its
-/// document stays frozen (and summarized) between batches and is rebuilt
-/// into a fresh store whenever it doubles: after every batch, all 36 views
-/// select on it what they select on an unsummarized copy.
+/// document is summarized after every batch, flattened only before the
+/// engine takes snapshots, and rebuilt into a fresh store whenever it
+/// doubles: after every batch, all 36 views select on it what they select
+/// on an unsummarized copy.
 fn xmark_update_stream_selects_what_an_unsummarized_copy_selects(seed: u64) {
     let dtd = xmark_dtd();
     let views = all_views();

@@ -17,6 +17,10 @@
 //! * **strategy monotonicity** — naive re-evaluates every view after a
 //!   batch that changed the document and none after one that did not;
 //!   pruning re-evaluates no more than naive.
+//! * **served from the snapshot** — a view serves its results straight
+//!   from the snapshot it was evaluated on, byte-identical to the results
+//!   deep-copied under one `<view>` element and serialized, across a
+//!   stream that rebuilds the document.
 //!
 //! The nightly CI run multiplies the deterministic case count via
 //! `QUI_PROPTEST_CASES`.
@@ -28,8 +32,10 @@ use xml_qui::workloads::{
     all_updates, all_views, xmark_document, xmark_dtd, BatchStats, MaintainStrategy,
     MaintenanceEngine,
 };
-use xml_qui::xmlstore::{parse_xml, Tree};
-use xml_qui::xquery::{apply_pending_list, evaluate_update, parse_query, parse_update, Update};
+use xml_qui::xmlstore::{parse_xml, serialize_node, Store, Tree};
+use xml_qui::xquery::{
+    apply_pending_list, evaluate_query, evaluate_update, parse_query, parse_update, Query, Update,
+};
 
 /// One schema + document + expression-pool scenario. Every update in the
 /// pool preserves schema validity (the static analysis reasons over
@@ -510,4 +516,81 @@ fn no_change_flag_leaves_the_document_byte_identical() {
         corpus_flags[0] > 0 && corpus_flags[1] > 0,
         "the corpus updates must report both outcomes: {corpus_flags:?}"
     );
+}
+
+/// What a view of `q` over `doc` serves when its results are deep-copied
+/// under one `<view>` element and serialized: the oracle for
+/// `MaintainedView::serialized`, which writes from the snapshot instead.
+fn copied_view(doc: &Tree, q: &Query) -> String {
+    let mut work = doc.snapshot();
+    let root = work.root;
+    let results = evaluate_query(&mut work.store, root, q).unwrap();
+    let mut store = Store::new();
+    let entries = results
+        .iter()
+        .map(|&n| store.deep_copy_from(&work.store, n))
+        .collect();
+    let view = store.new_element("view", entries);
+    serialize_node(&store, view)
+}
+
+/// All 36 XMark views plus views of text nodes, constructed elements, the
+/// empty sequence and the root serve their copied form, before and after
+/// every batch of a stream that rebuilds the document.
+#[test]
+fn views_serve_the_bytes_of_their_copied_results() {
+    let dtd = xmark_dtd();
+    let mut eng = MaintenanceEngine::new(
+        &dtd,
+        xmark_document(800, 3),
+        MaintainStrategy::Pruned,
+        Jobs::Fixed(2),
+    );
+    for v in all_views() {
+        eng.register_view(v.name, &v.query).unwrap();
+    }
+    let extra = [
+        ("text", "//person/name/text()"),
+        (
+            "constructed",
+            "for $p in /people/person return <entry>{$p/name}</entry>",
+        ),
+        ("empty", "/people/closed_auction"),
+        ("root", "/self::node()"),
+    ];
+    for (name, q) in extra {
+        eng.register_view(name, &parse_query(q).unwrap()).unwrap();
+    }
+    let assert_copied_form = |eng: &MaintenanceEngine<Dtd>, when: &str| {
+        for v in eng.views() {
+            let served = v.serialized();
+            assert_eq!(
+                served,
+                copied_view(eng.doc(), &v.query),
+                "{} {when}",
+                v.name
+            );
+        }
+    };
+    assert_copied_form(&eng, "at registration");
+    let served = eng.serialized_views();
+    assert!(served[36].len() > "<view></view>".len() && !served[36][6..].starts_with('<'));
+    assert!(served[37].contains("<entry><name>"));
+    assert_eq!(served[38], "<view/>");
+    assert_eq!(served[39], format!("<view>{}</view>", eng.doc().to_xml()));
+
+    let updates = all_updates();
+    let mut rebuilt = false;
+    for round in 0..8 {
+        for u in &updates {
+            let len = eng.doc().store.len();
+            eng.apply_batch(std::slice::from_ref(&u.update)).unwrap();
+            rebuilt |= eng.doc().store.len() < len;
+            assert_copied_form(&eng, &format!("after {} in round {round}", u.name));
+        }
+        if rebuilt {
+            return;
+        }
+    }
+    panic!("the stream never rebuilt the document");
 }
